@@ -94,6 +94,17 @@ def _write_manifest(primary_out, command: str, args, outputs: _Outputs,
     os.replace(tmp, path)
 
 
+def _steps_per_report(interval_s: float, dt: float) -> int:
+    """The report interval as a whole number of dt steps.  Any other
+    interval would round to one and silently shift the check times."""
+    ratio = interval_s / dt
+    steps = round(ratio) if math.isfinite(ratio) else 0
+    if steps < 1 or not math.isclose(steps * dt, interval_s, rel_tol=1e-6):
+        raise ValueError(
+            f"report interval {interval_s:g} s is not a whole multiple of dt={dt:g} s")
+    return steps
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -229,7 +240,9 @@ def cmd_predict(args, outputs: _Outputs) -> None:
         raise ValueError(
             f"horizon of {steps} steps exceeds the {positions.shape[0] - 1} "
             "available truth steps")
-    per_check = max(1, int(round(args.report_interval_s / dt)))
+    per_check = _steps_per_report(args.report_interval_s, dt)
+    if per_check > steps:
+        raise ValueError("report interval longer than the horizon")
     checks = np.arange(per_check, steps + 1, per_check)
 
     t0 = time.monotonic()
@@ -330,7 +343,7 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
             raise ValueError(f"UAV count {L} does not match checkpoint L={model.L}")
 
     dt = swarm_cfg.dt
-    per_check = int(round(covert_cfg.report_interval_s / dt))
+    per_check = _steps_per_report(covert_cfg.report_interval_s, dt)
     n_checks = covert_cfg.n_checks
     h_steps = per_check * n_checks
     skip = int(round(burn_in_s / dt))

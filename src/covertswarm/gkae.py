@@ -29,6 +29,7 @@ from .nn import (
     make_sage,
     mse,
     mse_grad,
+    row_normalized,
     sage_backward,
     sage_forward,
 )
@@ -234,113 +235,134 @@ def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: in
 
 
 # --- batched internals -------------------------------------------------------
+#
+# A tape lists, per layer, the layer's input and the value its backward
+# needs from the forward pass (nn's keep=True), so backward recomputes none
+# of the forward pass.  For tanh that value is the layer's output, which is
+# already the next layer's input, so a tanh chain's tape costs no more memory
+# than its layer inputs; elu layers add their pre-activation.
 
 def _dense_chain_forward(layers: list, x: np.ndarray):
-    """Forward through a dense stack, keeping each layer's input for backward."""
-    inputs = [x]
-    for layer in layers[:-1]:
-        inputs.append(dense_forward(layer, inputs[-1]))
-    y = dense_forward(layers[-1], inputs[-1])
-    return y, inputs
+    """Forward through a dense stack; returns (output, tape)."""
+    tape = []
+    for layer in layers:
+        y, saved = dense_forward(layer, x, keep=True)
+        tape.append((x, saved))
+        x = y
+    return x, tape
 
 
-def _dense_chain_backward(layers: list, inputs: list, upstream: np.ndarray, acc: list) -> np.ndarray:
+def _dense_chain_backward(layers: list, tape: list, upstream: np.ndarray, acc: list) -> np.ndarray:
     """Backward through a dense stack, accumulating (dW, db) pairs into acc."""
     up = upstream
     for k in range(len(layers) - 1, -1, -1):
-        up, dW, db = dense_backward(layers[k], inputs[k], up)
+        x, saved = tape[k]
+        up, dW, db = dense_backward(layers[k], x, up, saved)
         acc[k][0] += dW
         acc[k][1] += db
     return up
 
 
 def _encoder_forward(model: GkaeModel, X: np.ndarray, A: np.ndarray):
-    feats = [X]
+    """Graph-encode a (B, L, d) batch; returns ((B, L, node_dim) features, tape).
+    A is row-normalised once for both layers."""
+    An = row_normalized(A)
+    H, tape = X, []
     for layer in model.graph_encoder:
-        feats.append(sage_forward(layer, feats[-1], A))
-    return feats
+        y, saved = sage_forward(layer, H, A, keep=True, An=An)
+        tape.append((H, saved))
+        H = y
+    return H, tape
 
 
 def _embed_frames(model: GkaeModel, X: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Graph-encode a (B, L, d) batch into (B, node_dim*L) embeddings."""
-    H = _encoder_forward(model, X, A)[-1]
-    return H.reshape(X.shape[0], model.embed_dim)
+    return _encoder_forward(model, X, A)[0].reshape(X.shape[0], model.embed_dim)
 
 
-def _reconstruct_frames(model: GkaeModel, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    H = _encoder_forward(model, X, A)[-1]
-    B, L, _ = X.shape
-    y = H.reshape(B * L, model.node_dim)
-    for layer in model.graph_decoder:
-        y = dense_forward(layer, y)
-    return y.reshape(B, L, model.d_out)
+def _phase1_forward(model: GkaeModel, X: np.ndarray, A: np.ndarray):
+    """Graph autoencoder over a (B, L, d) batch; returns the reconstruction
+    and the encoder and head tapes."""
+    B, L, d = X.shape
+    H, enc_tape = _encoder_forward(model, X, A)
+    y, head_tape = _dense_chain_forward(model.graph_decoder, H.reshape(B * L, model.node_dim))
+    return y.reshape(B, L, d), enc_tape, head_tape
 
 
 def _phase1_loss_grads(model: GkaeModel, X: np.ndarray, A: np.ndarray, alpha1: float):
     """Graph-reconstruction loss over a (B, L, d) batch and its exact gradients
     (scaled by alpha1), ordered as _phase1_params."""
     B, L, d = X.shape
-    feats = _encoder_forward(model, X, A)
-    flat = feats[-1].reshape(B * L, model.node_dim)
-    y, head_inputs = _dense_chain_forward(model.graph_decoder, flat)
-    Xhat = y.reshape(B, L, d)
+    Xhat, enc_tape, head_tape = _phase1_forward(model, X, A)
     loss = mse(Xhat, X)
     head_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in model.graph_decoder]
     up = (alpha1 * mse_grad(Xhat, X)).reshape(B * L, d)
-    dflat = _dense_chain_backward(model.graph_decoder, head_inputs, up, head_acc)
+    dflat = _dense_chain_backward(model.graph_decoder, head_tape, up, head_acc)
     dH = dflat.reshape(B, L, model.node_dim)
-    enc_grads = []
+    grads = []
     for k in range(len(model.graph_encoder) - 1, -1, -1):
-        dH, dWs, dWn, db = sage_backward(model.graph_encoder[k], feats[k], A, dH)
-        enc_grads.insert(0, [dWs, dWn, db])
-    grads = [g for triple in enc_grads for g in triple]
+        H, saved = enc_tape[k]
+        dH, dWs, dWn, db = sage_backward(model.graph_encoder[k], H, A, dH, saved)
+        grads[:0] = [dWs, dWn, db]
     grads += [g for pair in head_acc for g in pair]
     return loss, grads
+
+
+def _horizons(model: GkaeModel, w: np.ndarray, h: np.ndarray, anchors: np.ndarray,
+              tau: int):
+    """Advance the anchors' latents w by K for dt = 1..tau and decode each
+    step; yields (latent, error against h[anchors + dt], decoder tape)."""
+    for d in range(1, tau + 1):
+        w = w @ model.K.T
+        y, tape = _dense_chain_forward(model.koopman_decoder, w)
+        yield w, y - h[anchors + d], tape
 
 
 def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
                        tau: int, alpha2: float):
     """Latent reconstruction + prediction losses over frozen embeddings h (F, D).
 
-    anchors are row indices into h whose targets h[anchor + dt] for
+    anchors are distinct row indices into h whose targets h[anchor + dt] for
     dt = 1..tau stay within the same source sequence.  Returns
     (L_rec, L_pred, grads) with grads scaled by alpha2 and ordered as
     _phase2_params.
     """
     F, D = h.shape
     enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
-    z, enc_inputs = _dense_chain_forward(enc, h)
+    z, enc_tape = _dense_chain_forward(enc, h)
     enc_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in enc]
     dec_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in dec]
     dK = np.zeros_like(K)
 
-    hr, dec_inputs = _dense_chain_forward(dec, z)
+    hr, dec_tape = _dense_chain_forward(dec, z)
     loss_rec = mse(hr, h)
-    dz = _dense_chain_backward(dec, dec_inputs, alpha2 * mse_grad(hr, h), dec_acc)
+    dz = _dense_chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h), dec_acc)
 
     loss_pred = 0.0
     na = int(anchors.size)
     if tau > 0 and na > 0:
         n_pred = na * tau * D
+        # One block each, not 2*tau separate arrays: those fragmented the
+        # heap and raised peak memory by about 10%.
         W = np.empty((tau + 1, na, model.latent))
         gW = np.empty((tau + 1, na, model.latent))
         W[0] = z[anchors]
         sse = 0.0
-        for d in range(1, tau + 1):
-            W[d] = W[d - 1] @ K.T
-            y, dec_in = _dense_chain_forward(dec, W[d])
-            err = y - h[anchors + d]
+        for d, (w, err, tape) in enumerate(_horizons(model, W[0], h, anchors, tau), 1):
+            W[d] = w
             sse += float(np.sum(err * err))
-            gW[d] = _dense_chain_backward(dec, dec_in, (2.0 * alpha2 / n_pred) * err, dec_acc)
+            gW[d] = _dense_chain_backward(dec, tape, (2.0 * alpha2 / n_pred) * err, dec_acc)
         loss_pred = sse / n_pred
         t_grad = gW[tau]
         for d in range(tau, 0, -1):
             dK += t_grad.T @ W[d - 1]
             down = t_grad @ K
             t_grad = gW[d - 1] + down if d > 1 else down
-        np.add.at(dz, anchors, t_grad)
+        # The anchors are distinct, so this plain scatter adds each row once,
+        # exactly as np.add.at would, and faster.
+        dz[anchors] += t_grad
 
-    _dense_chain_backward(enc, enc_inputs, dz, enc_acc)
+    _dense_chain_backward(enc, enc_tape, dz, enc_acc)
     grads = [g for pair in enc_acc for g in pair]
     grads.append(dK)
     grads += [g for pair in dec_acc for g in pair]
@@ -349,27 +371,26 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
 
 # --- sequence-level losses ---------------------------------------------------
 
-def _check_sequence(model: GkaeModel, seq: GraphSequence) -> None:
+def _sequence_arrays(model: GkaeModel, seq: GraphSequence):
+    """Checked (T, L, d) features and (T, L, L) float adjacency of a sequence."""
     if not seq.normalized:
         raise ValueError("sequence must be normalized")
     if seq.n_nodes != model.L:
         raise ValueError(f"sequence has {seq.n_nodes} nodes, model expects {model.L}")
     if seq.snapshots[0].features.shape[1] != model.d_out:
         raise ValueError("sequence feature dimension does not match model")
+    return seq.features_array(), seq.adjacency_array().astype(float)
 
 
 def loss_grec(model: GkaeModel, seq: GraphSequence) -> float:
     """Mean squared reconstruction error of node features across the sequence."""
-    _check_sequence(model, seq)
-    X = seq.features_array()
-    A = seq.adjacency_array().astype(float)
-    return mse(_reconstruct_frames(model, X, A), X)
+    X, A = _sequence_arrays(model, seq)
+    return mse(_phase1_forward(model, X, A)[0], X)
 
 
 def loss_rec(model: GkaeModel, seq: GraphSequence) -> float:
     """Mean squared embedding reconstruction error through the latent stage."""
-    _check_sequence(model, seq)
-    h = _embed_frames(model, seq.features_array(), seq.adjacency_array().astype(float))
+    h = _embed_frames(model, *_sequence_arrays(model, seq))
     z, _ = _dense_chain_forward(model.koopman_encoder, h)
     hr, _ = _dense_chain_forward(model.koopman_decoder, z)
     return mse(hr, h)
@@ -378,20 +399,16 @@ def loss_rec(model: GkaeModel, seq: GraphSequence) -> float:
 def loss_pred(model: GkaeModel, seq: GraphSequence, tau: int) -> float:
     """Mean squared multi-step embedding prediction error, averaged over all
     anchors t and horizons dt = 1..tau."""
-    _check_sequence(model, seq)
+    X, A = _sequence_arrays(model, seq)
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if seq.n_frames < tau + 1:
         raise ValueError(f"sequence of {seq.n_frames} frames is shorter than tau+1={tau + 1}")
-    h = _embed_frames(model, seq.features_array(), seq.adjacency_array().astype(float))
+    h = _embed_frames(model, X, A)
     z, _ = _dense_chain_forward(model.koopman_encoder, h)
     anchors = np.arange(h.shape[0] - tau)
-    w = z[anchors]
     sse = 0.0
-    for d in range(1, tau + 1):
-        w = w @ model.K.T
-        y, _ = _dense_chain_forward(model.koopman_decoder, w)
-        err = y - h[anchors + d]
+    for _, err, _ in _horizons(model, z[anchors], h, anchors, tau):
         sse += float(np.sum(err * err))
     return sse / (anchors.size * tau * h.shape[1])
 
@@ -430,12 +447,12 @@ def _stack_dataset(model: GkaeModel, dataset: list, window: int):
     X_parts, A_parts, anchor_parts = [], [], []
     offset = 0
     for seq in dataset:
-        _check_sequence(model, seq)
+        X, A = _sequence_arrays(model, seq)
         if seq.n_frames < window:
             raise ValueError(
                 f"sequence of {seq.n_frames} frames is shorter than window={window}")
-        X_parts.append(seq.features_array())
-        A_parts.append(seq.adjacency_array().astype(float))
+        X_parts.append(X)
+        A_parts.append(A)
         anchor_parts.append(offset + np.arange(seq.n_frames - window + 1))
         offset += seq.n_frames
     return (np.concatenate(X_parts), np.concatenate(A_parts),
@@ -472,7 +489,7 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
     rec = pred = math.nan
     if cfg.epochs_phase2 > 0:
         h = _embed_frames(model, X, A)
-        grec_frozen = mse(_reconstruct_frames(model, X, A), X)
+        grec_frozen = mse(_phase1_forward(model, X, A)[0], X)
         params2 = _phase2_params(model)
         state2 = AdamState.for_params(params2, lr=cfg.lr)
         for e in range(cfg.epochs_phase2):
@@ -553,6 +570,8 @@ def load_checkpoint(path) -> GkaeModel:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"malformed checkpoint: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise CheckpointError("malformed checkpoint: top level is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version: {doc.get('version')!r}")
     try:

@@ -1,8 +1,12 @@
 """Minimal dense / graph layers with hand-derived gradients, plus Adam.
 
 Everything is float64 numpy; forward functions accept a leading batch
-dimension.  Backward functions recompute the cheap forward internals
-rather than threading caches through the call sites.
+dimension.  A forward call with ``keep=True`` also returns what its
+backward needs: the activation output for tanh (derivative 1 - y*y), the
+pre-activation for elu, nothing for identity, and for a graph layer the
+row-normalised adjacency and the neighbour mean.  Backward takes that
+value as ``saved`` and recomputes it with the same forward code only when
+it is not given, so both ways return the same bits.
 """
 
 from __future__ import annotations
@@ -29,11 +33,6 @@ def tanh(x: np.ndarray) -> np.ndarray:
     return np.tanh(x)
 
 
-def tanh_grad(x: np.ndarray) -> np.ndarray:
-    t = np.tanh(x)
-    return 1.0 - t * t
-
-
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "elu":
         return elu(z)
@@ -44,14 +43,22 @@ def _activate(name: str, z: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, z: np.ndarray) -> np.ndarray:
-    if name == "elu":
-        return elu_grad(z)
+def _grad_source(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
+    """What the derivative of activation ``name`` is computed from: the
+    output y for tanh, the pre-activation z for elu (exp(z) is not y + 1 to
+    the bit), nothing for identity."""
     if name == "tanh":
-        return tanh_grad(z)
-    if name == "identity":
-        return np.ones_like(z)
-    raise ValueError(f"unknown activation {name!r}")
+        return y
+    return z if name == "elu" else None
+
+
+def _backprop_activation(name: str, upstream: np.ndarray, saved) -> np.ndarray:
+    """upstream * act'(z), from the value _grad_source picked."""
+    if name == "tanh":
+        return upstream * (1.0 - saved * saved)
+    if name == "elu":
+        return upstream * elu_grad(saved)
+    return upstream
 
 
 def glorot_uniform(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -86,23 +93,29 @@ def make_dense(rng: np.random.Generator, n_in: int, n_out: int, activation: str)
     return DenseLayer(glorot_uniform(rng, n_out, n_in), np.zeros(n_out), activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray) -> np.ndarray:
+def dense_forward(layer: DenseLayer, x: np.ndarray, keep: bool = False):
+    """y = act(Wx + b).  With keep=True returns (y, saved), saved being the
+    value dense_backward needs from this pass."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.n_in:
         raise ValueError(f"dense input dim {x.shape[-1]} != {layer.n_in}")
-    return _activate(layer.activation, x @ layer.W.T + layer.b)
+    z = x @ layer.W.T + layer.b
+    y = _activate(layer.activation, z)
+    return (y, _grad_source(layer.activation, z, y)) if keep else y
 
 
-def dense_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray):
-    """Gradients for y = act(Wx + b).
+def dense_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, saved=None):
+    """Gradients for y = act(Wx + b), given dense_forward's saved value (or
+    recomputing it when None).
 
     Returns (dx, dW, db); parameter gradients are summed over any batch
     dimensions of x.
     """
     x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
-    z = x @ layer.W.T + layer.b
-    dz = upstream * _activate_grad(layer.activation, z)
+    if saved is None and layer.activation != "identity":
+        _, saved = dense_forward(layer, x, keep=True)
+    dz = _backprop_activation(layer.activation, upstream, saved)
     x2 = x.reshape(-1, layer.n_in)
     dz2 = dz.reshape(-1, layer.n_out)
     dW = dz2.T @ x2
@@ -144,32 +157,47 @@ def make_sage(rng: np.random.Generator, n_in: int, n_out: int, activation: str) 
     )
 
 
-def _row_normalized(A: np.ndarray) -> np.ndarray:
+def row_normalized(A: np.ndarray) -> np.ndarray:
+    """A with each row divided by its degree; empty rows stay zero."""
     A = np.asarray(A, dtype=float)
     deg = A.sum(axis=-1, keepdims=True)
     return A / np.maximum(deg, 1.0)
 
 
-def sage_forward(layer: SageLayer, X: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """X is (..., L, in), A is (..., L, L); isolated nodes aggregate zero."""
+def sage_forward(layer: SageLayer, X: np.ndarray, A: np.ndarray, keep: bool = False,
+                 An: np.ndarray | None = None):
+    """X is (..., L, in), A is (..., L, L); isolated nodes aggregate zero.
+
+    An, row_normalized(A), may be passed to skip normalising A again.  With
+    keep=True returns (y, saved), saved being (An, neighbour mean, the
+    activation's derivative source) for sage_backward.
+    """
     X = np.asarray(X, dtype=float)
     if X.shape[-1] != layer.n_in:
         raise ValueError(f"sage input dim {X.shape[-1]} != {layer.n_in}")
     if A.shape[-1] != X.shape[-2]:
         raise ValueError("adjacency does not match node count")
-    agg = _row_normalized(A) @ X
-    z = X @ layer.W_self.T + agg @ layer.W_neigh.T + layer.b
-    return _activate(layer.activation, z)
-
-
-def sage_backward(layer: SageLayer, X: np.ndarray, A: np.ndarray, upstream: np.ndarray):
-    """Returns (dX, dW_self, dW_neigh, db), parameter grads summed over batch."""
-    X = np.asarray(X, dtype=float)
-    upstream = np.asarray(upstream, dtype=float)
-    An = _row_normalized(A)
+    if An is None:
+        An = row_normalized(A)
     agg = An @ X
     z = X @ layer.W_self.T + agg @ layer.W_neigh.T + layer.b
-    dz = upstream * _activate_grad(layer.activation, z)
+    y = _activate(layer.activation, z)
+    return (y, (An, agg, _grad_source(layer.activation, z, y))) if keep else y
+
+
+def sage_backward(layer: SageLayer, X: np.ndarray, A: np.ndarray, upstream: np.ndarray,
+                  saved=None):
+    """Returns (dX, dW_self, dW_neigh, db), parameter grads summed over batch.
+
+    saved is sage_forward's; when given, A is not read, and when None the
+    forward pass is recomputed.
+    """
+    X = np.asarray(X, dtype=float)
+    upstream = np.asarray(upstream, dtype=float)
+    if saved is None:
+        _, saved = sage_forward(layer, X, A, keep=True)
+    An, agg, act_saved = saved
+    dz = _backprop_activation(layer.activation, upstream, act_saved)
     dz2 = dz.reshape(-1, layer.n_out)
     dW_self = dz2.T @ X.reshape(-1, layer.n_in)
     dW_neigh = dz2.T @ agg.reshape(-1, layer.n_in)

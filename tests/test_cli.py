@@ -233,6 +233,18 @@ def test_predict_uav_count_mismatch_exit_2(tmp_path, trained):
     assert not (tmp_path / "p.csv").exists()
 
 
+@pytest.mark.parametrize("interval, reason", [
+    (0.15, "multiple of dt"), (0.04, "multiple of dt"), (5.0, "longer than the horizon")])
+def test_predict_bad_report_interval_exit_2(tmp_path, trained, truth_csv, capsys,
+                                            interval, reason):
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--checkpoint", trained["ckpt"], "--trajectory", truth_csv,
+                 "--horizon-s", "3", "--report-interval-s", str(interval),
+                 "--out", str(out), "--quiet"]) == 2
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
 # --- eval-covert ----------------------------------------------------------------
 
 def eval_config(tmp_path, lambdas, n_grid, runs=6):
@@ -276,6 +288,30 @@ def test_eval_covert_mismatched_l_grid_exit_2(tmp_path, trained):
     assert main(["eval-covert", "--checkpoint", trained["ckpt"],
                  "--config", path, "--out", str(tmp_path / "agg.csv"),
                  "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("interval", [0.25, 0.04])
+def test_eval_covert_report_interval_not_multiple_of_dt_exit_2(tmp_path, trained,
+                                                                 capsys, interval):
+    # 0.25 s is 2.5 steps of dt = 0.1 s; 0.04 s would round to zero steps
+    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc["covert"]["report_interval_s"] = interval
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(out), "--quiet"]) == 2
+    assert "multiple of dt" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_covert_non_object_checkpoint_exit_2(tmp_path, capsys):
+    ckpt = tmp_path / "list.json"
+    ckpt.write_text("[1, 2]")
+    cfg = eval_config(tmp_path, [0.5], [5])
+    assert main(["eval-covert", "--checkpoint", str(ckpt), "--config", cfg,
+                 "--out", str(tmp_path / "agg.csv"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed checkpoint") and err.count("\n") == 1
 
 
 def test_eval_covert_audit_csv(tmp_path, trained):

@@ -193,6 +193,34 @@ def test_sage_input_gradient_matches_finite_differences():
     np.testing.assert_allclose(dX, num, rtol=1e-5, atol=1e-10)
 
 
+# --- saved forward values ---------------------------------------------------------------
+
+@pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
+def test_dense_backward_from_saved_equals_recomputed_bitwise(activation):
+    rng = np.random.default_rng(11)
+    layer = make_dense(rng, 5, 7, activation)
+    x = rng.normal(scale=2.0, size=(64, 5))
+    up = rng.normal(size=(64, 7))
+    y, saved = dense_forward(layer, x, keep=True)
+    np.testing.assert_array_equal(y, dense_forward(layer, x))
+    for a, b in zip(dense_backward(layer, x, up, saved), dense_backward(layer, x, up)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
+def test_sage_backward_from_saved_equals_recomputed_bitwise(activation):
+    rng = np.random.default_rng(12)
+    layer = make_sage(rng, 3, 4, activation)
+    X = rng.normal(scale=2.0, size=(16, 5, 3))
+    A = np.triu((rng.random((16, 5, 5)) < 0.5).astype(float), 1)
+    A = A + np.swapaxes(A, 1, 2)
+    up = rng.normal(size=(16, 5, 4))
+    y, saved = sage_forward(layer, X, A, keep=True, An=nn.row_normalized(A))
+    np.testing.assert_array_equal(y, sage_forward(layer, X, A))
+    for a, b in zip(sage_backward(layer, X, A, up, saved), sage_backward(layer, X, A, up)):
+        assert np.array_equal(a, b)
+
+
 # --- mse ------------------------------------------------------------------------------
 
 def test_mse_identical_is_zero():
