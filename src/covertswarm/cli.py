@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
@@ -37,10 +36,11 @@ class _Outputs:
     def __init__(self):
         self.paths = []
 
-    def register(self, path) -> Path:
+    def write(self, path, write) -> None:
+        """Track path and write it atomically through write(file_path)."""
         p = Path(path)
         self.paths.append(p)
-        return p
+        _write_atomic(p, write)
 
     def cleanup(self) -> None:
         for p in self.paths:
@@ -49,6 +49,19 @@ class _Outputs:
                     p.unlink()
             except OSError:
                 pass
+
+
+def _write_atomic(path, write) -> None:
+    """Let write(file_path) fill a sibling .tmp file, then move it onto
+    path, so path never holds a partial file."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        write(tmp)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _sha256(path) -> str:
@@ -88,18 +101,13 @@ def _write_manifest(primary_out, command: str, args, outputs: _Outputs,
         "outputs": [str(p) for p in outputs.paths],
         "duration_s": time.monotonic() - t_start,
     }
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as fh:
-        json.dump(doc, fh, indent=1)
-    os.replace(tmp, path)
+    _write_atomic(path, lambda p: p.write_text(json.dumps(doc, indent=1)))
 
 
 def _steps_per_report(interval_s: float, dt: float) -> int:
-    """The report interval as a whole number of dt steps.  Any other
-    interval would round to one and silently shift the check times."""
-    ratio = interval_s / dt
-    steps = round(ratio) if math.isfinite(ratio) else 0
-    if steps < 1 or not math.isclose(steps * dt, interval_s, rel_tol=1e-6):
+    """The report interval as a whole number of dt steps."""
+    steps = cv.whole_multiple(interval_s, dt)
+    if not steps:
         raise ValueError(
             f"report interval {interval_s:g} s is not a whole multiple of dt={dt:g} s")
     return steps
@@ -119,7 +127,7 @@ def cmd_simulate(args, outputs: _Outputs) -> None:
     config = swarm.config_from_dict(cfg_dict)
     t0 = time.monotonic()
     traj = swarm.simulate(config)
-    swarm.save_trajectory_csv(traj, outputs.register(args.out))
+    outputs.write(args.out, lambda p: swarm.save_trajectory_csv(traj, p))
     _write_manifest(args.out, "simulate", args, outputs, t0, config_path=args.config)
     _say(args, f"simulated {traj.n_frames} frames x {config.L} UAVs -> {args.out}")
 
@@ -156,7 +164,8 @@ def cmd_dataset(args, outputs: _Outputs) -> None:
         seq = graphs.sequence_from_positions(positions, d_tilde, swarm_cfg.dt, norm)
         seq = graphs.normalize(seq)
         split = train_dir if k < n_train else test_dir
-        graphs.save_sequence_json(seq, outputs.register(split / f"seq_{k:04d}.json"))
+        outputs.write(split / f"seq_{k:04d}.json",
+                      lambda p: graphs.save_sequence_json(seq, p))
     _write_manifest(out_dir, "dataset", args, outputs, t0, config_path=args.config)
     _say(args, f"wrote {n_train} train + {n - n_train} test sequences -> {out_dir}")
 
@@ -203,10 +212,10 @@ def cmd_train(args, outputs: _Outputs) -> None:
     model, history = gkae.train(model, dataset, cfg)
     model.meta["d_tilde"] = first.threshold
     out = Path(args.out)
-    gkae.save_checkpoint(model, outputs.register(out))
+    outputs.write(out, lambda p: gkae.save_checkpoint(model, p))
     loss_csv = Path(args.loss_csv) if args.loss_csv else \
         out.with_name(out.stem + "_loss.csv")
-    gkae.save_loss_csv(history, outputs.register(loss_csv))
+    outputs.write(loss_csv, lambda p: gkae.save_loss_csv(history, p))
     _write_manifest(out, "train", args, outputs, t0, config_path=args.config)
     final = history[-1]["total"] if history else float("nan")
     _say(args, f"trained {len(dataset)} sequences, final loss {final:.6g} -> {out}")
@@ -266,7 +275,7 @@ def cmd_predict(args, outputs: _Outputs) -> None:
         config=None,
     )
     out = Path(args.out)
-    _save_prediction_csv(pred_traj, out, dt, outputs)
+    outputs.write(out, lambda p: _save_prediction_csv(pred_traj, p, dt))
 
     scale2 = model.norm.scale ** 2
     rows = []
@@ -282,7 +291,7 @@ def cmd_predict(args, outputs: _Outputs) -> None:
             row["eps_cv_norm"] = eps / scale2
     errors_csv = Path(args.errors_out) if args.errors_out else \
         out.with_name(out.stem + "_errors.csv")
-    _save_errors_csv(rows, errors_csv, outputs)
+    outputs.write(errors_csv, lambda p: _save_errors_csv(rows, p))
     _write_manifest(out, "predict", args, outputs, t0,
                     inputs={"checkpoint": args.checkpoint,
                             "trajectory": args.trajectory})
@@ -290,10 +299,10 @@ def cmd_predict(args, outputs: _Outputs) -> None:
     _say(args, f"predicted {steps} steps, eps_mean={eps_mean:.6g} m^2 -> {out}")
 
 
-def _save_prediction_csv(pred_traj, path, dt, outputs: _Outputs) -> None:
+def _save_prediction_csv(pred_traj, path, dt) -> None:
     # Prediction frames start one step after the observed frame.
     import csv as _csv
-    with open(outputs.register(path), "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(swarm.CSV_HEADER)
         for k in range(pred_traj.positions.shape[0]):
@@ -305,9 +314,9 @@ def _save_prediction_csv(pred_traj, path, dt, outputs: _Outputs) -> None:
                 writer.writerow(row)
 
 
-def _save_errors_csv(rows, path, outputs: _Outputs) -> None:
+def _save_errors_csv(rows, path) -> None:
     cols = list(rows[0].keys())
-    with open(outputs.register(path), "w", newline="") as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
         for row in rows:
             fh.write(",".join(f"{row[c]:.17g}" for c in cols) + "\n")
@@ -390,20 +399,25 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
                         flags, p_true[:, :, :n_nodes], p_pred[:, :, :n_nodes],
                         eps, lam, covert_cfg.report_interval_s)
 
+    def save_cells_csv(path):
+        with open(path, "w", newline="") as fh:
+            fh.write("lambda,N,L,H,P_det,eps_mean\n")
+            for c in cells:
+                fh.write(f"{c['lambda']:.17g},{c['N']},{c['L']},{c['H']:.17g},"
+                         f"{c['P_det']:.17g},{c['eps_mean']:.17g}\n")
+
+    def save_report_json(path):
+        with open(path, "w") as fh:
+            json.dump({"runs": covert_cfg.runs, "horizon_s": covert_cfg.horizon_s,
+                       "report_interval_s": covert_cfg.report_interval_s,
+                       "cells": cells}, fh, indent=1)
+
     out = Path(args.out)
-    with open(outputs.register(out), "w", newline="") as fh:
-        fh.write("lambda,N,L,H,P_det,eps_mean\n")
-        for c in cells:
-            fh.write(f"{c['lambda']:.17g},{c['N']},{c['L']},{c['H']:.17g},"
-                     f"{c['P_det']:.17g},{c['eps_mean']:.17g}\n")
-    report_path = out.with_name(out.stem + "_report.json")
-    with open(outputs.register(report_path), "w") as fh:
-        json.dump({"runs": covert_cfg.runs, "horizon_s": covert_cfg.horizon_s,
-                   "report_interval_s": covert_cfg.report_interval_s,
-                   "cells": cells}, fh, indent=1)
+    outputs.write(out, save_cells_csv)
+    outputs.write(out.with_name(out.stem + "_report.json"), save_report_json)
     if audit_report is not None:
-        audit_report.save_summary_csv(
-            outputs.register(out.with_name(out.stem + "_audit.csv")))
+        outputs.write(out.with_name(out.stem + "_audit.csv"),
+                      audit_report.save_summary_csv)
     _write_manifest(out, "eval-covert", args, outputs, t0, config_path=args.config,
                     inputs={"checkpoint": args.checkpoint})
     _say(args, f"evaluated {len(cells)} cells over {covert_cfg.runs} runs -> {out}")

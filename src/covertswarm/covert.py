@@ -5,6 +5,15 @@ path to any surveillance UAV stays below the detection threshold; using
 predicted UAV positions instead of true ones introduces error, hedged by
 a descaling factor applied to the predicted bound.  A detection event is
 a true safe bound falling below the descaled predicted bound.
+
+The power bound computes all node-UAV distances as arrays in the same
+operation order as a scalar loop (elementwise arithmetic and sqrt are
+correctly rounded, so every distance is bit-identical), then applies one
+scalar Python pow per node to the nearest distance.  Two facts keep this
+bit-identical to the loop over (node, UAV) pairs: libm pow is monotone, so
+the largest path gain d ** -eta is that of the smallest d; and the pow is
+scalar, because numpy's SIMD pow differs from libm in the last bit on a
+fraction of inputs.
 """
 
 from __future__ import annotations
@@ -26,6 +35,14 @@ def noise_power_watts(dbm_per_hz: float = -174.0, bandwidth_hz: float = 1e6) -> 
 DEFAULT_NOISE_W = noise_power_watts()  # ~3.98e-15 W at -174 dBm/Hz over 1 MHz
 
 
+def whole_multiple(total: float, unit: float) -> int:
+    """total / unit when that is a whole number >= 1 (relative tolerance
+    1e-6), else 0: any other ratio would round and silently shift times."""
+    ratio = total / unit
+    k = round(ratio) if math.isfinite(ratio) else 0
+    return k if k >= 1 and math.isclose(k * unit, total, rel_tol=1e-6) else 0
+
+
 @dataclass
 class GroundNetwork:
     """Static terrestrial ad-hoc network; node positions are (N, 3) with z = 0."""
@@ -44,6 +61,8 @@ class GroundNetwork:
             raise ValueError(f"positions must be (N, 3), got {self.positions.shape}")
         if self.positions.shape[0] < 1:
             raise ValueError("need at least one ground node")
+        if not np.isfinite(self.positions).all():
+            raise ValueError("ground node positions must be finite")
         if np.any(self.positions[:, 2] != 0.0):
             raise ValueError("ground nodes must have z = 0")
         if not self.P_max > 0:
@@ -84,12 +103,16 @@ class CovertConfig:
             raise ValueError(f"horizon_s must be > 0, got {self.horizon_s}")
         if not self.report_interval_s > 0:
             raise ValueError("report_interval_s must be > 0")
+        if not self.n_checks:
+            raise ValueError(
+                f"horizon {self.horizon_s:g} s is not a whole multiple of the "
+                f"report interval {self.report_interval_s:g} s")
         if self.runs < 1:
             raise ValueError(f"runs must be >= 1, got {self.runs}")
 
     @property
     def n_checks(self) -> int:
-        return int(round(self.horizon_s / self.report_interval_s))
+        return whole_multiple(self.horizon_s, self.report_interval_s)
 
 
 # --- link model --------------------------------------------------------------
@@ -159,30 +182,30 @@ def transmit_power_bound(net: GroundNetwork, uav_frame: np.ndarray,
     node transmits min(nominal_n, P_det / w_n).
     """
     uav_frame = np.asarray(uav_frame, dtype=float)
-    if uav_frame.ndim != 2 or uav_frame.shape[1] != 3:
-        raise ValueError(f"uav_frame must be (L, 3), got {uav_frame.shape}")
+    if uav_frame.ndim != 2 or uav_frame.shape[1] != 3 or uav_frame.shape[0] < 1:
+        raise ValueError(f"uav_frame must be (L, 3) with L >= 1, got {uav_frame.shape}")
+    if not np.isfinite(uav_frame).all():
+        raise ValueError("uav_frame has non-finite coordinates")
     nominal = np.asarray(nominal, dtype=float)
     if nominal.shape != (net.n_nodes,):
         raise ValueError(f"nominal must be ({net.n_nodes},), got {nominal.shape}")
     if np.any(nominal < 0) or np.any(nominal > net.P_max):
         raise ValueError("nominal powers must lie in [0, P_max]")
-    # scalar arithmetic keeps results bit-identical to a plain loop over
-    # (node, UAV) pairs; vectorized pow takes a different SIMD path
-    eta = float(net.eta)
+    # (L, N) distances in the scalar loop's operation order; UAV-major so
+    # that the min over UAVs runs along contiguous rows
     nodes = net.positions
-    out = np.empty(net.n_nodes)
-    for n in range(net.n_nodes):
-        w = -math.inf
-        for l in range(uav_frame.shape[0]):
-            dx = nodes[n, 0] - uav_frame[l, 0]
-            dy = nodes[n, 1] - uav_frame[l, 1]
-            dz = nodes[n, 2] - uav_frame[l, 2]
-            d = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if d == 0.0:
-                raise ValueError("UAV coincides with ground node (d = 0)")
-            w = max(w, d ** (-eta))
-        out[n] = min(float(nominal[n]), P_det / w)
-    return out
+    dx = nodes[:, 0] - uav_frame[:, 0, None]
+    dy = nodes[:, 1] - uav_frame[:, 1, None]
+    dz = nodes[:, 2] - uav_frame[:, 2, None]
+    d = np.sqrt(dx * dx + dy * dy + dz * dz)
+    if not d.all():
+        raise ValueError("UAV coincides with ground node (d = 0)")
+    # max over UAVs of d ** -eta is d_min ** -eta because libm pow is
+    # monotone; scalar pow, not np.power, whose SIMD path can differ in the
+    # last bit
+    eta = float(net.eta)
+    w = np.array([v ** -eta for v in d.min(axis=0).tolist()])
+    return np.minimum(nominal, P_det / w)
 
 
 # --- prediction metrics ------------------------------------------------------
@@ -195,14 +218,6 @@ def prediction_error(true_frame: np.ndarray, pred_frame: np.ndarray) -> float:
         raise ValueError(f"frame shape mismatch {true_frame.shape} vs {pred_frame.shape}")
     diff = true_frame - pred_frame
     return float(np.mean(np.sum(diff * diff, axis=1)))
-
-
-def mean_error(series) -> float:
-    """Average of per-step prediction errors over the horizon."""
-    series = np.asarray(series, dtype=float)
-    if series.size == 0:
-        raise ValueError("empty error series")
-    return float(series.mean())
 
 
 def baseline_constant_velocity(frames: np.ndarray, horizon_steps: int) -> np.ndarray:

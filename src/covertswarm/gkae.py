@@ -227,10 +227,13 @@ def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: in
     z = koopman_encode(model, graph_encode(model, snapshot))
     off = model.norm.offset_array(model.d_out)
     out = np.empty((horizon_steps, model.L, model.d_out))
-    for s in range(horizon_steps):
-        z = model.K @ z
-        coords = graph_decode(model, koopman_decode(model, z))
-        out[s] = coords * model.norm.scale + off
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(horizon_steps):
+            z = model.K @ z
+            coords = graph_decode(model, koopman_decode(model, z))
+            out[s] = coords * model.norm.scale + off
+    if not np.isfinite(out).all():
+        raise ModelStateError("rollout diverged: predicted positions are not finite")
     return out
 
 

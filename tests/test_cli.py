@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covertswarm import gkae, graphs, swarm
+from covertswarm import covert, gkae, graphs, swarm
 from covertswarm.cli import main
 
 
@@ -174,6 +174,15 @@ def test_train_divergence_exit_4(tmp_path, trained):
     assert not (tmp_path / "m.json").exists()
 
 
+def diverging_checkpoint(trained, tmp_path):
+    """The trained checkpoint with K scaled to spectral radius 1e12, so that a
+    30-step rollout overflows although every parameter is finite."""
+    doc = json.loads(open(trained["ckpt"]).read())
+    K = np.array(doc["params"]["K"])
+    doc["params"]["K"] = (K * 1e12 / np.abs(np.linalg.eigvals(K)).max()).tolist()
+    return write_json(tmp_path / "diverging.json", doc)
+
+
 # --- predict --------------------------------------------------------------------
 
 @pytest.fixture()
@@ -322,6 +331,51 @@ def test_eval_covert_audit_csv(tmp_path, trained):
     audit = (tmp_path / "agg_audit.csv").read_text().splitlines()
     assert audit[0] == "run,delta_t,node,P_true,P_pred,detected"
     assert len(audit) == 1 + 3 * 3 * 4
+
+
+@pytest.mark.parametrize("horizon, interval", [(2.5, 1.0), (3.0, 7.0)])
+def test_eval_covert_horizon_not_multiple_of_report_interval_exit_2(
+        tmp_path, trained, capsys, horizon, interval):
+    # 2.5 s with 1 s reports would check at 1 s and 2 s only but print H=2.5
+    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc["covert"].update(horizon_s=horizon, report_interval_s=interval)
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "not a whole multiple of the report interval" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_diverging_rollout_exit_4(tmp_path, trained, truth_csv, capsys):
+    ckpt = diverging_checkpoint(trained, tmp_path)
+    pred = tmp_path / "pred.csv"
+    assert main(["predict", "--checkpoint", ckpt, "--trajectory", truth_csv,
+                 "--horizon-s", "3", "--out", str(pred), "--quiet"]) == 4
+    agg = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", ckpt,
+                 "--config", eval_config(tmp_path, [0.5], [5], runs=2),
+                 "--out", str(agg), "--quiet"]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all("not finite" in line for line in err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "diverging.json", "eval.json", "truth.csv"]
+
+
+def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypatch):
+    def fail_midway(self, path):
+        with open(path, "w") as fh:
+            fh.write("run,delta_t")
+        assert not (tmp_path / "agg_audit.csv").exists()  # partial bytes go to a .tmp
+        raise OSError("disk full")
+
+    monkeypatch.setattr(covert.DetectionReport, "save_summary_csv", fail_midway)
+    cfg = eval_config(tmp_path, [0.5], [4], runs=2)
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(tmp_path / "agg.csv"), "--audit", "--quiet"]) == 3
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json"]
 
 
 # --- cross-command determinism -----------------------------------------------------

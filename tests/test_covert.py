@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertswarm import covert as cv
 from covertswarm.covert import (
@@ -12,7 +14,6 @@ from covertswarm.covert import (
     baseline_constant_velocity,
     detection_events,
     detection_probability,
-    mean_error,
     mean_link_set,
     mean_snr,
     noise_power_watts,
@@ -21,6 +22,7 @@ from covertswarm.covert import (
     received_power,
     snr_linear,
     transmit_power_bound,
+    whole_multiple,
 )
 
 
@@ -191,6 +193,47 @@ def test_bound_matches_brute_force():
         np.testing.assert_array_equal(got, want)
 
 
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 1000), l=st.integers(1, 8),
+       eta=st.just(0.0) | st.floats(0.0, 3.0), tie=st.none() | st.floats(1.0, 49.0))
+@settings(max_examples=100, deadline=None)
+def test_bound_equals_oracle_bit_for_bit(seed, n, l, eta, tie):
+    rng = np.random.default_rng(seed)
+    net = GroundNetwork.uniform_random(n, 500.0, rng, eta=eta)
+    frame = np.column_stack([rng.uniform(0, 500, (l, 2)), rng.uniform(50, 150, l)])
+    if tie is not None:
+        # two UAVs straight above one node at heights h and the next float up;
+        # sqrt(fl(h*h)) == h, so the node's two nearest distances are adjacent
+        # floats, where a pow that is not monotone would pick the wrong one
+        above = np.tile(net.positions[rng.integers(n)], (2, 1))
+        above[:, 2] = [tie, np.nextafter(tie, np.inf)]
+        frame = rng.permutation(np.vstack([frame, above]))
+    nominal = rng.uniform(0.0, net.P_max, n)
+    got = transmit_power_bound(net, frame, 1e-6, nominal)
+    np.testing.assert_array_equal(got, brute_force_bound(net, frame, 1e-6, nominal))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 50), l=st.integers(1, 8),
+       data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_bound_rejects_any_uav_at_a_node(seed, n, l, data):
+    rng = np.random.default_rng(seed)
+    net = GroundNetwork.uniform_random(n, 500.0, rng)
+    frame = np.column_stack([rng.uniform(0, 500, (l, 2)), rng.uniform(50, 150, l)])
+    frame[data.draw(st.integers(0, l - 1))] = net.positions[data.draw(st.integers(0, n - 1))]
+    with pytest.raises(ValueError, match="d = 0"):
+        transmit_power_bound(net, frame, 1e-6, np.full(n, net.P_max))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_bound_rejects_non_finite_frame(bad):
+    net = grid_network(4, eta=1.0)
+    for col in range(3):
+        frame = np.array([[0.0, 0.0, 100.0], [50.0, 50.0, 80.0]])
+        frame[1, col] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            transmit_power_bound(net, frame, 1e-6, np.full(4, net.P_max))
+
+
 def test_bound_monotone_in_proximity():
     # moving one UAV strictly closer never increases any node's power
     rng = np.random.default_rng(2)
@@ -220,6 +263,8 @@ def test_ground_network_validation():
         GroundNetwork(np.zeros((0, 3)))
     with pytest.raises(ValueError):
         GroundNetwork(np.zeros((2, 3)), P_max=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        GroundNetwork(np.array([[np.nan, 0.0, 0.0]]))
 
 
 # --- prediction metrics -----------------------------------------------------------------
@@ -227,10 +272,6 @@ def test_ground_network_validation():
 def test_prediction_error_perfect():
     frame = np.arange(12.0).reshape(4, 3)
     assert prediction_error(frame, frame) == 0.0
-
-
-def test_mean_error_arithmetic():
-    assert mean_error([0.1, 0.3]) == pytest.approx(0.2)
 
 
 def test_prediction_error_matches_loop():
@@ -402,3 +443,17 @@ def test_covert_config_validation():
         CovertConfig(P_det=0.0)
     with pytest.raises(ValueError):
         CovertConfig(runs=0)
+
+
+@pytest.mark.parametrize("horizon, interval", [(2.5, 1.0), (1.0, 3.0), (10.0, 4.0)])
+def test_covert_config_rejects_horizon_off_the_report_grid(horizon, interval):
+    with pytest.raises(ValueError, match="whole multiple of the report interval"):
+        CovertConfig(horizon_s=horizon, report_interval_s=interval)
+
+
+def test_covert_config_checks_on_the_report_grid():
+    assert CovertConfig(horizon_s=0.3, report_interval_s=0.1).n_checks == 3
+    assert CovertConfig(horizon_s=10.0, report_interval_s=1.0).n_checks == 10
+    assert whole_multiple(0.25, 0.1) == 0
+    assert whole_multiple(0.04, 0.1) == 0
+    assert whole_multiple(math.inf, 1.0) == 0

@@ -249,6 +249,15 @@ def test_rollout_rejects_nan_parameters():
         rollout_predict(model, snap, 3)
 
 
+def test_rollout_rejects_non_finite_output():
+    # finite parameters whose rollout overflows: spectral radius 1e12
+    model = build_model(2, seed=13)
+    model.K *= 1e12 / np.abs(np.linalg.eigvals(model.K)).max()
+    snap = random_snapshot(np.random.default_rng(13), L=2)
+    with pytest.raises(ModelStateError, match="not finite"):
+        rollout_predict(model, snap, 30)
+
+
 def test_rollout_finite_under_bounded_spectral_radius():
     model = build_model(2, seed=13)
     rho = np.abs(np.linalg.eigvals(model.K)).max()
