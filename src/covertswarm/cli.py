@@ -275,7 +275,8 @@ def cmd_predict(args, outputs: _Outputs) -> None:
         config=None,
     )
     out = Path(args.out)
-    outputs.write(out, lambda p: _save_prediction_csv(pred_traj, p, dt))
+    # prediction frames start one step after the observed frame
+    outputs.write(out, lambda p: swarm.save_trajectory_csv(pred_traj, p, first_step=1))
 
     scale2 = model.norm.scale ** 2
     rows = []
@@ -297,21 +298,6 @@ def cmd_predict(args, outputs: _Outputs) -> None:
                             "trajectory": args.trajectory})
     eps_mean = float(np.mean([r["eps_pred"] for r in rows]))
     _say(args, f"predicted {steps} steps, eps_mean={eps_mean:.6g} m^2 -> {out}")
-
-
-def _save_prediction_csv(pred_traj, path, dt) -> None:
-    # Prediction frames start one step after the observed frame.
-    import csv as _csv
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh)
-        writer.writerow(swarm.CSV_HEADER)
-        for k in range(pred_traj.positions.shape[0]):
-            t = (k + 1) * dt
-            for i in range(pred_traj.positions.shape[1]):
-                row = [f"{t:.17g}", str(i)]
-                row += [f"{v:.17g}" for v in pred_traj.positions[k, i]]
-                row += [f"{v:.17g}" for v in pred_traj.velocities[k, i]]
-                writer.writerow(row)
 
 
 def _save_errors_csv(rows, path) -> None:
@@ -344,60 +330,46 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     l_grid = [int(v) for v in cfg.get("l_grid", [model.L])]
     use_nominal = bool(cfg.get("use_nominal_power", False))
     burn_in_s = float(cfg.get("burn_in_s", 0.0))
+    if not lambda_grid or not n_grid:
+        raise ValueError("lambda_grid and n_grid must not be empty")
     for lam in lambda_grid:
         if not 0 < lam < 1:
             raise ValueError(f"lambda grid value {lam} not in (0, 1)")
-    for L in l_grid:
-        if L != model.L:
-            raise ValueError(f"UAV count {L} does not match checkpoint L={model.L}")
+    if min(n_grid) < 1:
+        raise ValueError(f"n_grid values must be >= 1, got {min(n_grid)}")
+    if l_grid != [model.L]:
+        raise ValueError(
+            f"l_grid {l_grid} must be [{model.L}], the checkpoint's UAV count")
 
     dt = swarm_cfg.dt
     per_check = _steps_per_report(covert_cfg.report_interval_s, dt)
     n_checks = covert_cfg.n_checks
-    h_steps = per_check * n_checks
+    check_steps = per_check * np.arange(1, n_checks + 1)
     skip = int(round(burn_in_s / dt))
     duration = burn_in_s + covert_cfg.horizon_s
     n_max = max(n_grid)
     d_tilde = float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
 
     t0 = time.monotonic()
-    cells = []
-    audit_report = None
-    for L in l_grid:
-        p_true = np.empty((covert_cfg.runs, n_checks, n_max))
-        p_pred = np.empty((covert_cfg.runs, n_checks, n_max))
-        eps = np.empty((covert_cfg.runs, n_checks))
-        for r in range(covert_cfg.runs):
-            run_seed = covert_cfg.seed + r
-            cfg_r = replace(swarm_cfg, L=L, seed=run_seed, duration=duration)
-            traj = swarm.simulate(cfg_r)
-            snap = graphs.build_snapshot(traj.positions[skip], d_tilde)
-            snap = graphs.normalize_snapshot(snap, model.norm)
-            pred = gkae.rollout_predict(model, snap, h_steps)
-            check_steps = per_check * np.arange(1, n_checks + 1)
-            true_checks = traj.positions[skip + check_steps]
-            pred_checks = pred[check_steps - 1]
-            rng_nodes = np.random.default_rng([covert_cfg.seed, r, 1])
-            net = cv.GroundNetwork.uniform_random(n_max, area, rng_nodes, **ground)
-            nominal = np.array([cv.nominal_power(net, i) for i in range(n_max)]) \
-                if use_nominal else np.full(n_max, net.P_max)
-            _, pt, pp = cv.detection_events(net, true_checks, pred_checks,
-                                            covert_cfg, nominal)
-            p_true[r], p_pred[r] = pt, pp
-            for c in range(n_checks):
-                eps[r, c] = cv.prediction_error(true_checks[c], pred_checks[c])
-        eps_mean = float(eps.mean())
-        for n_nodes in n_grid:
-            for lam in lambda_grid:
-                flags = p_true[:, :, :n_nodes] < lam * p_pred[:, :, :n_nodes]
-                p_det = float(flags.any(axis=(1, 2)).mean())
-                cells.append({"lambda": lam, "N": n_nodes, "L": L,
-                              "H": covert_cfg.horizon_s, "P_det": p_det,
-                              "eps_mean": eps_mean})
-                if audit_report is None and args.audit:
-                    audit_report = cv.DetectionReport(
-                        flags, p_true[:, :, :n_nodes], p_pred[:, :, :n_nodes],
-                        eps, lam, covert_cfg.report_interval_s)
+    nets, nominals, true_runs, pred_runs = [], [], [], []
+    for r in range(covert_cfg.runs):
+        cfg_r = replace(swarm_cfg, L=model.L, seed=covert_cfg.seed + r, duration=duration)
+        traj = swarm.simulate(cfg_r)
+        snap = graphs.build_snapshot(traj.positions[skip], d_tilde)
+        snap = graphs.normalize_snapshot(snap, model.norm)
+        pred = gkae.rollout_predict(model, snap, per_check * n_checks)
+        true_runs.append(traj.positions[skip + check_steps])
+        pred_runs.append(pred[check_steps - 1])
+        rng_nodes = np.random.default_rng([covert_cfg.seed, r, 1])
+        net = cv.GroundNetwork.uniform_random(n_max, area, rng_nodes, **ground)
+        nets.append(net)
+        if use_nominal:
+            nominals.append(np.array([cv.nominal_power(net, i) for i in range(n_max)]))
+    report = cv.detection_probability(nets, true_runs, pred_runs, covert_cfg,
+                                      nominals if use_nominal else None)
+    cells = [{"lambda": lam, "N": n_nodes, "L": model.L, "H": covert_cfg.horizon_s,
+              "P_det": report.cell(lam, n_nodes).p_det, "eps_mean": report.eps_mean}
+             for n_nodes in n_grid for lam in lambda_grid]
 
     def save_cells_csv(path):
         with open(path, "w", newline="") as fh:
@@ -415,9 +387,9 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     out = Path(args.out)
     outputs.write(out, save_cells_csv)
     outputs.write(out.with_name(out.stem + "_report.json"), save_report_json)
-    if audit_report is not None:
+    if args.audit:
         outputs.write(out.with_name(out.stem + "_audit.csv"),
-                      audit_report.save_summary_csv)
+                      report.cell(lambda_grid[0], n_grid[0]).save_summary_csv)
     _write_manifest(out, "eval-covert", args, outputs, t0, config_path=args.config,
                     inputs={"checkpoint": args.checkpoint})
     _say(args, f"evaluated {len(cells)} cells over {covert_cfg.runs} runs -> {out}")

@@ -19,7 +19,6 @@ fraction of inputs.
 from __future__ import annotations
 
 import csv
-import json
 import math
 import warnings
 from dataclasses import dataclass
@@ -192,20 +191,24 @@ def transmit_power_bound(net: GroundNetwork, uav_frame: np.ndarray,
     if np.any(nominal < 0) or np.any(nominal > net.P_max):
         raise ValueError("nominal powers must lie in [0, P_max]")
     # (L, N) distances in the scalar loop's operation order; UAV-major so
-    # that the min over UAVs runs along contiguous rows
+    # that the min over UAVs runs along contiguous rows.  A finite UAV about
+    # 1e154 m or more away overflows its distance to inf and its path gain to
+    # 0, so P_det / w is inf: that UAV caps nothing, which is the right
+    # limit, and the overflow and divide warnings say nothing.
     nodes = net.positions
-    dx = nodes[:, 0] - uav_frame[:, 0, None]
-    dy = nodes[:, 1] - uav_frame[:, 1, None]
-    dz = nodes[:, 2] - uav_frame[:, 2, None]
-    d = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if not d.all():
-        raise ValueError("UAV coincides with ground node (d = 0)")
-    # max over UAVs of d ** -eta is d_min ** -eta because libm pow is
-    # monotone; scalar pow, not np.power, whose SIMD path can differ in the
-    # last bit
-    eta = float(net.eta)
-    w = np.array([v ** -eta for v in d.min(axis=0).tolist()])
-    return np.minimum(nominal, P_det / w)
+    with np.errstate(over="ignore", divide="ignore"):
+        dx = nodes[:, 0] - uav_frame[:, 0, None]
+        dy = nodes[:, 1] - uav_frame[:, 1, None]
+        dz = nodes[:, 2] - uav_frame[:, 2, None]
+        d = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if not d.all():
+            raise ValueError("UAV coincides with ground node (d = 0)")
+        # max over UAVs of d ** -eta is d_min ** -eta because libm pow is
+        # monotone; scalar pow, not np.power, whose SIMD path can differ in
+        # the last bit
+        eta = float(net.eta)
+        w = np.array([v ** -eta for v in d.min(axis=0).tolist()])
+        return np.minimum(nominal, P_det / w)
 
 
 # --- prediction metrics ------------------------------------------------------
@@ -266,7 +269,6 @@ def detection_events(net: GroundNetwork, true_checks: np.ndarray,
 class DetectionReport:
     """Monte-Carlo detection summary over independent runs."""
 
-    detected: np.ndarray   # (R, C, N) bool
     p_true: np.ndarray     # (R, C, N) W
     p_pred: np.ndarray     # (R, C, N) W
     eps_pred: np.ndarray   # (R, C) squared position error per check time
@@ -274,8 +276,13 @@ class DetectionReport:
     report_interval_s: float
 
     @property
+    def detected(self) -> np.ndarray:
+        """(R, C, N) flags, the same expression as detection_events."""
+        return self.p_true < self.lambda_ * self.p_pred
+
+    @property
     def n_runs(self) -> int:
-        return self.detected.shape[0]
+        return self.p_true.shape[0]
 
     @property
     def run_detected(self) -> np.ndarray:
@@ -289,27 +296,22 @@ class DetectionReport:
     def eps_mean(self) -> float:
         return float(self.eps_pred.mean())
 
-    def to_json_dict(self) -> dict:
-        return {
-            "lambda": self.lambda_,
-            "runs": self.n_runs,
-            "report_interval_s": self.report_interval_s,
-            "p_det": self.p_det,
-            "eps_mean": self.eps_mean,
-            "run_detected": self.run_detected.astype(int).tolist(),
-            "eps_pred": self.eps_pred.tolist(),
-        }
-
-    def save_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh)
+    def cell(self, lambda_: float, n_nodes: int) -> DetectionReport:
+        """The same runs judged at another lambda over the first n_nodes
+        nodes; slices the bounds without copying them."""
+        if not 1 <= n_nodes <= self.p_true.shape[2]:
+            raise ValueError(
+                f"n_nodes must be in [1, {self.p_true.shape[2]}], got {n_nodes}")
+        return DetectionReport(self.p_true[:, :, :n_nodes], self.p_pred[:, :, :n_nodes],
+                               self.eps_pred, lambda_, self.report_interval_s)
 
     def save_summary_csv(self, path) -> None:
         """Audit table: one row per (run, check time, node)."""
+        detected = self.detected
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["run", "delta_t", "node", "P_true", "P_pred", "detected"])
-            R, C, N = self.detected.shape
+            R, C, N = detected.shape
             for r in range(R):
                 for c in range(C):
                     dt_s = (c + 1) * self.report_interval_s
@@ -318,7 +320,7 @@ class DetectionReport:
                             r, f"{dt_s:.17g}", n,
                             f"{self.p_true[r, c, n]:.17g}",
                             f"{self.p_pred[r, c, n]:.17g}",
-                            int(self.detected[r, c, n]),
+                            int(detected[r, c, n]),
                         ])
 
 
@@ -328,30 +330,33 @@ def detection_probability(nets, true_runs, pred_runs, covert: CovertConfig,
 
     nets is one GroundNetwork shared by all runs or a list per run;
     true_runs / pred_runs are lists of (C, L, 3) check-time frames.
-    nominal defaults to P_max for every node.
+    nominal is None (P_max for every node), one (N,) array shared by all
+    runs, or a list with one entry per run.
     """
     if len(true_runs) != len(pred_runs) or not true_runs:
         raise ValueError("need equally many true and predicted runs")
     R = len(true_runs)
     if isinstance(nets, GroundNetwork):
         nets = [nets] * R
-    if len(nets) != R:
-        raise ValueError(f"expected {R} networks, got {len(nets)}")
+    if nominal is None or np.ndim(nominal) == 1:
+        nominal = [nominal] * R
+    if len(nets) != R or len(nominal) != R:
+        raise ValueError(f"expected {R} networks and nominal powers, "
+                         f"got {len(nets)} and {len(nominal)}")
     n_nodes = nets[0].n_nodes
     if any(net.n_nodes != n_nodes for net in nets):
         raise ValueError("all runs must use the same node count")
     C = np.asarray(true_runs[0]).shape[0]
-    detected = np.empty((R, C, n_nodes), dtype=bool)
     p_true = np.empty((R, C, n_nodes))
     p_pred = np.empty((R, C, n_nodes))
     eps = np.empty((R, C))
-    for r, (net, t_run, p_run) in enumerate(zip(nets, true_runs, pred_runs)):
-        nom = np.full(net.n_nodes, net.P_max) if nominal is None else np.asarray(nominal)
-        flags, pt, pp = detection_events(net, t_run, p_run, covert, nom)
-        if flags.shape[0] != C:
+    for r, (net, t_run, p_run, nom) in enumerate(zip(nets, true_runs, pred_runs, nominal)):
+        if nom is None:
+            nom = np.full(n_nodes, net.P_max)
+        _, pt, pp = detection_events(net, t_run, p_run, covert, nom)
+        if pt.shape[0] != C:
             raise ValueError("runs disagree on the number of check times")
-        detected[r], p_true[r], p_pred[r] = flags, pt, pp
+        p_true[r], p_pred[r] = pt, pp
         for c in range(C):
             eps[r, c] = prediction_error(np.asarray(t_run)[c], np.asarray(p_run)[c])
-    return DetectionReport(detected, p_true, p_pred, eps, covert.lambda_,
-                           covert.report_interval_s)
+    return DetectionReport(p_true, p_pred, eps, covert.lambda_, covert.report_interval_s)

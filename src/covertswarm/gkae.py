@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import GraphSequence, GraphSnapshot, NormalizationSpec, build_snapshot
+from .graphs import GraphSequence, GraphSnapshot, NormalizationSpec
 from .nn import (
     AdamState,
     DenseLayer,
@@ -175,16 +175,6 @@ def koopman_encode(model: GkaeModel, h: np.ndarray) -> np.ndarray:
     return h
 
 
-def latent_advance(model: GkaeModel, z: np.ndarray, steps: int) -> np.ndarray:
-    """K^steps z by repeated multiplication."""
-    if steps < 0:
-        raise ValueError(f"steps must be >= 0, got {steps}")
-    z = np.asarray(z, dtype=float)
-    for _ in range(steps):
-        z = model.K @ z
-    return z
-
-
 def koopman_decode(model: GkaeModel, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=float)
     if z.shape[-1] != model.latent:
@@ -204,14 +194,6 @@ def graph_decode(model: GkaeModel, h: np.ndarray) -> np.ndarray:
     for layer in model.graph_decoder:
         y = dense_forward(layer, y)
     return y
-
-
-def decode_snapshot(model: GkaeModel, h: np.ndarray, threshold: float,
-                    t: float = 0.0) -> GraphSnapshot:
-    """Decode to meters and rebuild the adjacency by distance thresholding."""
-    coords = graph_decode(model, h)
-    pos = coords * model.norm.scale + model.norm.offset_array(model.d_out)
-    return build_snapshot(pos, threshold, t)
 
 
 def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: int) -> np.ndarray:

@@ -69,13 +69,6 @@ def build_snapshot(positions: np.ndarray, threshold: float, t: float = 0.0) -> G
     return GraphSnapshot(positions.copy(), adj, float(threshold), float(t), normalized=False)
 
 
-def neighborhood(snapshot: GraphSnapshot, l: int) -> np.ndarray:
-    """Indices m != l with an edge to node l."""
-    if not 0 <= l < snapshot.n_nodes:
-        raise ValueError(f"node index {l} out of range")
-    return np.flatnonzero(snapshot.adjacency[l])
-
-
 @dataclass
 class GraphSequence:
     """Time-ordered snapshots sharing node count, threshold and normalization."""
@@ -158,14 +151,6 @@ def normalize_snapshot(snap: GraphSnapshot, spec: NormalizationSpec) -> GraphSna
     d = snap.features.shape[1]
     return replace(snap, features=(snap.features - spec.offset_array(d)) / spec.scale,
                    normalized=True)
-
-
-def denormalize_snapshot(snap: GraphSnapshot, spec: NormalizationSpec) -> GraphSnapshot:
-    if not snap.normalized:
-        raise ValueError("snapshot is not normalized")
-    d = snap.features.shape[1]
-    return replace(snap, features=snap.features * spec.scale + spec.offset_array(d),
-                   normalized=False)
 
 
 # --- serialization -----------------------------------------------------------

@@ -9,9 +9,8 @@ Euler; one trajectory is fully determined by its config and seed.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -60,14 +59,6 @@ class SwarmConfig:
             raise ValueError(f"duration must be > 0, got {self.duration}")
 
 
-@dataclass(frozen=True)
-class UavState:
-    """Position (m) and velocity (m/s) of a single UAV."""
-
-    position: np.ndarray
-    velocity: np.ndarray
-
-
 @dataclass
 class Frame:
     """State of all L UAVs at one instant: positions (L,3), velocities (L,3)."""
@@ -77,9 +68,6 @@ class Frame:
 
     def __len__(self) -> int:
         return self.positions.shape[0]
-
-    def state(self, i: int) -> UavState:
-        return UavState(self.positions[i].copy(), self.velocities[i].copy())
 
 
 @dataclass
@@ -94,9 +82,6 @@ class Trajectory:
     @property
     def n_frames(self) -> int:
         return self.positions.shape[0]
-
-    def frame(self, k: int) -> Frame:
-        return Frame(self.positions[k].copy(), self.velocities[k].copy())
 
     def times(self) -> np.ndarray:
         return np.arange(self.n_frames) * self.dt
@@ -132,14 +117,6 @@ def _zone_forces(positions: np.ndarray, velocities: np.ndarray, config: SwarmCon
     f_ori = in_ali.astype(float) @ velocities
     f_att = -(disp * in_att[:, :, None]).sum(axis=1)
     return f_rep, f_ori, f_att
-
-
-def interaction_forces(i: int, frame: Frame, config: SwarmConfig):
-    """Return (f_rep, f_ori, f_att) acting on UAV i in the given frame."""
-    if not 0 <= i < len(frame):
-        raise ValueError(f"UAV index {i} out of range for L={len(frame)}")
-    f_rep, f_ori, f_att = _zone_forces(frame.positions, frame.velocities, config)
-    return f_rep[i], f_ori[i], f_att[i]
 
 
 def limit_speed(v: np.ndarray, v_max: float) -> np.ndarray:
@@ -222,13 +199,14 @@ def simulate(config: SwarmConfig) -> Trajectory:
 CSV_HEADER = ["t", "uav_id", "x", "y", "z", "vx", "vy", "vz"]
 
 
-def save_trajectory_csv(traj: Trajectory, path) -> None:
-    """Write one row per (frame, UAV) with 17 significant digits."""
+def save_trajectory_csv(traj: Trajectory, path, first_step: int = 0) -> None:
+    """Write one row per (frame, UAV) with 17 significant digits; frame k
+    is stamped t = (first_step + k) * dt."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(CSV_HEADER)
         for k in range(traj.n_frames):
-            t = k * traj.dt
+            t = (first_step + k) * traj.dt
             for i in range(traj.positions.shape[1]):
                 row = [f"{t:.17g}", str(i)]
                 row += [f"{v:.17g}" for v in traj.positions[k, i]]
@@ -237,28 +215,43 @@ def save_trajectory_csv(traj: Trajectory, path) -> None:
 
 
 def load_trajectory_csv(path):
-    """Read a trajectory CSV; returns (times (T,), positions (T,L,3), velocities (T,L,3))."""
+    """Read a trajectory CSV; returns (times (T,), positions (T,L,3), velocities (T,L,3)).
+
+    Raises ValueError unless every frame lists UAV ids 0..L-1 in order under
+    one timestamp, frame times advance by one uniform dt > 0 (relative
+    tolerance 1e-6) and every value is finite.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected trajectory header: {header}")
-        rows = [(float(r[0]), int(r[1]), [float(v) for v in r[2:8]]) for r in reader]
+        try:
+            header = next(reader, None)
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a field over the csv module's size limit
+            raise ValueError(f"malformed trajectory CSV: {exc}") from exc
+    if header != CSV_HEADER:
+        raise ValueError(f"unexpected trajectory header: {header}")
     if not rows:
         raise ValueError("empty trajectory file")
-    L = max(r[1] for r in rows) + 1
-    if len(rows) % L != 0:
-        raise ValueError("trajectory rows do not divide into full frames")
-    T = len(rows) // L
-    times = np.empty(T)
-    positions = np.empty((T, L, 3))
-    velocities = np.empty((T, L, 3))
-    for n, (t, i, vals) in enumerate(rows):
-        k = n // L
-        times[k] = t
-        positions[k, i] = vals[:3]
-        velocities[k, i] = vals[3:]
-    return times, positions, velocities
+    if any(len(r) != len(CSV_HEADER) for r in rows):
+        raise ValueError(f"every trajectory row needs {len(CSV_HEADER)} fields")
+    ids = [int(r[1]) for r in rows]
+    L = max(ids) + 1
+    T = len(rows) // L if L >= 1 else 0
+    if T * L != len(rows) or ids != list(range(L)) * T:
+        raise ValueError("trajectory rows must form full frames of UAV ids 0..L-1 in order")
+    values = np.array([[float(r[0])] + [float(v) for v in r[2:]] for r in rows])
+    if not np.isfinite(values).all():
+        raise ValueError("trajectory has non-finite values")
+    values = values.reshape(T, L, 7)
+    times = values[:, 0, 0].copy()
+    if (values[:, :, 0] != times[:, None]).any():
+        raise ValueError("rows of one frame have different timestamps")
+    if T > 1:
+        dt = times[1] - times[0]
+        if not (dt > 0 and np.allclose(times - times[0], np.arange(T) * dt,
+                                       rtol=1e-6, atol=0.0)):
+            raise ValueError("frame timestamps must advance by one uniform dt > 0")
+    return times, values[:, :, 1:4].copy(), values[:, :, 4:].copy()
 
 
 def config_from_dict(data: dict) -> SwarmConfig:
@@ -268,12 +261,3 @@ def config_from_dict(data: dict) -> SwarmConfig:
     if unknown:
         raise ValueError(f"unknown swarm config keys: {sorted(unknown)}")
     return SwarmConfig(**data)
-
-
-def config_from_json(path) -> SwarmConfig:
-    with open(path) as fh:
-        return config_from_dict(json.load(fh))
-
-
-def config_to_dict(config: SwarmConfig) -> dict:
-    return asdict(config)

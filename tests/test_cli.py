@@ -1,8 +1,15 @@
+import contextlib
+import functools
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertswarm import covert, gkae, graphs, swarm
 from covertswarm.cli import main
@@ -198,8 +205,9 @@ def test_predict_writes_errors_per_second(tmp_path, trained, truth_csv):
     assert main(["predict", "--checkpoint", trained["ckpt"],
                  "--trajectory", truth_csv, "--horizon-s", "3",
                  "--out", str(out), "--quiet"]) == 0
-    _, pred, _ = swarm.load_trajectory_csv(out)
+    times, pred, _ = swarm.load_trajectory_csv(out)
     assert pred.shape == (30, 3, 3)
+    assert times[0] == 0.1  # prediction frames start one step after the observed one
     err_lines = (tmp_path / "pred_errors.csv").read_text().splitlines()
     assert err_lines[0] == "delta_t_s,eps_pred,eps_pred_norm"
     assert len(err_lines) == 1 + 3 + 1  # three checks plus the mean row
@@ -254,6 +262,52 @@ def test_predict_bad_report_interval_exit_2(tmp_path, trained, truth_csv, capsys
     assert not out.exists()
 
 
+@functools.cache
+def truth_rows():
+    """Rows of a valid 3-UAV, 21-frame trajectory CSV, split into fields."""
+    traj = swarm.simulate(swarm.SwarmConfig(**tiny_swarm(duration=2.0)))
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "truth.csv"
+        swarm.save_trajectory_csv(traj, path)
+        return tuple(tuple(line.split(",")) for line in path.read_text().splitlines()[1:])
+
+
+@st.composite
+def corrupted_rows(draw):
+    rows = [list(r) for r in truth_rows()]
+    i = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["swap", "drop", "duplicate", "replace"]))
+    if kind == "swap":
+        j = draw(st.integers(0, len(rows) - 2))
+        j += j >= i
+        rows[i], rows[j] = rows[j], rows[i]
+    elif kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.insert(i, rows[i])
+    else:
+        # the last token is longer than the csv module's field size limit
+        rows[i][draw(st.integers(0, 7))] = draw(
+            st.sampled_from(["nan", "inf", "-inf", "", "x", "1e999", "9" * 200_000]))
+    return rows
+
+
+@given(rows=corrupted_rows())
+@settings(max_examples=60, deadline=None)
+def test_predict_rejects_corrupt_trajectory_csv(trained, rows):
+    with tempfile.TemporaryDirectory() as d:
+        truth = Path(d) / "truth.csv"
+        truth.write_text("\n".join(",".join(r) for r in [swarm.CSV_HEADER] + rows) + "\n")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["predict", "--checkpoint", trained["ckpt"],
+                         "--trajectory", str(truth), "--horizon-s", "1",
+                         "--out", str(Path(d) / "pred.csv"), "--quiet"])
+        assert code == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert [p.name for p in Path(d).iterdir()] == ["truth.csv"]
+
+
 # --- eval-covert ----------------------------------------------------------------
 
 def eval_config(tmp_path, lambdas, n_grid, runs=6):
@@ -288,15 +342,60 @@ def test_eval_covert_grid_rows_and_monotonicity(tmp_path, trained):
     assert len(report["cells"]) == 6
 
 
-def test_eval_covert_mismatched_l_grid_exit_2(tmp_path, trained):
-    cfg = json.loads((tmp_path / "x.json").write_text("") or "{}")
-    path = eval_config(tmp_path, [0.5], [5])
-    doc = json.loads(open(path).read())
-    doc["l_grid"] = [7]
-    write_json(tmp_path / "eval.json", doc)
+@pytest.mark.parametrize("l_grid", [[7], [3, 3], []], ids=["other_L", "repeated", "empty"])
+def test_eval_covert_mismatched_l_grid_exit_2(tmp_path, trained, capsys, l_grid):
+    # the checkpoint fixes L = 3; a repeated entry would redo every run
+    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc["l_grid"] = l_grid
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
     assert main(["eval-covert", "--checkpoint", trained["ckpt"],
-                 "--config", path, "--out", str(tmp_path / "agg.csv"),
-                 "--quiet"]) == 2
+                 "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lambdas, n_grid", [([], [5]), ([0.5], []), ([0.5], [5, 0])],
+                         ids=["no_lambda", "no_N", "zero_N"])
+def test_eval_covert_bad_grid_exit_2(tmp_path, trained, capsys, lambdas, n_grid):
+    out = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"],
+                 "--config", eval_config(tmp_path, lambdas, n_grid),
+                 "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
+    # use_nominal_power: every node transmits at its own link-target power,
+    # and each cell equals the library engine run on the same inputs
+    doc = json.loads(open(eval_config(tmp_path, [0.5, 0.9], [6, 4], runs=3)).read())
+    doc["use_nominal_power"] = True
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(out), "--quiet"]) == 0
+    model = gkae.load_checkpoint(trained["ckpt"])
+    cov = covert.CovertConfig(P_det=1e-6, lambda_=0.5, horizon_s=3.0,
+                              report_interval_s=1.0, runs=3, seed=5)
+    checks = np.arange(10, 31, 10)
+    nets, nominals, trues, preds = [], [], [], []
+    for r in range(3):
+        traj = swarm.simulate(swarm.SwarmConfig(**{**tiny_swarm(), "seed": 5 + r}))
+        snap = graphs.normalize_snapshot(
+            graphs.build_snapshot(traj.positions[0], model.meta["d_tilde"]), model.norm)
+        pred = gkae.rollout_predict(model, snap, 30)
+        net = covert.GroundNetwork.uniform_random(
+            6, 500.0, np.random.default_rng([5, r, 1]), P_max=20.0, eta=1.0)
+        nets.append(net)
+        nominals.append(np.array([covert.nominal_power(net, i) for i in range(6)]))
+        trues.append(traj.positions[checks])
+        preds.append(pred[checks - 1])
+    assert not all((nom == 20.0).all() for nom in nominals)
+    report = covert.detection_probability(nets, trues, preds, cov, nominals)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(float(lam), int(n), float(p)) for lam, n, _, _, p, _ in rows] == [
+        (lam, n, report.cell(lam, n).p_det) for n in (6, 4) for lam in (0.5, 0.9)]
 
 
 @pytest.mark.parametrize("interval", [0.25, 0.04])

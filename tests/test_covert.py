@@ -1,5 +1,5 @@
-import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from covertswarm import covert as cv
 from covertswarm.covert import (
     CovertConfig,
-    DetectionReport,
     GroundNetwork,
     baseline_constant_velocity,
     detection_events,
@@ -163,20 +162,29 @@ def test_bound_single_uav_hand_case():
 
 
 def test_bound_saturates_at_nominal():
+    # at 1e200 m the distance overflows to inf and the path gain to 0: the
+    # UAV still caps nothing, and no overflow or divide warning escapes
     net = GroundNetwork(np.array([[0.0, 0.0, 0.0]]), eta=1.0)
-    frame = np.array([[0.0, 0.0, 1e9]])
-    p = transmit_power_bound(net, frame, 1e-6, np.array([20.0]))
-    assert p[0] == 20.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for z in (1e9, 1e200):
+            p = transmit_power_bound(net, np.array([[0.0, 0.0, z]]), 1e-6, np.array([20.0]))
+            assert p[0] == 20.0
 
 
 def test_bound_nearest_uav_dominates():
     net = GroundNetwork(np.array([[0.0, 0.0, 0.0]]), eta=1.0)
     near = np.array([[0.0, 0.0, 50.0], [0.0, 0.0, 500.0]])
     only_near = np.array([[0.0, 0.0, 50.0], [0.0, 0.0, 1e8]])
+    overflowing = np.array([[0.0, 0.0, 50.0], [1e200, 0.0, 100.0]])
     p_a = transmit_power_bound(net, near, 1e-6, np.array([20.0]))
     p_b = transmit_power_bound(net, only_near, 1e-6, np.array([20.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p_c = transmit_power_bound(net, overflowing, 1e-6, np.array([20.0]))
+    p_near = transmit_power_bound(net, near[:1], 1e-6, np.array([20.0]))
     assert p_a[0] == pytest.approx(5e-5)
-    assert p_a[0] == p_b[0]  # far UAV is irrelevant
+    assert p_a[0] == p_b[0] == p_c[0] == p_near[0]  # far UAV is irrelevant
 
 
 def test_bound_matches_brute_force():
@@ -422,16 +430,52 @@ def test_report_serialization(tmp_path):
     true, pred = make_checks(40.0, 100.0)
     covert = CovertConfig(lambda_=0.5, runs=2)
     report = detection_probability(net, [true, true], [pred, pred], covert)
-    jpath = tmp_path / "report.json"
-    report.save_json(jpath)
-    doc = json.loads(jpath.read_text())
-    assert doc["p_det"] == 1.0
-    assert doc["lambda"] == 0.5
+    assert report.p_det == 1.0
     cpath = tmp_path / "audit.csv"
     report.save_summary_csv(cpath)
     lines = cpath.read_text().splitlines()
     assert lines[0] == "run,delta_t,node,P_true,P_pred,detected"
     assert len(lines) == 1 + 2 * 3 * 1
+    assert all(line.endswith(",1") for line in lines[1:])
+
+
+def random_runs(rng, runs, n_nodes, C=3, L=2):
+    nets, trues, preds = [], [], []
+    for _ in range(runs):
+        nets.append(GroundNetwork.uniform_random(n_nodes, 500.0, rng, eta=1.0))
+        true = np.column_stack([rng.uniform(0, 500, (C * L, 2)),
+                                rng.uniform(50, 150, C * L)]).reshape(C, L, 3)
+        pred = true + rng.normal(scale=60.0, size=true.shape)
+        pred[:, :, 2] = np.abs(pred[:, :, 2]) + 1.0
+        trues.append(true)
+        preds.append(pred)
+    return nets, trues, preds
+
+
+def test_detection_probability_per_run_nominal_equals_runs_alone():
+    rng = np.random.default_rng(6)
+    nets, trues, preds = random_runs(rng, 4, 5)
+    nominals = [rng.uniform(0.0, 20.0, 5) for _ in range(4)]
+    covert = CovertConfig(lambda_=0.6, runs=4)
+    report = detection_probability(nets, trues, preds, covert, nominals)
+    for r in range(4):
+        alone = detection_probability(nets[r], [trues[r]], [preds[r]], covert, nominals[r])
+        for field in ("p_true", "p_pred", "eps_pred", "detected"):
+            np.testing.assert_array_equal(getattr(report, field)[r], getattr(alone, field)[0])
+
+
+def test_report_cell_equals_the_engine_on_the_first_nodes():
+    rng = np.random.default_rng(7)
+    nets, trues, preds = random_runs(rng, 5, 8)
+    report = detection_probability(nets, trues, preds, CovertConfig(lambda_=0.5, runs=5))
+    for lam, n in ((0.9, 3), (0.5, 8), (0.2, 1)):
+        small = [GroundNetwork(net.positions[:n], eta=1.0) for net in nets]
+        want = detection_probability(small, trues, preds, CovertConfig(lambda_=lam, runs=5))
+        cell = report.cell(lam, n)
+        np.testing.assert_array_equal(cell.detected, want.detected)
+        assert cell.p_det == want.p_det and cell.eps_mean == want.eps_mean
+    with pytest.raises(ValueError):
+        report.cell(0.5, 0)
 
 
 def test_covert_config_validation():

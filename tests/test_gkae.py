@@ -17,7 +17,6 @@ from covertswarm.gkae import (
     graph_encode,
     koopman_decode,
     koopman_encode,
-    latent_advance,
     load_checkpoint,
     loss_grec,
     loss_pred,
@@ -166,48 +165,6 @@ def test_graph_decode_zero():
     np.testing.assert_array_equal(graph_decode(model, np.zeros(8)), np.zeros((2, 3)))
 
 
-def test_decode_snapshot_rebuilds_adjacency():
-    # decoded positions 50 m apart with threshold 100 -> edge present
-    model = build_model(2, norm=NormalizationSpec(scale=500.0))
-    zero_params(model)
-    # biases of the head chosen so nodes decode to fixed, distinct positions
-    model.graph_decoder[-1].b = np.array([0.1, 0.1, 0.1])
-    snap = gkae.decode_snapshot(model, np.zeros(8), threshold=100.0)
-    np.testing.assert_allclose(snap.features, [[50.0, 50.0, 50.0]] * 2)
-    assert snap.adjacency[0, 1] == 1
-
-
-# --- latent dynamics ------------------------------------------------------------------
-
-def test_latent_advance_zero_steps_identity():
-    model = build_model(2, seed=3)
-    z = np.arange(8.0)
-    np.testing.assert_array_equal(latent_advance(model, z, 0), z)
-
-
-def test_latent_advance_identity_matrix():
-    model = build_model(2)
-    model.K = np.eye(8)
-    z = np.arange(8.0)
-    np.testing.assert_array_equal(latent_advance(model, z, 5), z)
-
-
-def test_latent_advance_composition():
-    model = build_model(2, seed=7)
-    z = np.random.default_rng(8).normal(size=8)
-    a = latent_advance(model, latent_advance(model, z, 1), 1)
-    b = latent_advance(model, z, 2)
-    np.testing.assert_allclose(a, b, atol=1e-12)
-    ab = latent_advance(model, latent_advance(model, z, 3), 4)
-    np.testing.assert_allclose(ab, latent_advance(model, z, 7), atol=1e-10)
-
-
-def test_latent_advance_negative_steps():
-    model = build_model(2)
-    with pytest.raises(ValueError):
-        latent_advance(model, np.zeros(8), -1)
-
-
 # --- rollout ----------------------------------------------------------------------------
 
 def test_rollout_horizon_one_equals_manual_chain():
@@ -235,8 +192,8 @@ def test_rollout_latent_linearity_consistency():
     s = 3
     out = rollout_predict(model, snap, 2 * s)
     z0 = koopman_encode(model, graph_encode(model, snap))
-    z_s = latent_advance(model, z0, s)
-    z_2s = latent_advance(model, z_s, s)
+    K_s = np.linalg.matrix_power(model.K, s)
+    z_2s = K_s @ (K_s @ z0)
     manual = graph_decode(model, koopman_decode(model, z_2s)) * 500.0
     np.testing.assert_allclose(out[2 * s - 1], manual, rtol=1e-10)
 

@@ -11,7 +11,6 @@ from covertswarm.graphs import (
     build_snapshot,
     denormalize,
     load_sequence_json,
-    neighborhood,
     normalize,
     save_sequence_json,
     sequence_from_positions,
@@ -80,9 +79,9 @@ def test_neighborhood_complete_and_empty():
     pos = np.zeros((4, 3))
     pos[:, 0] = [0.0, 1.0, 2.0, 3.0]
     full = build_snapshot(pos, 10.0)
-    np.testing.assert_array_equal(neighborhood(full, 0), [1, 2, 3])
+    np.testing.assert_array_equal(np.flatnonzero(full.adjacency[0]), [1, 2, 3])
     empty = build_snapshot(pos, 0.0)
-    assert neighborhood(empty, 0).size == 0
+    assert not empty.adjacency[0].any()
 
 
 def test_neighborhood_matches_brute_force_distances():
@@ -92,7 +91,7 @@ def test_neighborhood_matches_brute_force_distances():
     for l in range(7):
         expected = [m for m in range(7)
                     if m != l and math.dist(pos[l], pos[m]) <= 100.0]
-        np.testing.assert_array_equal(neighborhood(snap, l), expected)
+        np.testing.assert_array_equal(np.flatnonzero(snap.adjacency[l]), expected)
 
 
 # --- normalization ------------------------------------------------------------

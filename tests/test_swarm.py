@@ -9,7 +9,6 @@ from covertswarm.swarm import (
     SwarmConfig,
     config_from_dict,
     init_swarm,
-    interaction_forces,
     limit_speed,
     limit_turning,
     load_trajectory_csv,
@@ -89,10 +88,15 @@ def test_init_deterministic_by_seed():
 
 # --- interaction forces ---------------------------------------------------------
 
+def forces_on_first(frame, cfg):
+    """(f_rep, f_ori, f_att) acting on UAV 0."""
+    return [f[0] for f in swarm._zone_forces(frame.positions, frame.velocities, cfg)]
+
+
 def test_forces_no_neighbors():
     cfg = small_config(L=1)
     frame = Frame(np.array([[10.0, 20.0, 100.0]]), np.array([[20.0, 0.0, 0.0]]))
-    f_rep, f_ori, f_att = interaction_forces(0, frame, cfg)
+    f_rep, f_ori, f_att = forces_on_first(frame, cfg)
     np.testing.assert_array_equal(f_rep, np.zeros(3))
     np.testing.assert_array_equal(f_ori, np.zeros(3))
     np.testing.assert_array_equal(f_att, np.zeros(3))
@@ -103,7 +107,7 @@ def test_repulsion_points_away_from_neighbor():
     cfg = small_config(L=2)
     frame = Frame(np.array([[0.0, 0.0, 100.0], [100.0, 0.0, 100.0]]),
                   np.zeros((2, 3)))
-    f_rep, f_ori, f_att = interaction_forces(0, frame, cfg)
+    f_rep, f_ori, f_att = forces_on_first(frame, cfg)
     np.testing.assert_allclose(f_rep, [-100.0, 0.0, 0.0])
     np.testing.assert_array_equal(f_ori, np.zeros(3))
     np.testing.assert_array_equal(f_att, np.zeros(3))
@@ -114,7 +118,7 @@ def test_attraction_band_pulls_toward_neighbor():
     cfg = small_config(L=2)
     frame = Frame(np.array([[0.0, 0.0, 100.0], [400.0, 0.0, 100.0]]),
                   np.zeros((2, 3)))
-    f_rep, f_ori, f_att = interaction_forces(0, frame, cfg)
+    f_rep, f_ori, f_att = forces_on_first(frame, cfg)
     np.testing.assert_array_equal(f_rep, np.zeros(3))
     np.testing.assert_allclose(f_att, [400.0, 0.0, 0.0])
 
@@ -123,7 +127,7 @@ def test_alignment_band_sums_neighbor_velocities():
     cfg = small_config(L=2, r_rep=50.0, r_ali=200.0, r_att=300.0)
     frame = Frame(np.array([[0.0, 0.0, 100.0], [100.0, 0.0, 100.0]]),
                   np.array([[20.0, 0.0, 0.0], [0.0, 15.0, 0.0]]))
-    f_rep, f_ori, f_att = interaction_forces(0, frame, cfg)
+    f_rep, f_ori, f_att = forces_on_first(frame, cfg)
     np.testing.assert_array_equal(f_rep, np.zeros(3))
     np.testing.assert_allclose(f_ori, [0.0, 15.0, 0.0])
     np.testing.assert_array_equal(f_att, np.zeros(3))
@@ -134,7 +138,7 @@ def test_band_boundaries_are_half_open():
     cfg = small_config(L=2)
     frame = Frame(np.array([[0.0, 0.0, 100.0], [300.0, 0.0, 100.0]]),
                   np.zeros((2, 3)))
-    f_rep, _, f_att = interaction_forces(0, frame, cfg)
+    f_rep, _, f_att = forces_on_first(frame, cfg)
     np.testing.assert_array_equal(f_rep, np.zeros(3))
     np.testing.assert_allclose(f_att, [300.0, 0.0, 0.0])
 
@@ -143,15 +147,8 @@ def test_forces_priority_excludes_attraction_inside_repulsion():
     cfg = small_config(L=2)
     frame = Frame(np.array([[0.0, 0.0, 100.0], [100.0, 0.0, 100.0]]),
                   np.zeros((2, 3)))
-    _, _, f_att = interaction_forces(0, frame, cfg)
+    _, _, f_att = forces_on_first(frame, cfg)
     np.testing.assert_array_equal(f_att, np.zeros(3))
-
-
-def test_forces_index_out_of_range():
-    cfg = small_config(L=2)
-    frame = Frame(np.zeros((2, 3)), np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        interaction_forces(2, frame, cfg)
 
 
 # --- limit_speed ----------------------------------------------------------------
@@ -330,10 +327,28 @@ def test_trajectory_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(pos, traj.positions)
     np.testing.assert_array_equal(vel, traj.velocities)
     np.testing.assert_allclose(times, traj.times())
+    save_trajectory_csv(traj, path, first_step=1)
+    np.testing.assert_allclose(load_trajectory_csv(path)[0], traj.times() + traj.dt)
 
 
 def test_load_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError):
+        load_trajectory_csv(path)
+
+
+@pytest.mark.parametrize("frame, t", [
+    (1, "0"),        # frame 1 repeats frame 0's time: dt = 0
+    (2, "0.25"),     # 0, 0.1, 0.25: dt not uniform
+], ids=["repeated_time", "uneven_dt"])
+def test_load_rejects_bad_frame_times(tmp_path, frame, t):
+    traj = simulate(small_config(L=2, duration=0.5, seed=3))
+    path = tmp_path / "traj.csv"
+    save_trajectory_csv(traj, path)
+    lines = path.read_text().splitlines()
+    for n in (1 + 2 * frame, 2 + 2 * frame):
+        lines[n] = ",".join([t] + lines[n].split(",")[1:])
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="uniform dt"):
         load_trajectory_csv(path)
