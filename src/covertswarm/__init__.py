@@ -3,7 +3,7 @@ transmit-power evaluation for terrestrial ad-hoc networks."""
 
 __version__ = "0.1.0"
 
-from .swarm import SwarmConfig, Trajectory, simulate  # noqa: F401
+from .swarm import SwarmConfig, Trajectory, simulate, simulate_batch  # noqa: F401
 from .graphs import (  # noqa: F401
     GraphSequence,
     GraphSnapshot,
@@ -17,6 +17,7 @@ from .gkae import (  # noqa: F401
     TrainConfig,
     build_model,
     load_checkpoint,
+    rollout_batch,
     rollout_predict,
     save_checkpoint,
     train,

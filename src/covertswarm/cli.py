@@ -28,6 +28,9 @@ from . import graphs
 from . import swarm
 
 DATASET_TRAIN_FRACTION = 0.8
+# Trajectories simulated together by dataset: enough to amortise numpy's
+# per-call cost over the swarms, few enough to keep memory flat in n.
+DATASET_BATCH = 64
 
 
 class _Outputs:
@@ -104,12 +107,16 @@ def _write_manifest(primary_out, command: str, args, outputs: _Outputs,
     _write_atomic(path, lambda p: p.write_text(json.dumps(doc, indent=1)))
 
 
-def _steps_per_report(interval_s: float, dt: float) -> int:
-    """The report interval as a whole number of dt steps."""
-    steps = cv.whole_multiple(interval_s, dt)
+def _whole_steps(seconds: float, dt: float, what: str, allow_zero: bool = False) -> int:
+    """seconds as a whole number >= 1 of dt steps (or 0 when allow_zero);
+    any other value would round and silently shift times."""
+    if allow_zero and seconds == 0:
+        return 0
+    steps = cv.whole_multiple(seconds, dt)
     if not steps:
-        raise ValueError(
-            f"report interval {interval_s:g} s is not a whole multiple of dt={dt:g} s")
+        sign = "non-negative" if allow_zero else "positive"
+        raise ValueError(f"{what} {seconds:g} s is not a {sign} whole multiple "
+                         f"of dt={dt:g} s")
     return steps
 
 
@@ -146,8 +153,11 @@ def cmd_dataset(args, outputs: _Outputs) -> None:
         scale=float(cfg.get("scale", swarm_cfg.X_size)),
         offset=tuple(cfg.get("offset", (0.0, 0.0, 0.0))),
     )
-    burn_in_s = float(cfg.get("burn_in_s", 0.0))
-    skip = int(round(burn_in_s / swarm_cfg.dt))
+    skip = _whole_steps(float(cfg.get("burn_in_s", 0.0)), swarm_cfg.dt, "burn_in_s",
+                        allow_zero=True)
+    if swarm_cfg.n_steps - skip < 1:
+        raise ValueError("burn_in_s leaves fewer than 2 frames per trajectory")
+    frames = np.arange(skip, swarm_cfg.n_steps + 1)
 
     t0 = time.monotonic()
     out_dir = Path(args.out)
@@ -156,16 +166,15 @@ def cmd_dataset(args, outputs: _Outputs) -> None:
     train_dir.mkdir(parents=True, exist_ok=True)
     test_dir.mkdir(parents=True, exist_ok=True)
     n_train = int(n * DATASET_TRAIN_FRACTION)
-    for k in range(n):
-        traj = swarm.simulate(replace(swarm_cfg, seed=base_seed + k))
-        positions = traj.positions[skip:]
-        if positions.shape[0] < 2:
-            raise ValueError("burn_in_s leaves fewer than 2 frames per trajectory")
-        seq = graphs.sequence_from_positions(positions, d_tilde, swarm_cfg.dt, norm)
-        seq = graphs.normalize(seq)
-        split = train_dir if k < n_train else test_dir
-        outputs.write(split / f"seq_{k:04d}.json",
-                      lambda p: graphs.save_sequence_json(seq, p))
+    for first in range(0, n, DATASET_BATCH):
+        seeds = range(base_seed + first, base_seed + min(n, first + DATASET_BATCH))
+        positions, _ = swarm.simulate_batch(swarm_cfg, seeds, frames)
+        for k, run in enumerate(positions, first):
+            seq = graphs.sequence_from_positions(run, d_tilde, swarm_cfg.dt, norm)
+            seq = graphs.normalize(seq)
+            split = train_dir if k < n_train else test_dir
+            outputs.write(split / f"seq_{k:04d}.json",
+                          lambda p: graphs.save_sequence_json(seq, p))
     _write_manifest(out_dir, "dataset", args, outputs, t0, config_path=args.config)
     _say(args, f"wrote {n_train} train + {n - n_train} test sequences -> {out_dir}")
 
@@ -242,14 +251,12 @@ def cmd_predict(args, outputs: _Outputs) -> None:
     if positions.shape[1] != model.L:
         raise ValueError(
             f"trajectory has {positions.shape[1]} UAVs, checkpoint expects {model.L}")
-    steps = int(round(args.horizon_s / dt))
-    if steps < 1:
-        raise ValueError("horizon shorter than one step")
+    steps = _whole_steps(args.horizon_s, dt, "horizon")
     if steps > positions.shape[0] - 1:
         raise ValueError(
             f"horizon of {steps} steps exceeds the {positions.shape[0] - 1} "
             "available truth steps")
-    per_check = _steps_per_report(args.report_interval_s, dt)
+    per_check = _whole_steps(args.report_interval_s, dt, "report interval")
     if per_check > steps:
         raise ValueError("report interval longer than the horizon")
     checks = np.arange(per_check, steps + 1, per_check)
@@ -329,7 +336,6 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     n_grid = [int(v) for v in cfg.get("n_grid", [25])]
     l_grid = [int(v) for v in cfg.get("l_grid", [model.L])]
     use_nominal = bool(cfg.get("use_nominal_power", False))
-    burn_in_s = float(cfg.get("burn_in_s", 0.0))
     if not lambda_grid or not n_grid:
         raise ValueError("lambda_grid and n_grid must not be empty")
     for lam in lambda_grid:
@@ -342,30 +348,30 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
             f"l_grid {l_grid} must be [{model.L}], the checkpoint's UAV count")
 
     dt = swarm_cfg.dt
-    per_check = _steps_per_report(covert_cfg.report_interval_s, dt)
-    n_checks = covert_cfg.n_checks
-    check_steps = per_check * np.arange(1, n_checks + 1)
-    skip = int(round(burn_in_s / dt))
-    duration = burn_in_s + covert_cfg.horizon_s
+    per_check = _whole_steps(covert_cfg.report_interval_s, dt, "report interval")
+    check_steps = per_check * np.arange(1, covert_cfg.n_checks + 1)
+    skip = _whole_steps(float(cfg.get("burn_in_s", 0.0)), dt, "burn_in_s",
+                        allow_zero=True)
     n_max = max(n_grid)
     d_tilde = float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
 
     t0 = time.monotonic()
-    nets, nominals, true_runs, pred_runs = [], [], [], []
+    # every run is stepped together; only the start frame and the check frames are kept
+    seeds = range(covert_cfg.seed, covert_cfg.seed + covert_cfg.runs)
+    positions, _ = swarm.simulate_batch(replace(swarm_cfg, L=model.L), seeds,
+                                        np.concatenate([[skip], skip + check_steps]))
+    start = positions[:, 0]
+    pred_runs = gkae.rollout_batch(model, model.norm.apply(start),
+                                   graphs.adjacency_from_positions(start, d_tilde),
+                                   check_steps)
+    nets, nominals = [], []
     for r in range(covert_cfg.runs):
-        cfg_r = replace(swarm_cfg, L=model.L, seed=covert_cfg.seed + r, duration=duration)
-        traj = swarm.simulate(cfg_r)
-        snap = graphs.build_snapshot(traj.positions[skip], d_tilde)
-        snap = graphs.normalize_snapshot(snap, model.norm)
-        pred = gkae.rollout_predict(model, snap, per_check * n_checks)
-        true_runs.append(traj.positions[skip + check_steps])
-        pred_runs.append(pred[check_steps - 1])
         rng_nodes = np.random.default_rng([covert_cfg.seed, r, 1])
         net = cv.GroundNetwork.uniform_random(n_max, area, rng_nodes, **ground)
         nets.append(net)
         if use_nominal:
             nominals.append(np.array([cv.nominal_power(net, i) for i in range(n_max)]))
-    report = cv.detection_probability(nets, true_runs, pred_runs, covert_cfg,
+    report = cv.detection_probability(nets, positions[:, 1:], pred_runs, covert_cfg,
                                       nominals if use_nominal else None)
     cells = [{"lambda": lam, "N": n_nodes, "L": model.L, "H": covert_cfg.horizon_s,
               "P_det": report.cell(lam, n_nodes).p_det, "eps_mean": report.eps_mean}

@@ -329,11 +329,12 @@ def detection_probability(nets, true_runs, pred_runs, covert: CovertConfig,
     """Aggregate detection over independent runs.
 
     nets is one GroundNetwork shared by all runs or a list per run;
-    true_runs / pred_runs are lists of (C, L, 3) check-time frames.
+    true_runs / pred_runs hold one (C, L, 3) array of check-time frames per
+    run, as lists or as (R, C, L, 3) arrays.
     nominal is None (P_max for every node), one (N,) array shared by all
     runs, or a list with one entry per run.
     """
-    if len(true_runs) != len(pred_runs) or not true_runs:
+    if len(true_runs) != len(pred_runs) or len(true_runs) == 0:
         raise ValueError("need equally many true and predicted runs")
     R = len(true_runs)
     if isinstance(nets, GroundNetwork):

@@ -154,16 +154,17 @@ def count_parameters(model: GkaeModel) -> int:
 
 # --- forward operations ------------------------------------------------------
 
-def graph_encode(model: GkaeModel, snapshot: GraphSnapshot) -> np.ndarray:
-    """Embed one normalized snapshot into the stacked per-node vector (node_dim*L,)."""
+def _check_snapshot(model: GkaeModel, snapshot: GraphSnapshot) -> None:
     if snapshot.n_nodes != model.L:
         raise ValueError(f"snapshot has {snapshot.n_nodes} nodes, model expects {model.L}")
     if not snapshot.normalized:
         raise ValueError("snapshot must be normalized before encoding")
-    H = snapshot.features
-    for layer in model.graph_encoder:
-        H = sage_forward(layer, H, snapshot.adjacency)
-    return H.reshape(-1)
+
+
+def graph_encode(model: GkaeModel, snapshot: GraphSnapshot) -> np.ndarray:
+    """Embed one normalized snapshot into the stacked per-node vector (node_dim*L,)."""
+    _check_snapshot(model, snapshot)
+    return _embed_frames(model, snapshot.features[None], snapshot.adjacency[None])[0]
 
 
 def koopman_encode(model: GkaeModel, h: np.ndarray) -> np.ndarray:
@@ -185,38 +186,72 @@ def koopman_decode(model: GkaeModel, z: np.ndarray) -> np.ndarray:
 
 
 def graph_decode(model: GkaeModel, h: np.ndarray) -> np.ndarray:
-    """Apply the shared per-node head to each node_dim block; returns (L, d_out)
-    in normalized coordinates."""
+    """Apply the shared per-node head to each node_dim block of (..., embed_dim)
+    embeddings; returns (..., L, d_out) in normalized coordinates."""
     h = np.asarray(h, dtype=float)
-    if h.shape != (model.embed_dim,):
-        raise ValueError(f"embedding shape {h.shape} != ({model.embed_dim},)")
-    y = h.reshape(model.L, model.node_dim)
+    if h.shape[-1:] != (model.embed_dim,):
+        raise ValueError(f"embedding shape {h.shape} does not end in {model.embed_dim}")
+    y = h.reshape(-1, model.node_dim)
     for layer in model.graph_decoder:
         y = dense_forward(layer, y)
-    return y
+    return y.reshape(h.shape[:-1] + (model.L, model.d_out))
+
+
+def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
+                  steps) -> np.ndarray:
+    """Forecast R start frames at once, at the given steps only.
+
+    features are (R, L, d_out) normalized start frames, adjacency their
+    (R, L, L) graphs and steps increasing step indices >= 1.  Each encoder
+    layer is called once over the R frames and each decoder layer once over
+    all (step, frame) rows; advancing the latent, z <- z K^T, is the only
+    per-step loop, and it runs up to the last requested step.
+
+    Returns (R, len(steps), L, d_out) positions in meters.  A batched matrix
+    product does not round like a single-vector one, so a row can differ
+    from a forecast of its frame alone in the last bits, and how it differs
+    depends on R; the same inputs always give the same bits.
+    """
+    steps = np.asarray(steps)
+    if steps.ndim != 1 or steps.size == 0 or steps[0] < 1 or (np.diff(steps) <= 0).any():
+        raise ValueError("steps must be increasing step indices >= 1")
+    features = np.asarray(features, dtype=float)
+    R = features.shape[0]
+    if features.shape[1:] != (model.L, model.d_out) or \
+            np.shape(adjacency) != (R, model.L, model.L):
+        raise ValueError(f"need (R, {model.L}, {model.d_out}) features and "
+                         f"(R, {model.L}, {model.L}) adjacency, got "
+                         f"{features.shape} and {np.shape(adjacency)}")
+    for p in all_parameters(model):
+        if not np.all(np.isfinite(p)):
+            raise ModelStateError("model parameters are not finite")
+    z = koopman_encode(model, _embed_frames(model, features, adjacency))
+    Z = np.empty((steps.size, R, model.latent))
+    with np.errstate(over="ignore", invalid="ignore"):
+        k = 0
+        for s in range(1, int(steps[-1]) + 1):
+            z = z @ model.K.T
+            if s == steps[k]:
+                Z[k] = z
+                k += 1
+        coords = graph_decode(model, koopman_decode(model, Z.reshape(-1, model.latent)))
+        out = model.norm.invert(coords).reshape(steps.size, R, model.L, model.d_out)
+    if not np.isfinite(out).all():
+        raise ModelStateError("rollout diverged: predicted positions are not finite")
+    return out.swapaxes(0, 1)
 
 
 def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: int) -> np.ndarray:
-    """Encode once, advance the latent step by step, decode every step.
+    """Encode once, advance the latent step by step, decode every step:
+    rollout_batch of one frame at steps 1..horizon_steps.
 
     Returns (horizon_steps, L, d_out) positions in meters.
     """
     if horizon_steps < 1:
         raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
-    for p in all_parameters(model):
-        if not np.all(np.isfinite(p)):
-            raise ModelStateError("model parameters are not finite")
-    z = koopman_encode(model, graph_encode(model, snapshot))
-    off = model.norm.offset_array(model.d_out)
-    out = np.empty((horizon_steps, model.L, model.d_out))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for s in range(horizon_steps):
-            z = model.K @ z
-            coords = graph_decode(model, koopman_decode(model, z))
-            out[s] = coords * model.norm.scale + off
-    if not np.isfinite(out).all():
-        raise ModelStateError("rollout diverged: predicted positions are not finite")
-    return out
+    _check_snapshot(model, snapshot)
+    return rollout_batch(model, snapshot.features[None], snapshot.adjacency[None],
+                         np.arange(1, horizon_steps + 1))[0]
 
 
 # --- batched internals -------------------------------------------------------

@@ -30,6 +30,14 @@ class NormalizationSpec:
     def offset_array(self, d: int) -> np.ndarray:
         return np.asarray(self.offset[:d], dtype=float)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """(..., d) coordinates in meters -> normalized units."""
+        return (x - self.offset_array(x.shape[-1])) / self.scale
+
+    def invert(self, x: np.ndarray) -> np.ndarray:
+        """(..., d) normalized coordinates -> meters."""
+        return x * self.scale + self.offset_array(x.shape[-1])
+
 
 @dataclass
 class GraphSnapshot:
@@ -47,12 +55,14 @@ class GraphSnapshot:
 
 
 def adjacency_from_positions(positions: np.ndarray, threshold: float) -> np.ndarray:
-    """0/1 adjacency with A_ij = 1 iff ||u_i - u_j|| <= threshold, zero diagonal."""
+    """0/1 adjacency with A_ij = 1 iff ||u_i - u_j|| <= threshold, zero
+    diagonal; (..., L, d) positions give (..., L, L) adjacencies."""
     positions = np.asarray(positions, dtype=float)
-    diff = positions[:, None, :] - positions[None, :, :]
-    dist = np.linalg.norm(diff, axis=2)
+    diff = positions[..., :, None, :] - positions[..., None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
     adj = (dist <= threshold).astype(np.int64)
-    np.fill_diagonal(adj, 0)
+    diag = np.arange(positions.shape[-2])
+    adj[..., diag, diag] = 0
     return adj
 
 
@@ -127,9 +137,7 @@ def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> Grap
     if seq.normalized:
         raise ValueError("sequence is already normalized")
     spec = seq.norm if spec is None else spec
-    d = seq.snapshots[0].features.shape[1]
-    off = spec.offset_array(d)
-    snaps = [replace(s, features=(s.features - off) / spec.scale, normalized=True)
+    snaps = [replace(s, features=spec.apply(s.features), normalized=True)
              for s in seq.snapshots]
     return GraphSequence(snaps, seq.dt, spec)
 
@@ -138,9 +146,7 @@ def denormalize(seq: GraphSequence) -> GraphSequence:
     """Inverse of normalize, using the sequence's own spec."""
     if not seq.normalized:
         raise ValueError("sequence is not normalized")
-    d = seq.snapshots[0].features.shape[1]
-    off = seq.norm.offset_array(d)
-    snaps = [replace(s, features=s.features * seq.norm.scale + off, normalized=False)
+    snaps = [replace(s, features=seq.norm.invert(s.features), normalized=False)
              for s in seq.snapshots]
     return GraphSequence(snaps, seq.dt, seq.norm)
 
@@ -148,9 +154,7 @@ def denormalize(seq: GraphSequence) -> GraphSequence:
 def normalize_snapshot(snap: GraphSnapshot, spec: NormalizationSpec) -> GraphSnapshot:
     if snap.normalized:
         raise ValueError("snapshot is already normalized")
-    d = snap.features.shape[1]
-    return replace(snap, features=(snap.features - spec.offset_array(d)) / spec.scale,
-                   normalized=True)
+    return replace(snap, features=spec.apply(snap.features), normalized=True)
 
 
 # --- serialization -----------------------------------------------------------

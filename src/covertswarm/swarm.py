@@ -58,16 +58,24 @@ class SwarmConfig:
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
 
+    @property
+    def n_steps(self) -> int:
+        """Steps in one run: floor(duration / dt)."""
+        return int(math.floor(self.duration / self.dt + 1e-9))
+
 
 @dataclass
 class Frame:
-    """State of all L UAVs at one instant: positions (L,3), velocities (L,3)."""
+    """State of L UAVs at one instant: positions and velocities (..., L, 3).
+
+    Leading axes hold independent swarms; step advances them all at once.
+    """
 
     positions: np.ndarray
     velocities: np.ndarray
 
     def __len__(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
 
 @dataclass
@@ -101,31 +109,44 @@ def init_swarm(config: SwarmConfig, rng: np.random.Generator) -> Frame:
 
 
 def _zone_forces(positions: np.ndarray, velocities: np.ndarray, config: SwarmConfig):
-    """Per-UAV repulsion / alignment / attraction sums, each (L, 3).
+    """Per-UAV repulsion / alignment / attraction sums, each (..., L, 3).
 
     Bands are evaluated as a priority cascade (repulsion first), so they
     never overlap even when r_ali < r_rep.
     """
-    L = positions.shape[0]
-    disp = positions[:, None, :] - positions[None, :, :]  # disp[i, j] = u_i - u_j
-    dist = np.linalg.norm(disp, axis=2)
+    L = positions.shape[-2]
+    disp = positions[..., :, None, :] - positions[..., None, :, :]  # [i, j] = u_i - u_j
+    dist = np.sqrt(np.add.reduce(disp * disp, axis=-1))  # np.linalg.norm's arithmetic
     off_diag = ~np.eye(L, dtype=bool)
     in_rep = off_diag & (dist < config.r_rep)
     in_ali = off_diag & ~in_rep & (dist < config.r_ali)
     in_att = off_diag & ~in_rep & ~in_ali & (dist < config.r_att)
-    f_rep = (disp * in_rep[:, :, None]).sum(axis=1)
+    f_rep = (disp * in_rep[..., None]).sum(axis=-2)
     f_ori = in_ali.astype(float) @ velocities
-    f_att = -(disp * in_att[:, :, None]).sum(axis=1)
+    f_att = -(disp * in_att[..., None]).sum(axis=-2)
     return f_rep, f_ori, f_att
 
 
 def limit_speed(v: np.ndarray, v_max: float) -> np.ndarray:
-    """Rescale v to norm min(||v||, v_max); the zero vector stays zero."""
+    """Rescale each (..., 3) vector to norm min(||v||, v_max); zero vectors
+    stay zero."""
     v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        return np.zeros_like(v)
-    return min(n, v_max) / n * v
+    # vecdot sums in the order np.linalg.norm does, so the norms match it to the bit
+    n = np.sqrt(np.vecdot(v, v))[..., None]
+    with np.errstate(invalid="ignore"):
+        scaled = np.minimum(n, v_max) / n * v
+    return np.where(n == 0.0, 0.0, scaled)
+
+
+# np.arctan2 differs from the C library's atan2 in the last bit on a few
+# percent of inputs; headings go through math.atan2 so that trajectories do
+# not depend on numpy's SIMD kernels.
+_atan2 = np.frompyfunc(math.atan2, 2, 1)
+
+
+def _heading(v: np.ndarray) -> np.ndarray:
+    """Horizontal heading atan2(v_y, v_x) of (..., 3) vectors."""
+    return np.asarray(_atan2(v[..., 1], v[..., 0]), dtype=float)
 
 
 def limit_turning(
@@ -135,7 +156,7 @@ def limit_turning(
     theta_max: float,
     preserve_vertical: bool = False,
 ) -> np.ndarray:
-    """Clamp the horizontal heading change to +/- theta_max.
+    """Clamp the horizontal heading change of (..., 3) velocities to +/- theta_max.
 
     Returns v_max * [cos(phi), sin(phi), 0] for the clamped heading phi.
     A horizontally-zero desired velocity keeps the current heading; a
@@ -145,53 +166,73 @@ def limit_turning(
     """
     v_current = np.asarray(v_current, dtype=float)
     v_desired = np.asarray(v_desired, dtype=float)
-    cur_h = math.hypot(v_current[0], v_current[1])
-    des_h = math.hypot(v_desired[0], v_desired[1])
-    if des_h == 0.0 and cur_h > 0.0:
-        phi = math.atan2(v_current[1], v_current[0])
-    elif cur_h == 0.0:
-        phi = math.atan2(v_desired[1], v_desired[0])
-    else:
-        phi_cur = math.atan2(v_current[1], v_current[0])
-        phi_des = math.atan2(v_desired[1], v_desired[0])
-        dphi = (phi_des - phi_cur + math.pi) % (2.0 * math.pi) - math.pi
-        dphi = max(-theta_max, min(theta_max, dphi))
-        phi = phi_cur + dphi
-    out = np.array([v_max * math.cos(phi), v_max * math.sin(phi), 0.0])
+    phi_cur = _heading(v_current)
+    phi_des = _heading(v_desired)
+    dphi = (phi_des - phi_cur + math.pi) % (2.0 * math.pi) - math.pi
+    phi = phi_cur + np.minimum(np.maximum(dphi, -theta_max), theta_max)
+    cur_zero = (v_current[..., 0] == 0.0) & (v_current[..., 1] == 0.0)
+    des_zero = (v_desired[..., 0] == 0.0) & (v_desired[..., 1] == 0.0)
+    phi = np.where(cur_zero, phi_des, np.where(des_zero, phi_cur, phi))
+    out = np.empty(phi.shape + (3,))
+    out[..., 0] = v_max * np.cos(phi)
+    out[..., 1] = v_max * np.sin(phi)
+    out[..., 2] = 0.0
     if preserve_vertical:
-        out[2] = v_desired[2]
+        out[..., 2] = v_desired[..., 2]
         out = limit_speed(out, v_max)
     return out
 
 
 def step(frame: Frame, config: SwarmConfig) -> Frame:
-    """Advance every UAV by one dt (synchronous update from the given frame)."""
+    """Advance every UAV by one dt (synchronous update from the given frame);
+    a frame of shape (..., L, 3) advances every swarm in it."""
     f_rep, f_ori, f_att = _zone_forces(frame.positions, frame.velocities, config)
-    new_v = np.empty_like(frame.velocities)
-    for i in range(len(frame)):
-        v_des = frame.velocities[i] + f_rep[i] + f_ori[i] + f_att[i]
-        v_des = limit_speed(v_des, config.V_max)
-        new_v[i] = limit_turning(
-            frame.velocities[i], v_des, config.V_max, config.theta_max,
-            config.preserve_vertical,
-        )
+    v_des = limit_speed(frame.velocities + f_rep + f_ori + f_att, config.V_max)
+    new_v = limit_turning(frame.velocities, v_des, config.V_max, config.theta_max,
+                          config.preserve_vertical)
     new_p = frame.positions + new_v * config.dt
-    new_p[:, 2] = np.clip(new_p[:, 2], config.Z_min, config.Z_max)
+    new_p[..., 2] = np.minimum(np.maximum(new_p[..., 2], config.Z_min), config.Z_max)
     return Frame(new_p, new_v)
+
+
+def simulate_batch(config: SwarmConfig, seeds, frames=None):
+    """Simulate one swarm per seed, stepping all of them together.
+
+    Swarm r starts from init_swarm with its own np.random.default_rng(seeds[r])
+    and follows, bit for bit, the trajectory simulate gives for that seed.
+    frames are the increasing frame indices to keep; the swarms are stepped
+    up to the last of them.  By default every frame of config.duration is kept.
+
+    Returns positions and velocities, each (R, len(frames), L, 3).
+    """
+    seeds = [int(s) for s in seeds]
+    if not seeds:
+        raise ValueError("need at least one seed")
+    if frames is None:
+        frames = np.arange(config.n_steps + 1)
+    frames = np.asarray(frames)
+    if frames.ndim != 1 or frames.size == 0 or frames[0] < 0 \
+            or (np.diff(frames) <= 0).any():
+        raise ValueError("frames must be increasing indices >= 0")
+    starts = [init_swarm(config, np.random.default_rng(s)) for s in seeds]
+    frame = Frame(np.stack([f.positions for f in starts]),
+                  np.stack([f.velocities for f in starts]))
+    shape = (len(seeds), frames.size, config.L, 3)
+    positions, velocities = np.empty(shape), np.empty(shape)
+    k = 0
+    for t in range(int(frames[-1]) + 1):
+        if t:
+            frame = step(frame, config)
+        if t == frames[k]:
+            positions[:, k], velocities[:, k] = frame.positions, frame.velocities
+            k += 1
+    return positions, velocities
 
 
 def simulate(config: SwarmConfig) -> Trajectory:
     """Run the full simulation; frame count is floor(duration/dt) + 1."""
-    rng = np.random.default_rng(config.seed)
-    n_steps = int(math.floor(config.duration / config.dt + 1e-9))
-    positions = np.empty((n_steps + 1, config.L, 3))
-    velocities = np.empty((n_steps + 1, config.L, 3))
-    frame = init_swarm(config, rng)
-    positions[0], velocities[0] = frame.positions, frame.velocities
-    for k in range(n_steps):
-        frame = step(frame, config)
-        positions[k + 1], velocities[k + 1] = frame.positions, frame.velocities
-    return Trajectory(positions, velocities, config.dt, config)
+    positions, velocities = simulate_batch(config, [config.seed])
+    return Trajectory(positions[0], velocities[0], config.dt, config)
 
 
 # --- serialization -----------------------------------------------------------

@@ -144,6 +144,33 @@ def test_dataset_reseeded_determinism(tmp_path):
         assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("burn_in", [0.55, -5.0, -0.1])
+def test_dataset_bad_burn_in_exit_2(tmp_path, capsys, burn_in):
+    cfg = write_json(tmp_path / "d.json", {
+        "swarm": tiny_swarm(duration=2.0), "n_trajectories": 2,
+        "d_tilde": 100.0, "scale": 500.0, "burn_in_s": burn_in,
+    })
+    out = tmp_path / "data"
+    assert main(["dataset", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "burn_in_s" in err and "whole multiple of dt" in err and err.count("\n") == 1
+    assert not list(out.glob("*/*.json"))
+
+
+def test_dataset_burn_in_drops_the_first_frames(tmp_path):
+    cfg = write_json(tmp_path / "d.json", {
+        "swarm": tiny_swarm(duration=2.0), "n_trajectories": 2,
+        "d_tilde": 100.0, "scale": 500.0, "burn_in_s": 0.5,
+    })
+    out = tmp_path / "data"
+    assert main(["dataset", "--config", cfg, "--out", str(out), "--seed", "4",
+                 "--quiet"]) == 0
+    seq = graphs.load_sequence_json(out / "train" / "seq_0000.json")
+    traj = swarm.simulate(swarm.SwarmConfig(**{**tiny_swarm(duration=2.0), "seed": 4}))
+    assert seq.n_frames == 16 and seq.snapshots[0].timestamp == 0.0
+    np.testing.assert_array_equal(seq.features_array(), traj.positions[5:] / 500.0)
+
+
 # --- train ----------------------------------------------------------------------
 
 def test_train_outputs(trained):
@@ -259,6 +286,19 @@ def test_predict_bad_report_interval_exit_2(tmp_path, trained, truth_csv, capsys
                  "--horizon-s", "3", "--report-interval-s", str(interval),
                  "--out", str(out), "--quiet"]) == 2
     assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", [2.55, 0.04, -1.0])
+def test_predict_horizon_not_multiple_of_dt_exit_2(tmp_path, trained, truth_csv, capsys,
+                                                   horizon):
+    # 2.55 s used to round to 25 steps and predict 2.5 s without a word
+    out = tmp_path / "p.csv"
+    assert main(["predict", "--checkpoint", trained["ckpt"], "--trajectory", truth_csv,
+                 "--horizon-s", str(horizon), "--report-interval-s", "0.1",
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "horizon" in err and "whole multiple of dt" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -396,6 +436,49 @@ def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(float(lam), int(n), float(p)) for lam, n, _, _, p, _ in rows] == [
         (lam, n, report.cell(lam, n).p_det) for n in (6, 4) for lam in (0.5, 0.9)]
+
+
+def test_eval_covert_burn_in_matches_the_engine(tmp_path, trained):
+    # after a 1 s burn-in, frame 10 is the start frame and frames 20, 30, 40
+    # are the truth at the checks
+    doc = json.loads(open(eval_config(tmp_path, [0.5, 0.9], [6], runs=4)).read())
+    doc["burn_in_s"] = 1.0
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(out), "--quiet"]) == 0
+    model = gkae.load_checkpoint(trained["ckpt"])
+    cov = covert.CovertConfig(P_det=1e-6, lambda_=0.5, horizon_s=3.0,
+                              report_interval_s=1.0, runs=4, seed=5)
+    checks = np.arange(10, 31, 10)
+    nets, trues, preds = [], [], []
+    for r in range(4):
+        traj = swarm.simulate(swarm.SwarmConfig(**{**tiny_swarm(), "seed": 5 + r}))
+        snap = graphs.normalize_snapshot(
+            graphs.build_snapshot(traj.positions[10], model.meta["d_tilde"]), model.norm)
+        preds.append(gkae.rollout_predict(model, snap, 30)[checks - 1])
+        trues.append(traj.positions[10 + checks])
+        nets.append(covert.GroundNetwork.uniform_random(
+            6, 500.0, np.random.default_rng([5, r, 1]), P_max=20.0, eta=1.0))
+    report = covert.detection_probability(nets, trues, preds, cov)
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [float(p) for *_, p, _ in rows] == [report.cell(lam, 6).p_det
+                                               for lam in (0.5, 0.9)]
+    np.testing.assert_allclose([float(e) for *_, e in rows], report.eps_mean, rtol=1e-9)
+
+
+@pytest.mark.parametrize("burn_in", [0.55, -5.0])
+def test_eval_covert_bad_burn_in_exit_2(tmp_path, trained, capsys, burn_in):
+    # 0.55 s used to end in an IndexError; -5 s read frame -50 as the start
+    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc["burn_in_s"] = burn_in
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "burn_in_s" in err and "whole multiple of dt" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("interval", [0.25, 0.04])

@@ -21,6 +21,7 @@ from covertswarm.gkae import (
     loss_grec,
     loss_pred,
     loss_rec,
+    rollout_batch,
     rollout_predict,
     save_checkpoint,
     save_loss_csv,
@@ -222,6 +223,57 @@ def test_rollout_finite_under_bounded_spectral_radius():
     snap = random_snapshot(np.random.default_rng(13), L=2)
     out = rollout_predict(model, snap, 200)
     assert np.all(np.isfinite(out))
+
+
+def start_frames(rng, R, L=3):
+    """R normalized start frames as (R, L, 3) features and (R, L, L) adjacency."""
+    snaps = [random_snapshot(rng, L=L) for _ in range(R)]
+    return (np.stack([s.features for s in snaps]), np.stack([s.adjacency for s in snaps]),
+            snaps)
+
+
+def test_rollout_batch_rows_agree_with_single_start_rollouts():
+    rng = np.random.default_rng(31)
+    model = build_model(3, seed=7, norm=NormalizationSpec(scale=500.0))
+    X, A, snaps = start_frames(rng, 9)
+    out = rollout_batch(model, X, A, np.arange(1, 41))
+    assert out.shape == (9, 40, 3, 3)
+    for row, snap in zip(out, snaps):
+        np.testing.assert_allclose(row, rollout_predict(model, snap, 40), rtol=1e-9)
+
+
+def test_rollout_batch_step_selection_equals_rows_of_full_rollout():
+    rng = np.random.default_rng(32)
+    model = build_model(3, seed=8, norm=NormalizationSpec(scale=500.0))
+    X, A, _ = start_frames(rng, 5)
+    full = rollout_batch(model, X, A, np.arange(1, 31))
+    steps = np.array([1, 4, 10, 30])
+    np.testing.assert_array_equal(rollout_batch(model, X, A, steps), full[:, steps - 1])
+
+
+def test_rollout_batch_rejects_non_finite_output():
+    model = build_model(3, seed=13)
+    model.K *= 1e12 / np.abs(np.linalg.eigvals(model.K)).max()
+    X, A, _ = start_frames(np.random.default_rng(33), 4)
+    with pytest.raises(ModelStateError, match="not finite"):
+        rollout_batch(model, X, A, [10, 20, 30])
+
+
+@pytest.mark.parametrize("steps", [[], [0, 1], [3, 3], [5, 2], [[1, 2]]])
+def test_rollout_batch_rejects_bad_steps(steps):
+    model = build_model(3, seed=5)
+    X, A, _ = start_frames(np.random.default_rng(34), 2)
+    with pytest.raises(ValueError, match="increasing"):
+        rollout_batch(model, X, A, steps)
+
+
+def test_rollout_batch_rejects_mismatched_frames():
+    model = build_model(3, seed=5)
+    X, A, _ = start_frames(np.random.default_rng(35), 2)
+    with pytest.raises(ValueError, match="adjacency"):
+        rollout_batch(model, X, A[:1], [1])
+    with pytest.raises(ValueError, match="adjacency"):
+        rollout_batch(model, X[:, :2], A[:, :2, :2], [1])
 
 
 # --- identity stacks: exact-zero losses ----------------------------------------------

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertswarm import swarm
 from covertswarm.swarm import (
@@ -14,6 +17,7 @@ from covertswarm.swarm import (
     load_trajectory_csv,
     save_trajectory_csv,
     simulate,
+    simulate_batch,
     step,
 )
 
@@ -313,6 +317,148 @@ def test_cohesion_smoke_property():
             wins += 1
     # P(X >= 15 | n=20, p=0.5) ~ 0.021
     assert wins >= 15
+
+
+# --- batched stepping against the per-UAV reference loop ---------------------------
+#
+# The simulator's step loop before it became array functions, kept as the
+# reference the batched step must equal bit for bit.
+
+def reference_limit_speed(v, v_max):
+    n = float(np.linalg.norm(v))
+    if n == 0.0:
+        return np.zeros_like(v)
+    return min(n, v_max) / n * v
+
+
+def reference_limit_turning(v_current, v_desired, v_max, theta_max, preserve_vertical):
+    cur_h = math.hypot(v_current[0], v_current[1])
+    des_h = math.hypot(v_desired[0], v_desired[1])
+    if des_h == 0.0 and cur_h > 0.0:
+        phi = math.atan2(v_current[1], v_current[0])
+    elif cur_h == 0.0:
+        phi = math.atan2(v_desired[1], v_desired[0])
+    else:
+        phi_cur = math.atan2(v_current[1], v_current[0])
+        phi_des = math.atan2(v_desired[1], v_desired[0])
+        dphi = (phi_des - phi_cur + math.pi) % (2.0 * math.pi) - math.pi
+        dphi = max(-theta_max, min(theta_max, dphi))
+        phi = phi_cur + dphi
+    out = np.array([v_max * math.cos(phi), v_max * math.sin(phi), 0.0])
+    if preserve_vertical:
+        out[2] = v_desired[2]
+        out = reference_limit_speed(out, v_max)
+    return out
+
+
+def reference_step(frame, cfg):
+    """One swarm, one UAV at a time."""
+    f_rep, f_ori, f_att = swarm._zone_forces(frame.positions, frame.velocities, cfg)
+    new_v = np.empty_like(frame.velocities)
+    for i in range(frame.positions.shape[0]):
+        v_des = frame.velocities[i] + f_rep[i] + f_ori[i] + f_att[i]
+        v_des = reference_limit_speed(v_des, cfg.V_max)
+        new_v[i] = reference_limit_turning(frame.velocities[i], v_des, cfg.V_max,
+                                           cfg.theta_max, cfg.preserve_vertical)
+    new_p = frame.positions + new_v * cfg.dt
+    new_p[:, 2] = np.clip(new_p[:, 2], cfg.Z_min, cfg.Z_max)
+    return Frame(new_p, new_v)
+
+
+def same_bits(a, b):
+    """Equal to the bit, so that 0.0 and -0.0 differ, as they do in a CSV."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def swarm_batches(draw):
+    """A config drawn like criterion 1's random_config (with theta_max = pi
+    and r_ali = 0 drawn on their own), R swarms from their own seeds, and
+    UAVs whose horizontal velocity is zero or exactly cancelled by the
+    repulsion of a close neighbour."""
+    r_rep = draw(st.floats(1.0, 400.0))
+    cfg = SwarmConfig(
+        L=draw(st.integers(1, 8)),
+        V_max=draw(st.floats(5.0, 30.0)),
+        theta_max=draw(st.one_of(st.just(math.pi), st.floats(0.005, math.pi))),
+        dt=draw(st.sampled_from([0.05, 0.1, 0.2])),
+        r_rep=r_rep,
+        r_ali=draw(st.one_of(st.just(0.0), st.floats(0.0, 500.0))),
+        r_att=draw(st.floats(r_rep, 600.0)),
+        preserve_vertical=draw(st.booleans()),
+    )
+    R = draw(st.integers(1, 4))
+    seeds = draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=R, max_size=R))
+    starts = [init_swarm(cfg, np.random.default_rng(s)) for s in seeds]
+    positions = np.stack([f.positions for f in starts])
+    velocities = np.stack([f.velocities for f in starts])
+    for r in range(R):
+        kind = draw(st.sampled_from(["none", "zero_current", "zero_desired"]))
+        if kind == "zero_current":
+            velocities[r, draw(st.integers(0, cfg.L - 1)), :2] = 0.0
+        elif kind == "zero_desired" and cfg.L == 2:
+            # inside r_rep only repulsion acts, and f_rep = u0 - u1 cancels v0
+            offset = draw(st.floats(0.05, 0.9)) * r_rep / math.sqrt(3.0)
+            positions[r, 1] = positions[r, 0] + offset
+            velocities[r, 0, :2] = -(positions[r, 0] - positions[r, 1])[:2]
+    return cfg, Frame(positions, velocities)
+
+
+@given(batch=swarm_batches())
+@settings(max_examples=80, deadline=None)
+def test_batched_step_equals_per_uav_loop_bit_for_bit(batch):
+    cfg, frame = batch
+    refs = [Frame(frame.positions[r], frame.velocities[r])
+            for r in range(frame.positions.shape[0])]
+    for _ in range(5):
+        frame = step(frame, cfg)
+        refs = [reference_step(f, cfg) for f in refs]
+        assert same_bits(frame.positions, np.stack([f.positions for f in refs]))
+        assert same_bits(frame.velocities, np.stack([f.velocities for f in refs]))
+
+
+coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0))
+
+
+@given(v=st.lists(st.tuples(coordinate, coordinate, coordinate,
+                            coordinate, coordinate, coordinate), min_size=1, max_size=6),
+       theta_max=st.one_of(st.just(math.pi), st.floats(0.005, math.pi)),
+       preserve_vertical=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_array_limits_equal_scalar_reference(v, theta_max, preserve_vertical):
+    v = np.array(v)
+    cur, des = v[:, :3], v[:, 3:]
+    want = np.stack([reference_limit_turning(c, d, 20.0, theta_max, preserve_vertical)
+                     for c, d in zip(cur, des)])
+    assert same_bits(limit_turning(cur, des, 20.0, theta_max, preserve_vertical), want)
+    want = np.stack([reference_limit_speed(d, 20.0) for d in des])
+    assert same_bits(limit_speed(des, 20.0), want)
+
+
+def test_simulate_batch_equals_one_simulate_per_seed():
+    cfg = small_config(L=5, duration=3.0, r_ali=350.0, seed=0)
+    seeds = [4, 0, 17]
+    positions, velocities = simulate_batch(cfg, seeds)
+    assert positions.shape == (3, 31, 5, 3)
+    for r, seed in enumerate(seeds):
+        traj = simulate(replace(cfg, seed=seed))
+        assert same_bits(positions[r], traj.positions)
+        assert same_bits(velocities[r], traj.velocities)
+    frames = [2, 3, 40, 45]  # past the end of duration: stepping follows frames
+    kept, _ = simulate_batch(cfg, seeds, frames)
+    longer, _ = simulate_batch(replace(cfg, duration=4.5), seeds)
+    assert np.array_equal(kept, longer[:, frames])
+
+
+@pytest.mark.parametrize("frames", [[], [3, 3], [4, 2], [-1, 2], [[1, 2]]])
+def test_simulate_batch_rejects_bad_frames(frames):
+    with pytest.raises(ValueError, match="increasing"):
+        simulate_batch(small_config(), [0], frames)
+
+
+def test_simulate_batch_needs_a_seed():
+    with pytest.raises(ValueError, match="seed"):
+        simulate_batch(small_config(), [])
 
 
 # --- serialization -----------------------------------------------------------------
