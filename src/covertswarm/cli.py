@@ -190,6 +190,11 @@ def _train_config_from_dict(data: dict) -> gkae.TrainConfig:
     return gkae.TrainConfig(**data)
 
 
+def _sequence_spec(seq: graphs.GraphSequence) -> dict:
+    return {"dt": seq.dt, "D_tilde": seq.threshold, "scale/offset": seq.norm,
+            "node count": seq.n_nodes, "feature dimension": seq.features.shape[-1]}
+
+
 def cmd_train(args, outputs: _Outputs) -> None:
     cfg_dict = _load_json(args.config)
     if args.seed is not None:
@@ -205,7 +210,13 @@ def cmd_train(args, outputs: _Outputs) -> None:
         raise ValueError(f"no training sequences found under {train_dir}")
     dataset = [graphs.load_sequence_json(p) for p in files]
     first = dataset[0]
-    d_out = first.snapshots[0].features.shape[1]
+    d_out = first.features.shape[-1]
+    # the checkpoint records one norm and threshold for every sequence
+    spec = _sequence_spec(first)
+    for path, seq in zip(files, dataset):
+        differ = [k for k, v in _sequence_spec(seq).items() if v != spec[k]]
+        if differ:
+            raise ValueError(f"{path}: {', '.join(differ)} not the same as in {files[0]}")
 
     if args.resume:
         _require_file(args.resume, "resume checkpoint")
@@ -214,6 +225,9 @@ def cmd_train(args, outputs: _Outputs) -> None:
             raise ValueError(
                 f"resume checkpoint dims (L={model.L}, d={model.d_out}) do not match "
                 f"dataset (L={first.n_nodes}, d={d_out})")
+        if model.norm != first.norm:
+            raise ValueError(f"resume checkpoint norm {model.norm} differs from the "
+                             f"dataset's {first.norm}")
     else:
         model = gkae.build_model(first.n_nodes, d_out=d_out, norm=first.norm,
                                  seed=cfg.seed)

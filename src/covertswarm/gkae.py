@@ -154,16 +154,18 @@ def count_parameters(model: GkaeModel) -> int:
 
 # --- forward operations ------------------------------------------------------
 
-def _check_snapshot(model: GkaeModel, snapshot: GraphSnapshot) -> None:
-    if snapshot.n_nodes != model.L:
-        raise ValueError(f"snapshot has {snapshot.n_nodes} nodes, model expects {model.L}")
-    if not snapshot.normalized:
-        raise ValueError("snapshot must be normalized before encoding")
+def _check_graph(model: GkaeModel, graph: GraphSnapshot | GraphSequence) -> None:
+    """Check that a snapshot or sequence is normalized and has the model's L and d_out."""
+    if not graph.normalized:
+        raise ValueError("graph must be normalized before encoding")
+    if graph.features.shape[-2:] != (model.L, model.d_out):
+        raise ValueError(f"graph has (L, d) = {graph.features.shape[-2:]}, "
+                         f"model expects {(model.L, model.d_out)}")
 
 
 def graph_encode(model: GkaeModel, snapshot: GraphSnapshot) -> np.ndarray:
     """Embed one normalized snapshot into the stacked per-node vector (node_dim*L,)."""
-    _check_snapshot(model, snapshot)
+    _check_graph(model, snapshot)
     return _embed_frames(model, snapshot.features[None], snapshot.adjacency[None])[0]
 
 
@@ -249,7 +251,7 @@ def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: in
     """
     if horizon_steps < 1:
         raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
-    _check_snapshot(model, snapshot)
+    _check_graph(model, snapshot)
     return rollout_batch(model, snapshot.features[None], snapshot.adjacency[None],
                          np.arange(1, horizon_steps + 1))[0]
 
@@ -393,13 +395,8 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
 
 def _sequence_arrays(model: GkaeModel, seq: GraphSequence):
     """Checked (T, L, d) features and (T, L, L) float adjacency of a sequence."""
-    if not seq.normalized:
-        raise ValueError("sequence must be normalized")
-    if seq.n_nodes != model.L:
-        raise ValueError(f"sequence has {seq.n_nodes} nodes, model expects {model.L}")
-    if seq.snapshots[0].features.shape[1] != model.d_out:
-        raise ValueError("sequence feature dimension does not match model")
-    return seq.features_array(), seq.adjacency_array().astype(float)
+    _check_graph(model, seq)
+    return seq.features, seq.adjacency.astype(float)
 
 
 def loss_grec(model: GkaeModel, seq: GraphSequence) -> float:
@@ -581,7 +578,7 @@ def save_checkpoint(model: GkaeModel, path) -> None:
         "meta": model.meta,
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
 
 
 def load_checkpoint(path) -> GkaeModel:

@@ -1,14 +1,14 @@
 """Proximity graphs over UAV position frames.
 
-A snapshot couples the node feature matrix (positions) with a binary
-adjacency built by distance thresholding; sequences of snapshots are the
-training and prediction unit for the forecasting model.
+A sequence holds T frames as arrays: node features (positions) and binary
+adjacencies built by distance thresholding.  Sequences train the
+forecasting model; a snapshot, one frame, is its prediction input.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +23,11 @@ class NormalizationSpec:
     offset: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        if not self.scale > 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
+        if not np.all(np.isfinite(self.offset)):
+            raise ValueError(f"offset must be finite, got {self.offset}")
 
     def offset_array(self, d: int) -> np.ndarray:
         return np.asarray(self.offset[:d], dtype=float)
@@ -49,10 +51,6 @@ class GraphSnapshot:
     timestamp: float = 0.0
     normalized: bool = False
 
-    @property
-    def n_nodes(self) -> int:
-        return self.features.shape[0]
-
 
 def adjacency_from_positions(positions: np.ndarray, threshold: float) -> np.ndarray:
     """0/1 adjacency with A_ij = 1 iff ||u_i - u_j|| <= threshold, zero
@@ -66,57 +64,65 @@ def adjacency_from_positions(positions: np.ndarray, threshold: float) -> np.ndar
     return adj
 
 
-def build_snapshot(positions: np.ndarray, threshold: float, t: float = 0.0) -> GraphSnapshot:
-    """Build an unnormalized snapshot from raw positions in meters."""
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] not in (2, 3):
-        raise ValueError(f"positions must be (L, 2|3), got {positions.shape}")
-    if not np.all(np.isfinite(positions)):
-        raise ValueError("positions contain non-finite coordinates")
-    if threshold < 0:
-        raise ValueError(f"threshold must be >= 0, got {threshold}")
-    adj = adjacency_from_positions(positions, threshold)
-    return GraphSnapshot(positions.copy(), adj, float(threshold), float(t), normalized=False)
-
-
 @dataclass
 class GraphSequence:
-    """Time-ordered snapshots sharing node count, threshold and normalization."""
+    """T frames of L nodes: features (T, L, d), 0/1 adjacency (T, L, L) and
+    times (T,), sharing one threshold, dt and normalization."""
 
-    snapshots: list
+    features: np.ndarray
+    adjacency: np.ndarray
+    times: np.ndarray
+    threshold: float
     dt: float
     norm: NormalizationSpec
+    normalized: bool
 
     def __post_init__(self):
-        if not self.snapshots:
-            raise ValueError("empty graph sequence")
-        first = self.snapshots[0]
-        for s in self.snapshots:
-            if s.n_nodes != first.n_nodes or s.threshold != first.threshold \
-                    or s.normalized != first.normalized:
-                raise ValueError("snapshots disagree on L, threshold or normalization")
+        self.features = np.asarray(self.features, dtype=float)
+        adjacency = np.asarray(self.adjacency)
+        self.times = np.asarray(self.times, dtype=float)
+        self.threshold = float(self.threshold)
+        shape = self.features.shape
+        if len(shape) != 3 or shape[0] < 1 or shape[2] not in (2, 3):
+            raise ValueError(f"features X must be (T >= 1, L, 2|3), got {shape}")
+        T, L, _ = shape
+        if adjacency.shape != (T, L, L):
+            raise ValueError(f"adjacency A must be {(T, L, L)}, got {adjacency.shape}")
+        if self.times.shape != (T,):
+            raise ValueError(f"times t must be ({T},), got {self.times.shape}")
+        if not np.all(np.isfinite(self.features)):
+            raise ValueError("features X contain non-finite values")
+        if not np.all(np.isfinite(self.times)):
+            raise ValueError("times t contain non-finite values")
+        if not np.all((adjacency == 0) | (adjacency == 1)):
+            raise ValueError("adjacency A entries must be 0 or 1")
+        self.adjacency = adjacency.astype(np.int64, copy=False)
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not 0 < self.dt < np.inf:
+            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
     @property
     def n_frames(self) -> int:
-        return len(self.snapshots)
+        return self.features.shape[0]
 
     @property
     def n_nodes(self) -> int:
-        return self.snapshots[0].n_nodes
+        return self.features.shape[1]
 
+    # The benchmark harness still indexes frames and writes through them;
+    # these views share the arrays' memory, and the two methods below are
+    # what it reads the arrays with.
     @property
-    def threshold(self) -> float:
-        return self.snapshots[0].threshold
-
-    @property
-    def normalized(self) -> bool:
-        return self.snapshots[0].normalized
+    def snapshots(self) -> list:
+        return [GraphSnapshot(x, a, self.threshold, t, self.normalized)
+                for x, a, t in zip(self.features, self.adjacency, self.times.tolist())]
 
     def features_array(self) -> np.ndarray:
-        return np.stack([s.features for s in self.snapshots])
+        return self.features
 
     def adjacency_array(self) -> np.ndarray:
-        return np.stack([s.adjacency for s in self.snapshots])
+        return self.adjacency
 
 
 def sequence_from_positions(
@@ -127,9 +133,17 @@ def sequence_from_positions(
     t0: float = 0.0,
 ) -> GraphSequence:
     """Convert a (T, L, d) position array in meters into an unnormalized sequence."""
-    snaps = [build_snapshot(positions[k], threshold, t0 + k * dt)
-             for k in range(positions.shape[0])]
-    return GraphSequence(snaps, dt, norm)
+    features = np.array(positions, dtype=float)
+    times = t0 + np.arange(features.shape[0]) * dt
+    return GraphSequence(features, adjacency_from_positions(features, threshold),
+                         times, threshold, dt, norm, normalized=False)
+
+
+def build_snapshot(positions: np.ndarray, threshold: float, t: float = 0.0) -> GraphSnapshot:
+    """Build an unnormalized snapshot from raw positions in meters: the
+    one-frame case of sequence_from_positions (whose dt it does not use)."""
+    return sequence_from_positions(np.asarray(positions, dtype=float)[None], threshold,
+                                   1.0, t0=t).snapshots[0]
 
 
 def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> GraphSequence:
@@ -137,24 +151,23 @@ def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> Grap
     if seq.normalized:
         raise ValueError("sequence is already normalized")
     spec = seq.norm if spec is None else spec
-    snaps = [replace(s, features=spec.apply(s.features), normalized=True)
-             for s in seq.snapshots]
-    return GraphSequence(snaps, seq.dt, spec)
+    return GraphSequence(spec.apply(seq.features), seq.adjacency, seq.times,
+                         seq.threshold, seq.dt, spec, normalized=True)
 
 
 def denormalize(seq: GraphSequence) -> GraphSequence:
     """Inverse of normalize, using the sequence's own spec."""
     if not seq.normalized:
         raise ValueError("sequence is not normalized")
-    snaps = [replace(s, features=seq.norm.invert(s.features), normalized=False)
-             for s in seq.snapshots]
-    return GraphSequence(snaps, seq.dt, seq.norm)
+    return GraphSequence(seq.norm.invert(seq.features), seq.adjacency, seq.times,
+                         seq.threshold, seq.dt, seq.norm, normalized=False)
 
 
 def normalize_snapshot(snap: GraphSnapshot, spec: NormalizationSpec) -> GraphSnapshot:
-    if snap.normalized:
-        raise ValueError("snapshot is already normalized")
-    return replace(snap, features=spec.apply(snap.features), normalized=True)
+    """The one-frame case of normalize."""
+    seq = GraphSequence(snap.features[None], snap.adjacency[None], [snap.timestamp],
+                        snap.threshold, 1.0, spec, snap.normalized)
+    return normalize(seq).snapshots[0]
 
 
 # --- serialization -----------------------------------------------------------
@@ -166,35 +179,44 @@ def sequence_to_dict(seq: GraphSequence) -> dict:
         "scale": seq.norm.scale,
         "offset": list(seq.norm.offset),
         "normalized": seq.normalized,
-        "frames": [
-            {"t": s.timestamp, "X": s.features.tolist(), "A": s.adjacency.tolist()}
-            for s in seq.snapshots
-        ],
+        "frames": [{"t": t, "X": x, "A": a} for t, x, a in zip(
+            seq.times.tolist(), seq.features.tolist(), seq.adjacency.tolist())],
     }
 
 
 def sequence_from_dict(data: dict) -> GraphSequence:
-    norm = NormalizationSpec(scale=data["scale"], offset=tuple(data["offset"]))
-    normalized = bool(data["normalized"])
-    threshold = float(data["D_tilde"])
-    snaps = [
-        GraphSnapshot(
-            features=np.asarray(f["X"], dtype=float),
-            adjacency=np.asarray(f["A"], dtype=np.int64),
-            threshold=threshold,
-            timestamp=float(f["t"]),
-            normalized=normalized,
-        )
-        for f in data["frames"]
-    ]
-    return GraphSequence(snaps, float(data["dt"]), norm)
+    if not isinstance(data, dict):
+        raise ValueError("top level is not a JSON object")
+    frames = data["frames"]
+
+    def field(name):
+        try:
+            return np.asarray([f[name] for f in frames], dtype=float)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"frames field {name} is missing, not numeric or ragged") from exc
+
+    return GraphSequence(
+        features=field("X"),
+        adjacency=field("A"),
+        times=field("t"),
+        threshold=float(data["D_tilde"]),
+        dt=float(data["dt"]),
+        norm=NormalizationSpec(scale=data["scale"], offset=tuple(data["offset"])),
+        normalized=bool(data["normalized"]),
+    )
 
 
 def save_sequence_json(seq: GraphSequence, path) -> None:
     with open(path, "w") as fh:
-        json.dump(sequence_to_dict(seq), fh)
+        fh.write(json.dumps(sequence_to_dict(seq)))
 
 
 def load_sequence_json(path) -> GraphSequence:
-    with open(path) as fh:
-        return sequence_from_dict(json.load(fh))
+    """Read a sequence file; malformed content raises ValueError naming the file."""
+    try:
+        with open(path) as fh:
+            return sequence_from_dict(json.load(fh))
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc

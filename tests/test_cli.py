@@ -124,9 +124,9 @@ def test_dataset_threshold_honored(tmp_path):
                  "--quiet"]) == 0
     seq = graphs.load_sequence_json(sorted((out / "train").glob("*.json"))[0])
     assert seq.threshold == 37.0
-    pos = seq.features_array() * 500.0
+    pos = seq.features * 500.0
     expected = graphs.adjacency_from_positions(pos[0], 37.0)
-    np.testing.assert_array_equal(seq.snapshots[0].adjacency, expected)
+    np.testing.assert_array_equal(seq.adjacency[0], expected)
 
 
 def test_dataset_reseeded_determinism(tmp_path):
@@ -167,8 +167,8 @@ def test_dataset_burn_in_drops_the_first_frames(tmp_path):
                  "--quiet"]) == 0
     seq = graphs.load_sequence_json(out / "train" / "seq_0000.json")
     traj = swarm.simulate(swarm.SwarmConfig(**{**tiny_swarm(duration=2.0), "seed": 4}))
-    assert seq.n_frames == 16 and seq.snapshots[0].timestamp == 0.0
-    np.testing.assert_array_equal(seq.features_array(), traj.positions[5:] / 500.0)
+    assert seq.n_frames == 16 and seq.times[0] == 0.0
+    np.testing.assert_array_equal(seq.features, traj.positions[5:] / 500.0)
 
 
 # --- train ----------------------------------------------------------------------
@@ -206,6 +206,77 @@ def test_train_divergence_exit_4(tmp_path, trained):
                      "--config", cfg, "--out", str(tmp_path / "m.json"), "--quiet"])
     assert code == 4
     assert not (tmp_path / "m.json").exists()
+
+
+def set_at(*keys, value):
+    """An edit that sets doc[k0][k1]... = value."""
+    def edit(doc):
+        for k in keys[:-1]:
+            doc = doc[k]
+        doc[keys[-1]] = value
+    return edit
+
+
+def two_d_features(doc):
+    for f in doc["frames"]:
+        f["X"] = [x[:2] for x in f["X"]]
+
+
+# One edit of the second training file each, and a word its message must hold:
+# malformed values first, then values that disagree with the first file.
+BAD_SEQUENCE_EDITS = {
+    "A=0.5": (set_at("frames", 2, "A", 0, 1, value=0.5), " A "),
+    "A=7": (set_at("frames", 2, "A", 0, 1, value=7), " A "),
+    "NaN in X": (set_at("frames", 2, "X", 1, 2, value=math.nan), " X "),
+    "NaN t": (set_at("frames", 2, "t", value=math.nan), " t "),
+    "ragged X": (set_at("frames", 2, "X", value=[[0.0, 0.0, 0.0]] * 4), " X "),
+    "NaN offset": (set_at("offset", value=[0.0, math.nan, 0.0]), "offset"),
+    "scale": (set_at("scale", value=1000.0), "scale/offset"),
+    "offset": (set_at("offset", value=[5.0, 0.0, 0.0]), "scale/offset"),
+    "D_tilde": (set_at("D_tilde", value=37.0), "D_tilde"),
+    "dt": (set_at("dt", value=0.2), "dt"),
+    "2-D features": (two_d_features, "feature dimension"),
+}
+
+
+def train_rejects(tmp_path, capsys, data, resume=None):
+    """Run train on data; assert exit 2 with one stderr line and no output
+    left, and return that line."""
+    out = tmp_path / "out"
+    out.mkdir()
+    cfg = write_json(tmp_path / "t.json", {"tau": 3, "epochs_phase1": 2, "epochs_phase2": 2})
+    argv = ["train", "--data", str(data), "--config", cfg, "--out", str(out / "m.json"),
+            "--quiet"]
+    if resume:
+        argv += ["--resume", str(resume)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not list(out.iterdir())
+    return err
+
+
+@pytest.mark.parametrize("case", BAD_SEQUENCE_EDITS)
+def test_train_rejects_malformed_or_mixed_sequences_exit_2(tmp_path, capsys, trained,
+                                                           case):
+    edit, word = BAD_SEQUENCE_EDITS[case]
+    data = tmp_path / "data"
+    data.mkdir()
+    for src in sorted((trained["root"] / "data" / "train").glob("*.json")):
+        (data / src.name).write_bytes(src.read_bytes())
+    doc = json.loads((data / "seq_0001.json").read_text())
+    edit(doc)
+    write_json(data / "seq_0001.json", doc)
+    err = train_rejects(tmp_path, capsys, data)
+    assert "seq_0001.json" in err and word in err
+
+
+def test_train_resume_with_other_norm_exit_2(tmp_path, capsys, trained):
+    doc = json.loads(open(trained["ckpt"]).read())
+    doc["norm"]["scale"] = 1000.0
+    resume = write_json(tmp_path / "other_norm.json", doc)
+    err = train_rejects(tmp_path, capsys, trained["root"] / "data", resume=resume)
+    assert "norm" in err
 
 
 def diverging_checkpoint(trained, tmp_path):

@@ -37,6 +37,12 @@ def random_sequence(rng, L=2, T=6, d=3, threshold=100.0):
     return graphs.normalize(seq, NormalizationSpec(scale=500.0))
 
 
+def frame(seq, k):
+    """Frame k of a sequence as a snapshot."""
+    return graphs.GraphSnapshot(seq.features[k], seq.adjacency[k], seq.threshold,
+                                seq.times[k], seq.normalized)
+
+
 def random_snapshot(rng, L=2, d=3):
     snap = build_snapshot(rng.uniform(0, 500, size=(L, d)), 100.0)
     return normalize_snapshot(snap, NormalizationSpec(scale=500.0))
@@ -331,8 +337,8 @@ def test_loss_grec_single_frame_hand_computation():
     rng = np.random.default_rng(15)
     model = build_model(2, seed=8)
     seq = random_sequence(rng, L=2, T=1)
-    X = seq.snapshots[0].features
-    h = graph_encode(model, seq.snapshots[0])
+    X = seq.features[0]
+    h = graph_encode(model, frame(seq, 0))
     Xhat = graph_decode(model, h)
     expected = np.mean((Xhat - X) ** 2)
     assert loss_grec(model, seq) == pytest.approx(expected, rel=1e-12)
@@ -351,8 +357,8 @@ def test_loss_pred_single_pair_hand_computation():
     rng = np.random.default_rng(17)
     model = build_model(2, seed=11)
     seq = random_sequence(rng, L=2, T=2)
-    h0 = graph_encode(model, seq.snapshots[0])
-    h1 = graph_encode(model, seq.snapshots[1])
+    h0 = graph_encode(model, frame(seq, 0))
+    h1 = graph_encode(model, frame(seq, 1))
     pred = koopman_decode(model, model.K @ koopman_encode(model, h0))
     expected = np.mean((pred - h1) ** 2)
     assert loss_pred(model, seq, tau=1) == pytest.approx(expected, rel=1e-12)
@@ -372,8 +378,8 @@ def test_full_model_gradients_match_finite_differences():
     rng = np.random.default_rng(19)
     model = build_model(2, seed=20)
     seq = random_sequence(rng, L=2, T=4)
-    X = seq.features_array()
-    A = seq.adjacency_array().astype(float)
+    X = seq.features
+    A = seq.adjacency.astype(float)
 
     p1 = gkae._phase1_params(model)
     rep1 = grad_check(lambda: gkae._phase1_loss_grads(model, X, A, 1.0)[0],

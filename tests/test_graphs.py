@@ -12,6 +12,7 @@ from covertswarm.graphs import (
     denormalize,
     load_sequence_json,
     normalize,
+    normalize_snapshot,
     save_sequence_json,
     sequence_from_positions,
 )
@@ -103,13 +104,13 @@ def seq_of(positions, threshold=100.0, dt=0.1):
 def test_normalize_divides_by_scale():
     seq = seq_of([[[250.0, 250.0, 100.0]]])
     out = normalize(seq, NormalizationSpec(scale=500.0))
-    np.testing.assert_allclose(out.snapshots[0].features, [[0.5, 0.5, 0.2]])
+    np.testing.assert_allclose(out.features[0], [[0.5, 0.5, 0.2]])
 
 
 def test_normalize_identity_spec():
     seq = seq_of([[[3.0, 4.0, 5.0]]])
     out = normalize(seq, NormalizationSpec(scale=1.0))
-    np.testing.assert_allclose(out.snapshots[0].features, [[3.0, 4.0, 5.0]])
+    np.testing.assert_allclose(out.features[0], [[3.0, 4.0, 5.0]])
 
 
 def test_normalize_round_trip():
@@ -118,7 +119,7 @@ def test_normalize_round_trip():
     seq = seq_of(pos)
     spec = NormalizationSpec(scale=500.0, offset=(10.0, -5.0, 2.0))
     back = denormalize(normalize(seq, spec))
-    np.testing.assert_allclose(back.features_array(), pos, rtol=1e-12)
+    np.testing.assert_allclose(back.features, pos, rtol=1e-12)
     assert not back.normalized
 
 
@@ -127,7 +128,7 @@ def test_normalize_keeps_adjacency():
     pos = rng.uniform(0, 500, size=(3, 4, 3))
     seq = seq_of(pos)
     out = normalize(seq, NormalizationSpec(scale=500.0))
-    np.testing.assert_array_equal(out.adjacency_array(), seq.adjacency_array())
+    np.testing.assert_array_equal(out.adjacency, seq.adjacency)
     assert out.threshold == seq.threshold
 
 
@@ -142,13 +143,66 @@ def test_double_normalize_rejected():
 def test_spec_requires_positive_scale():
     with pytest.raises(ValueError):
         NormalizationSpec(scale=0.0)
+    with pytest.raises(ValueError, match="scale"):
+        NormalizationSpec(scale=np.inf)
+    with pytest.raises(ValueError, match="offset"):
+        NormalizationSpec(offset=(0.0, np.nan, 0.0))
+
+
+def valid_fields(T=2, L=3):
+    return {"features": np.zeros((T, L, 3)), "adjacency": np.zeros((T, L, L)),
+            "times": 0.1 * np.arange(T), "threshold": 100.0, "dt": 0.1,
+            "norm": NormalizationSpec(), "normalized": False}
 
 
 def test_sequence_requires_consistency():
-    a = build_snapshot(np.zeros((2, 3)), 100.0)
-    b = build_snapshot(np.zeros((3, 3)), 100.0)
-    with pytest.raises(ValueError):
-        GraphSequence([a, b], 0.1, NormalizationSpec())
+    GraphSequence(**valid_fields())
+    with pytest.raises(ValueError, match="adjacency"):  # 3 nodes in X, 2 in A
+        GraphSequence(**{**valid_fields(), "adjacency": np.zeros((2, 2, 2))})
+
+
+@pytest.mark.parametrize("field, value, match", [
+    ("adjacency", np.zeros((1, 3, 3)), "adjacency"),        # frame-count mismatch
+    ("times", np.zeros(3), "times"),
+    ("features", np.zeros((0, 3, 3)), "features"),          # no frames
+    ("features", np.zeros((2, 3, 4)), "features"),
+    ("features", np.full((2, 3, 3), np.nan), "non-finite"),
+    ("times", np.array([0.0, np.inf]), "non-finite"),
+    ("adjacency", np.full((2, 3, 3), 0.5), "0 or 1"),
+    ("adjacency", np.full((2, 3, 3), 7), "0 or 1"),
+    ("threshold", -1.0, "threshold"),
+    ("threshold", np.nan, "threshold"),
+    ("dt", 0.0, "dt"),
+    ("dt", np.nan, "dt"),
+])
+def test_sequence_rejects_malformed_fields(field, value, match):
+    with pytest.raises(ValueError, match=match):
+        GraphSequence(**{**valid_fields(), field: value})
+
+
+def test_sequence_stores_int_adjacency():
+    seq = GraphSequence(**valid_fields())
+    assert seq.adjacency.dtype == np.int64 and seq.features.dtype == float
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("normalized", [False, True])
+def test_sequence_equals_per_frame_snapshots(d, normalized):
+    rng = np.random.default_rng(d)
+    T, threshold, dt, t0 = 9, 120.0, 0.1, 2.5
+    pos = rng.uniform(0, 300, size=(T, 5, d))
+    spec = NormalizationSpec(scale=300.0, offset=(10.0, -5.0, 2.0))
+    seq = sequence_from_positions(pos, threshold, dt, spec, t0=t0)
+    snaps = [build_snapshot(pos[k], threshold, t0 + k * dt) for k in range(T)]
+    if normalized:
+        seq = normalize(seq)
+        snaps = [normalize_snapshot(s, spec) for s in snaps]
+    assert seq.normalized == normalized and all(s.normalized == normalized for s in snaps)
+    assert np.array_equal(seq.features, np.stack([s.features for s in snaps]))
+    assert np.array_equal(seq.adjacency, np.stack([s.adjacency for s in snaps]))
+    assert np.array_equal(seq.adjacency, [brute_force_adjacency(p, threshold) for p in pos])
+    assert seq.times.tolist() == [s.timestamp for s in snaps]
+    assert seq.times.tolist() == [t0 + k * dt for k in range(T)]
 
 
 # --- serialization --------------------------------------------------------------
@@ -163,7 +217,22 @@ def test_sequence_json_round_trip(tmp_path):
     assert set(doc) >= {"dt", "D_tilde", "scale", "frames"}
     assert set(doc["frames"][0]) == {"t", "X", "A"}
     back = load_sequence_json(path)
-    np.testing.assert_array_equal(back.features_array(), seq.features_array())
-    np.testing.assert_array_equal(back.adjacency_array(), seq.adjacency_array())
+    np.testing.assert_array_equal(back.features, seq.features)
+    np.testing.assert_array_equal(back.adjacency, seq.adjacency)
+    np.testing.assert_array_equal(back.times, seq.times)
     assert back.normalized and back.threshold == seq.threshold
     assert back.norm == seq.norm
+
+
+def test_sequence_json_format_is_pinned(tmp_path):
+    pos = np.array([[[0.0, 0.0, 30.0], [50.0, 0.0, 30.0]],
+                    [[0.0, 10.0, 30.0], [150.0, 0.0, 30.0]]])
+    seq = normalize(sequence_from_positions(pos, 100.0, 0.1),
+                    NormalizationSpec(scale=500.0, offset=(0.0, 0.0, 10.0)))
+    path = tmp_path / "seq.json"
+    save_sequence_json(seq, path)
+    assert path.read_text() == (
+        '{"dt": 0.1, "D_tilde": 100.0, "scale": 500.0, "offset": [0.0, 0.0, 10.0], '
+        '"normalized": true, "frames": ['
+        '{"t": 0.0, "X": [[0.0, 0.0, 0.04], [0.1, 0.0, 0.04]], "A": [[0, 1], [1, 0]]}, '
+        '{"t": 0.1, "X": [[0.0, 0.02, 0.04], [0.3, 0.0, 0.04]], "A": [[0, 0], [0, 0]]}]}')
