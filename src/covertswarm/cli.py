@@ -16,7 +16,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,6 +120,18 @@ def _whole_steps(seconds: float, dt: float, what: str, allow_zero: bool = False)
     return steps
 
 
+def _known(data, section: str, known) -> dict:
+    """data once it is a JSON object with no key outside known: a misspelt
+    key would otherwise leave its default silently in force."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{section} must be a JSON object")
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown key{'s' * (len(unknown) > 1)} "
+                         f"{', '.join(map(repr, unknown))} in the {section}")
+    return data
+
+
 def _say(args, msg: str) -> None:
     if not args.quiet:
         print(msg)
@@ -142,7 +154,8 @@ def cmd_simulate(args, outputs: _Outputs) -> None:
 # --- dataset -----------------------------------------------------------------
 
 def cmd_dataset(args, outputs: _Outputs) -> None:
-    cfg = _load_json(args.config)
+    cfg = _known(_load_json(args.config), "dataset config",
+                 ("swarm", "n_trajectories", "d_tilde", "scale", "offset", "burn_in_s"))
     swarm_cfg = swarm.config_from_dict(cfg["swarm"])
     n = args.n if args.n is not None else int(cfg["n_trajectories"])
     if n < 1:
@@ -181,25 +194,17 @@ def cmd_dataset(args, outputs: _Outputs) -> None:
 
 # --- train -------------------------------------------------------------------
 
-def _train_config_from_dict(data: dict) -> gkae.TrainConfig:
-    known = {"alpha1", "alpha2", "tau", "epochs_phase1", "epochs_phase2",
-             "lr", "window", "seed"}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-    return gkae.TrainConfig(**data)
-
-
 def _sequence_spec(seq: graphs.GraphSequence) -> dict:
     return {"dt": seq.dt, "D_tilde": seq.threshold, "scale/offset": seq.norm,
             "node count": seq.n_nodes, "feature dimension": seq.features.shape[-1]}
 
 
 def cmd_train(args, outputs: _Outputs) -> None:
-    cfg_dict = _load_json(args.config)
+    cfg_dict = _known(_load_json(args.config), "train config",
+                      [f.name for f in fields(gkae.TrainConfig)])
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
-    cfg = _train_config_from_dict(cfg_dict)
+    cfg = gkae.TrainConfig(**cfg_dict)
 
     data_dir = Path(args.data)
     if not data_dir.is_dir():
@@ -300,35 +305,29 @@ def cmd_predict(args, outputs: _Outputs) -> None:
     outputs.write(out, lambda p: swarm.save_trajectory_csv(pred_traj, p, first_step=1))
 
     scale2 = model.norm.scale ** 2
-    rows = []
-    for s in checks:
-        eps = cv.prediction_error(positions[s], pred[s - 1])
-        row = {"delta_t_s": s * dt, "eps_pred": eps, "eps_pred_norm": eps / scale2}
-        rows.append(row)
+    eps = cv.prediction_error(positions[checks], pred[checks - 1])
+    cols = {"delta_t_s": checks * dt, "eps_pred": eps, "eps_pred_norm": eps / scale2}
     if args.baseline:
         cv_pred = cv.baseline_constant_velocity(positions[0:2], steps)
-        for row, s in zip(rows, checks):
-            eps = cv.prediction_error(positions[s], cv_pred[s - 1])
-            row["eps_cv"] = eps
-            row["eps_cv_norm"] = eps / scale2
+        cols["eps_cv"] = cv.prediction_error(positions[checks], cv_pred[checks - 1])
+        cols["eps_cv_norm"] = cols["eps_cv"] / scale2
     errors_csv = Path(args.errors_out) if args.errors_out else \
         out.with_name(out.stem + "_errors.csv")
-    outputs.write(errors_csv, lambda p: _save_errors_csv(rows, p))
+    outputs.write(errors_csv, lambda p: _save_errors_csv(cols, p))
     _write_manifest(out, "predict", args, outputs, t0,
                     inputs={"checkpoint": args.checkpoint,
                             "trajectory": args.trajectory})
-    eps_mean = float(np.mean([r["eps_pred"] for r in rows]))
-    _say(args, f"predicted {steps} steps, eps_mean={eps_mean:.6g} m^2 -> {out}")
+    _say(args, f"predicted {steps} steps, eps_mean={float(np.mean(eps)):.6g} m^2 -> {out}")
 
 
-def _save_errors_csv(rows, path) -> None:
-    cols = list(rows[0].keys())
+def _save_errors_csv(cols: dict, path) -> None:
+    """One row per check time, then the mean of every error column."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{row[c]:.17g}" for c in cols) + "\n")
-        means = {c: float(np.mean([r[c] for r in rows])) for c in cols[1:]}
-        fh.write("mean," + ",".join(f"{means[c]:.17g}" for c in cols[1:]) + "\n")
+        for row in zip(*(col.tolist() for col in cols.values())):
+            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        means = [float(np.mean(col)) for col in list(cols.values())[1:]]
+        fh.write("mean," + ",".join(f"{m:.17g}" for m in means) + "\n")
 
 
 # --- eval-covert -------------------------------------------------------------
@@ -336,20 +335,24 @@ def _save_errors_csv(rows, path) -> None:
 def cmd_eval_covert(args, outputs: _Outputs) -> None:
     _require_file(args.checkpoint, "checkpoint")
     model = gkae.load_checkpoint(args.checkpoint)
-    cfg = _load_json(args.config)
+    cfg = _known(_load_json(args.config), "eval-covert config",
+                 ("swarm", "burn_in_s", "covert", "ground", "lambda_grid", "n_grid",
+                  "l_grid", "use_nominal_power"))
     swarm_cfg = swarm.config_from_dict(cfg["swarm"])
-    covert_dict = dict(cfg.get("covert", {}))
+    covert_dict = dict(_known(cfg.get("covert", {}), "covert section",
+                              ["lambda"] + [f.name for f in fields(cv.CovertConfig)]))
     if "lambda" in covert_dict:
         covert_dict["lambda_"] = covert_dict.pop("lambda")
     if args.seed is not None:
         covert_dict["seed"] = args.seed
     covert_cfg = cv.CovertConfig(**covert_dict)
-    ground = dict(cfg.get("ground", {}))
+    ground = dict(_known(cfg.get("ground", {}), "ground section",
+                         ["area"] + [f.name for f in fields(cv.GroundNetwork)
+                                     if f.name != "positions"]))
     area = float(ground.pop("area", swarm_cfg.X_size))
     lambda_grid = list(cfg.get("lambda_grid", [covert_cfg.lambda_]))
     n_grid = [int(v) for v in cfg.get("n_grid", [25])]
     l_grid = [int(v) for v in cfg.get("l_grid", [model.L])]
-    use_nominal = bool(cfg.get("use_nominal_power", False))
     if not lambda_grid or not n_grid:
         raise ValueError("lambda_grid and n_grid must not be empty")
     for lam in lambda_grid:
@@ -378,15 +381,12 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     pred_runs = gkae.rollout_batch(model, model.norm.apply(start),
                                    graphs.adjacency_from_positions(start, d_tilde),
                                    check_steps)
-    nets, nominals = [], []
-    for r in range(covert_cfg.runs):
-        rng_nodes = np.random.default_rng([covert_cfg.seed, r, 1])
-        net = cv.GroundNetwork.uniform_random(n_max, area, rng_nodes, **ground)
-        nets.append(net)
-        if use_nominal:
-            nominals.append(np.array([cv.nominal_power(net, i) for i in range(n_max)]))
-    report = cv.detection_probability(nets, positions[:, 1:], pred_runs, covert_cfg,
-                                      nominals if use_nominal else None)
+    nets = [cv.GroundNetwork.uniform_random(
+        n_max, area, np.random.default_rng([covert_cfg.seed, r, 1]), **ground)
+        for r in range(covert_cfg.runs)]
+    nominal = [[cv.nominal_power(net, i) for i in range(n_max)] for net in nets] \
+        if cfg.get("use_nominal_power", False) else None
+    report = cv.detection_probability(nets, positions[:, 1:], pred_runs, covert_cfg, nominal)
     cells = [{"lambda": lam, "N": n_nodes, "L": model.L, "H": covert_cfg.horizon_s,
               "P_det": report.cell(lam, n_nodes).p_det, "eps_mean": report.eps_mean}
              for n_nodes in n_grid for lam in lambda_grid]

@@ -6,14 +6,14 @@ predicted UAV positions instead of true ones introduces error, hedged by
 a descaling factor applied to the predicted bound.  A detection event is
 a true safe bound falling below the descaled predicted bound.
 
-The power bound computes all node-UAV distances as arrays in the same
-operation order as a scalar loop (elementwise arithmetic and sqrt are
-correctly rounded, so every distance is bit-identical), then applies one
-scalar Python pow per node to the nearest distance.  Two facts keep this
-bit-identical to the loop over (node, UAV) pairs: libm pow is monotone, so
-the largest path gain d ** -eta is that of the smallest d; and the pow is
-scalar, because numpy's SIMD pow differs from libm in the last bit on a
-fraction of inputs.
+One kernel bounds the power for any stack of frames, block by block: it
+computes node-UAV distances as arrays in a scalar loop's operation order
+(elementwise arithmetic and sqrt are correctly rounded, so every distance is
+bit-identical), then applies one scalar pow to each node's nearest distance.
+Two facts keep this bit-identical to the loop over (node, UAV) pairs: libm
+pow is monotone, so the largest path gain d ** -eta is that of the smallest
+d; and the pow is scalar, because numpy's SIMD pow differs from libm in the
+last bit on a fraction of inputs.
 """
 
 from __future__ import annotations
@@ -173,54 +173,92 @@ def nominal_power(net: GroundNetwork, i: int, floor: float = 0.0) -> float:
     return max(p, floor)
 
 
-def transmit_power_bound(net: GroundNetwork, uav_frame: np.ndarray,
-                         P_det: float, nominal: np.ndarray) -> np.ndarray:
-    """Per-node covert power cap against one UAV frame (L, 3).
+# Node-UAV distances the power-bound kernel holds at once: it walks the frames
+# in blocks of about this many, so its memory stays flat in runs and checks.
+_BLOCK_DISTANCES = 4096
 
-    For each node the worst (largest) path gain over UAVs sets w_n; the
-    node transmits min(nominal_n, P_det / w_n).
+
+def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray:
+    """Per-node covert power caps for UAV frames (R, ..., L, 3): (R, ..., N).
+
+    nets is one GroundNetwork for every run or a sequence of R, all with
+    the same node count and eta; nominal is None (each run's P_max), one
+    (N,) array or one (R, N) array.  For each node the worst (largest)
+    path gain over UAVs sets w_n; the node transmits min(nominal_n, P_det / w_n).
     """
-    uav_frame = np.asarray(uav_frame, dtype=float)
-    if uav_frame.ndim != 2 or uav_frame.shape[1] != 3 or uav_frame.shape[0] < 1:
-        raise ValueError(f"uav_frame must be (L, 3) with L >= 1, got {uav_frame.shape}")
-    if not np.isfinite(uav_frame).all():
-        raise ValueError("uav_frame has non-finite coordinates")
-    nominal = np.asarray(nominal, dtype=float)
-    if nominal.shape != (net.n_nodes,):
-        raise ValueError(f"nominal must be ({net.n_nodes},), got {nominal.shape}")
-    if np.any(nominal < 0) or np.any(nominal > net.P_max):
-        raise ValueError("nominal powers must lie in [0, P_max]")
-    # (L, N) distances in the scalar loop's operation order; UAV-major so
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim < 3 or frames.shape[-1] != 3 or frames.shape[-2] < 1:
+        raise ValueError(f"UAV frames must be (..., L, 3) with L >= 1, got {frames.shape}")
+    if not np.isfinite(frames).all():
+        raise ValueError("UAV frames have non-finite coordinates")
+    R, L = frames.shape[0], frames.shape[-2]
+    if isinstance(nets, GroundNetwork):
+        nets = [nets]
+    elif len(nets) != R:
+        raise ValueError(f"expected {R} networks, got {len(nets)}")
+    N, eta = nets[0].n_nodes, float(nets[0].eta)
+    if any(net.n_nodes != N for net in nets):
+        raise ValueError("all runs must use the same node count")
+    if any(net.eta != eta for net in nets):
+        raise ValueError("all runs must use the same path-loss exponent eta")
+    P_max = np.array([[net.P_max] for net in nets])
+    if nominal is None:
+        nominal = P_max
+    else:
+        nominal = np.asarray(nominal, dtype=float)
+        if nominal.shape not in ((N,), (R, N)):
+            raise ValueError(f"nominal must be ({N},) or ({R}, {N}), got {nominal.shape}")
+        if np.any(nominal < 0) or np.any(nominal > P_max):
+            raise ValueError("nominal powers must lie in [0, P_max]")
+    # (R, 3, N) node coordinates and (R, N) nominal powers, views when shared
+    nodes = np.broadcast_to(np.stack([net.positions.T for net in nets]), (R, 3, N))
+    nominal = np.broadcast_to(nominal, (R, N))
+    flat = frames.reshape(-1, L, 3)
+    per_run = len(flat) // R
+    out = np.empty((len(flat), N))
+    step = max(1, _BLOCK_DISTANCES // (L * N))
+    # (B, L, N) distances in the scalar loop's operation order; UAV-major so
     # that the min over UAVs runs along contiguous rows.  A finite UAV about
     # 1e154 m or more away overflows its distance to inf and its path gain to
     # 0, so P_det / w is inf: that UAV caps nothing, which is the right
     # limit, and the overflow and divide warnings say nothing.
-    nodes = net.positions
     with np.errstate(over="ignore", divide="ignore"):
-        dx = nodes[:, 0] - uav_frame[:, 0, None]
-        dy = nodes[:, 1] - uav_frame[:, 1, None]
-        dz = nodes[:, 2] - uav_frame[:, 2, None]
-        d = np.sqrt(dx * dx + dy * dy + dz * dz)
-        if not d.all():
-            raise ValueError("UAV coincides with ground node (d = 0)")
-        # max over UAVs of d ** -eta is d_min ** -eta because libm pow is
-        # monotone; scalar pow, not np.power, whose SIMD path can differ in
-        # the last bit
-        eta = float(net.eta)
-        w = np.array([v ** -eta for v in d.min(axis=0).tolist()])
-        return np.minimum(nominal, P_det / w)
+        for f in range(0, len(flat), step):
+            block = flat[f:f + step, :, :, None]
+            runs = np.arange(f, f + len(block)) // per_run
+            pos = nodes[runs]
+            dx = pos[:, None, 0] - block[:, :, 0]
+            dy = pos[:, None, 1] - block[:, :, 1]
+            dz = pos[:, None, 2] - block[:, :, 2]
+            d = np.sqrt(dx * dx + dy * dy + dz * dz)
+            if not d.all():
+                raise ValueError("UAV coincides with ground node (d = 0)")
+            # max over UAVs of d ** -eta is d_min ** -eta because libm pow is
+            # monotone; scalar pow, not np.power, whose SIMD path can differ
+            # in the last bit
+            w = np.array([v ** -eta for v in d.min(axis=1).ravel().tolist()])
+            out[f:f + len(block)] = np.minimum(nominal[runs], P_det / w.reshape(-1, N))
+    return out.reshape(frames.shape[:-2] + (N,))
+
+
+def transmit_power_bound(net: GroundNetwork, uav_frames: np.ndarray,
+                         P_det: float, nominal: np.ndarray) -> np.ndarray:
+    """Per-node covert power caps against UAV frames (..., L, 3): (..., N)."""
+    return _power_bounds(net, np.asarray(uav_frames, dtype=float)[None], P_det, nominal)[0]
 
 
 # --- prediction metrics ------------------------------------------------------
 
-def prediction_error(true_frame: np.ndarray, pred_frame: np.ndarray) -> float:
-    """Mean over UAVs of the squared position error for one frame."""
-    true_frame = np.asarray(true_frame, dtype=float)
-    pred_frame = np.asarray(pred_frame, dtype=float)
-    if true_frame.shape != pred_frame.shape:
-        raise ValueError(f"frame shape mismatch {true_frame.shape} vs {pred_frame.shape}")
-    diff = true_frame - pred_frame
-    return float(np.mean(np.sum(diff * diff, axis=1)))
+def prediction_error(true_frames: np.ndarray, pred_frames: np.ndarray):
+    """Mean over UAVs of the squared position error of each (L, d) frame:
+    (...) errors for (..., L, d) frames, a float for one frame."""
+    true_frames = np.asarray(true_frames, dtype=float)
+    pred_frames = np.asarray(pred_frames, dtype=float)
+    if true_frames.shape != pred_frames.shape or true_frames.ndim < 2:
+        raise ValueError(f"frame shape mismatch {true_frames.shape} vs {pred_frames.shape}")
+    diff = true_frames - pred_frames
+    eps = np.mean(np.sum(diff * diff, axis=-1), axis=-1)
+    return float(eps) if eps.ndim == 0 else eps
 
 
 def baseline_constant_velocity(frames: np.ndarray, horizon_steps: int) -> np.ndarray:
@@ -250,19 +288,12 @@ def detection_events(net: GroundNetwork, true_checks: np.ndarray,
     granularity.  Returns (flags, p_true, p_pred) each (C, N): a node is
     flagged when its true bound falls below lambda times its predicted one.
     """
-    true_checks = np.asarray(true_checks, dtype=float)
-    pred_checks = np.asarray(pred_checks, dtype=float)
-    if true_checks.shape != pred_checks.shape:
-        raise ValueError(
-            f"misaligned trajectories: {true_checks.shape} vs {pred_checks.shape}")
-    C = true_checks.shape[0]
-    p_true = np.empty((C, net.n_nodes))
-    p_pred = np.empty((C, net.n_nodes))
-    for c in range(C):
-        p_true[c] = transmit_power_bound(net, true_checks[c], covert.P_det, nominal)
-        p_pred[c] = transmit_power_bound(net, pred_checks[c], covert.P_det, nominal)
-    flags = p_true < covert.lambda_ * p_pred
-    return flags, p_true, p_pred
+    if np.shape(true_checks) != np.shape(pred_checks):
+        raise ValueError(f"misaligned trajectories: {np.shape(true_checks)} vs "
+                         f"{np.shape(pred_checks)}")
+    p_true = transmit_power_bound(net, true_checks, covert.P_det, nominal)
+    p_pred = transmit_power_bound(net, pred_checks, covert.P_det, nominal)
+    return p_true < covert.lambda_ * p_pred, p_true, p_pred
 
 
 @dataclass
@@ -329,35 +360,16 @@ def detection_probability(nets, true_runs, pred_runs, covert: CovertConfig,
     """Aggregate detection over independent runs.
 
     nets is one GroundNetwork shared by all runs or a list per run;
-    true_runs / pred_runs hold one (C, L, 3) array of check-time frames per
-    run, as lists or as (R, C, L, 3) arrays.
-    nominal is None (P_max for every node), one (N,) array shared by all
-    runs, or a list with one entry per run.
+    true_runs / pred_runs are (R, C, L, 3) check-time frames, or R
+    (C, L, 3) arrays.  nominal is None (P_max for every node), one (N,)
+    array shared by all runs, or one (N,) array per run.
     """
-    if len(true_runs) != len(pred_runs) or len(true_runs) == 0:
-        raise ValueError("need equally many true and predicted runs")
-    R = len(true_runs)
-    if isinstance(nets, GroundNetwork):
-        nets = [nets] * R
-    if nominal is None or np.ndim(nominal) == 1:
-        nominal = [nominal] * R
-    if len(nets) != R or len(nominal) != R:
-        raise ValueError(f"expected {R} networks and nominal powers, "
-                         f"got {len(nets)} and {len(nominal)}")
-    n_nodes = nets[0].n_nodes
-    if any(net.n_nodes != n_nodes for net in nets):
-        raise ValueError("all runs must use the same node count")
-    C = np.asarray(true_runs[0]).shape[0]
-    p_true = np.empty((R, C, n_nodes))
-    p_pred = np.empty((R, C, n_nodes))
-    eps = np.empty((R, C))
-    for r, (net, t_run, p_run, nom) in enumerate(zip(nets, true_runs, pred_runs, nominal)):
-        if nom is None:
-            nom = np.full(n_nodes, net.P_max)
-        _, pt, pp = detection_events(net, t_run, p_run, covert, nom)
-        if pt.shape[0] != C:
-            raise ValueError("runs disagree on the number of check times")
-        p_true[r], p_pred[r] = pt, pp
-        for c in range(C):
-            eps[r, c] = prediction_error(np.asarray(t_run)[c], np.asarray(p_run)[c])
-    return DetectionReport(p_true, p_pred, eps, covert.lambda_, covert.report_interval_s)
+    true_runs = np.asarray(true_runs, dtype=float)
+    pred_runs = np.asarray(pred_runs, dtype=float)
+    if true_runs.shape != pred_runs.shape or true_runs.ndim != 4 or not len(true_runs):
+        raise ValueError(f"need equally many aligned true and predicted (C, L, 3) runs, "
+                         f"got {true_runs.shape} and {pred_runs.shape}")
+    p_true = _power_bounds(nets, true_runs, covert.P_det, nominal)
+    p_pred = _power_bounds(nets, pred_runs, covert.P_det, nominal)
+    return DetectionReport(p_true, p_pred, prediction_error(true_runs, pred_runs),
+                           covert.lambda_, covert.report_interval_s)

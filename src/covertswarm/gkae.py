@@ -581,6 +581,24 @@ def save_checkpoint(model: GkaeModel, path) -> None:
         fh.write(json.dumps(doc))
 
 
+def _layer_chain(params: dict, name: str, from_dict, n_in: int, n_out: int) -> list:
+    """params[name] as layers whose shapes chain n_in -> ... -> n_out."""
+    layers = []
+    for k, d in enumerate(params[name]):
+        try:
+            layer = from_dict(d)
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint {name}[{k}]: {exc}") from exc
+        if layer.n_in != n_in:
+            raise CheckpointError(f"checkpoint {name}[{k}] takes {layer.n_in} inputs, "
+                                  f"expected {n_in}")
+        layers.append(layer)
+        n_in = layer.n_out
+    if n_in != n_out:
+        raise CheckpointError(f"checkpoint {name} ends in {n_in} outputs, expected {n_out}")
+    return layers
+
+
 def load_checkpoint(path) -> GkaeModel:
     try:
         with open(path) as fh:
@@ -596,14 +614,25 @@ def load_checkpoint(path) -> GkaeModel:
         params = doc["params"]
         norm = NormalizationSpec(scale=doc["norm"]["scale"],
                                  offset=tuple(doc["norm"]["offset"]))
+        L, d_out = int(dims["L"]), int(dims["d_out"])
+        latent, node_dim = int(dims["latent"]), int(dims["node_dim"])
+        embed = node_dim * L
+        K = np.asarray(params["K"], dtype=float)
+        if K.shape != (latent, latent):
+            raise CheckpointError(f"checkpoint K has shape {K.shape}, expected "
+                                  f"(latent, latent) = {(latent, latent)}")
         model = GkaeModel(
-            graph_encoder=[_sage_from_dict(d) for d in params["graph_encoder"]],
-            koopman_encoder=[_dense_from_dict(d) for d in params["koopman_encoder"]],
-            K=np.asarray(params["K"], dtype=float),
-            koopman_decoder=[_dense_from_dict(d) for d in params["koopman_decoder"]],
-            graph_decoder=[_dense_from_dict(d) for d in params["graph_decoder"]],
-            L=int(dims["L"]), d_out=int(dims["d_out"]), latent=int(dims["latent"]),
-            node_dim=int(dims["node_dim"]), norm=norm, meta=dict(doc.get("meta", {})),
+            graph_encoder=_layer_chain(params, "graph_encoder", _sage_from_dict,
+                                       d_out, node_dim),
+            koopman_encoder=_layer_chain(params, "koopman_encoder", _dense_from_dict,
+                                         embed, latent),
+            K=K,
+            koopman_decoder=_layer_chain(params, "koopman_decoder", _dense_from_dict,
+                                         latent, embed),
+            graph_decoder=_layer_chain(params, "graph_decoder", _dense_from_dict,
+                                       node_dim, d_out),
+            L=L, d_out=d_out, latent=latent, node_dim=node_dim, norm=norm,
+            meta=dict(doc.get("meta", {})),
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"incomplete checkpoint: {exc}") from exc

@@ -631,6 +631,75 @@ def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json"]
 
 
+# --- config keys and checkpoint shapes ------------------------------------------
+
+@pytest.mark.parametrize("command, section, key, where", [
+    ("dataset", None, "burnin_s", "dataset config"),
+    ("eval-covert", None, "lamda_grid", "eval-covert config"),
+    ("eval-covert", None, "use_nominal_powr", "eval-covert config"),
+    ("eval-covert", "covert", "horizn_s", "covert section"),
+    ("eval-covert", "ground", "aera", "ground section"),
+    ("train", None, "epoch_phase1", "train config"),
+])
+def test_unknown_config_key_exit_2(tmp_path, trained, capsys, command, section, key, where):
+    # a misspelt key used to leave its default silently in force
+    if command == "eval-covert":
+        cfg = Path(eval_config(tmp_path, [0.5], [5]))
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(open(trained["ds_cfg" if command == "dataset" else "tr_cfg"]).read())
+    doc = json.loads(cfg.read_text())
+    (doc[section] if section else doc)[key] = 1.0
+    write_json(cfg, doc)
+    args = {"dataset": ["--out", str(tmp_path / "data")],
+            "train": ["--data", str(trained["root"] / "data"),
+                      "--out", str(tmp_path / "m.json")],
+            "eval-covert": ["--checkpoint", trained["ckpt"],
+                            "--out", str(tmp_path / "agg.csv")]}[command]
+    assert main([command, "--config", str(cfg), *args, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: unknown key '{key}' in the {where}\n"
+    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+
+
+def _set_K_columns(doc, n):
+    doc["params"]["K"] = [row[:n] for row in doc["params"]["K"]]
+
+
+def _set_graph_encoder_inputs(doc, n):
+    layer = doc["params"]["graph_encoder"][0]
+    layer["W_self"] = [row[:n] for row in layer["W_self"]]
+    layer["W_neigh"] = [row[:n] for row in layer["W_neigh"]]
+
+
+@pytest.mark.parametrize("corrupt, field", [
+    (lambda doc: _set_K_columns(doc, 7), "K"),
+    (lambda doc: doc["dims"].update(latent=9), "K"),
+    (lambda doc: doc["params"]["koopman_decoder"][1].update(activation="relu"),
+     "koopman_decoder[1]"),
+    (lambda doc: _set_graph_encoder_inputs(doc, 2), "graph_encoder[0]"),
+    (lambda doc: doc["dims"].update(node_dim=5), "graph_encoder"),
+    (lambda doc: doc["params"]["graph_decoder"].pop(), "graph_decoder"),
+], ids=["K_8x7", "latent_9", "unknown_activation", "encoder_input", "node_dim",
+        "decoder_output"])
+@pytest.mark.parametrize("command", ["predict", "eval-covert"])
+def test_checkpoint_with_broken_shapes_exit_2(tmp_path, trained, truth_csv, capsys,
+                                              corrupt, field, command):
+    # these used to fail only inside the rollout, with numpy's message
+    doc = json.loads(open(trained["ckpt"]).read())
+    corrupt(doc)
+    ckpt = write_json(tmp_path / "bad.json", doc)
+    args = {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
+                        "--out", str(tmp_path / "pred.csv")],
+            "eval-covert": ["--config", eval_config(tmp_path, [0.5], [5], runs=2),
+                            "--out", str(tmp_path / "agg.csv")]}[command]
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: checkpoint {field}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 # --- cross-command determinism -----------------------------------------------------
 
 def test_pipeline_reseeded_byte_identical(tmp_path):

@@ -242,6 +242,22 @@ def test_bound_rejects_non_finite_frame(bad):
             transmit_power_bound(net, frame, 1e-6, np.full(4, net.P_max))
 
 
+def test_bound_on_stacked_frames_equals_its_per_frame_calls():
+    rng = np.random.default_rng(8)
+    net = GroundNetwork.uniform_random(30, 500.0, rng, eta=1.5)
+    nominal = rng.uniform(0.0, net.P_max, 30)
+    frames = np.column_stack([rng.uniform(0, 500, (2 * 5 * 3, 2)),
+                              rng.uniform(50, 150, 2 * 5 * 3)]).reshape(2, 5, 3, 3)
+    got = transmit_power_bound(net, frames, 1e-6, nominal)
+    assert got.shape == (2, 5, 30)
+    for a in range(2):
+        np.testing.assert_array_equal(transmit_power_bound(net, frames[a], 1e-6, nominal),
+                                      got[a])
+        for b in range(5):
+            np.testing.assert_array_equal(
+                transmit_power_bound(net, frames[a, b], 1e-6, nominal), got[a, b])
+
+
 def test_bound_monotone_in_proximity():
     # moving one UAV strictly closer never increases any node's power
     rng = np.random.default_rng(2)
@@ -476,6 +492,67 @@ def test_report_cell_equals_the_engine_on_the_first_nodes():
         assert cell.p_det == want.p_det and cell.eps_mean == want.eps_mean
     with pytest.raises(ValueError):
         report.cell(0.5, 0)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), runs=st.integers(1, 4), C=st.integers(1, 3),
+       L=st.integers(1, 4), eta=st.floats(0.0, 3.0), per_run_nominal=st.booleans(),
+       data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_detection_probability_equals_a_per_frame_loop_bit_for_bit(
+        seed, runs, C, L, eta, per_run_nominal, data):
+    # a few nodes put several runs in one block of the kernel; enough nodes
+    # that one frame's distances fill a block on their own
+    block = cv._BLOCK_DISTANCES
+    n = data.draw(st.integers(1, 40) | st.integers(block // L, block // L + 40))
+    rng = np.random.default_rng(seed)
+    nets = [GroundNetwork.uniform_random(n, 500.0, rng, eta=eta,
+                                         P_max=float(rng.uniform(1.0, 20.0)))
+            for _ in range(runs)]
+    true = np.column_stack([rng.uniform(0, 500, (runs * C * L, 2)),
+                            rng.uniform(50, 150, runs * C * L)]).reshape(runs, C, L, 3)
+    pred = true + rng.normal(scale=60.0, size=true.shape)
+    pred[..., 2] = np.abs(pred[..., 2]) + 1.0
+    nominal = [rng.uniform(0.0, net.P_max, n) for net in nets] if per_run_nominal else None
+    covert = CovertConfig(lambda_=0.5, runs=runs)
+    report = detection_probability(nets, true, pred, covert, nominal)
+    for r, net in enumerate(nets):
+        nom = nominal[r] if per_run_nominal else np.full(n, net.P_max)
+        for c in range(C):
+            np.testing.assert_array_equal(report.p_true[r, c],
+                                          brute_force_bound(net, true[r, c], 1e-6, nom))
+            np.testing.assert_array_equal(report.p_pred[r, c],
+                                          brute_force_bound(net, pred[r, c], 1e-6, nom))
+            assert report.eps_pred[r, c] == prediction_error(true[r, c], pred[r, c])
+
+
+@pytest.mark.parametrize("frames_per_block", [40, 1])
+@pytest.mark.parametrize("fault", ["d = 0", "non-finite"])
+def test_detection_probability_raises_on_a_fault_in_the_last_block(frames_per_block, fault):
+    rng = np.random.default_rng(9)
+    n_nodes = cv._BLOCK_DISTANCES // (3 * frames_per_block)
+    nets, trues, preds = random_runs(rng, 5, n_nodes, C=4, L=3)
+    preds = np.array(preds)
+    preds[-1, -1, -1] = nets[-1].positions[-1] if fault == "d = 0" else np.nan
+    with pytest.raises(ValueError, match=fault):
+        detection_probability(nets, trues, preds, CovertConfig(runs=5))
+
+
+def test_detection_probability_rejects_mixed_path_loss_exponents():
+    rng = np.random.default_rng(10)
+    nets, trues, preds = random_runs(rng, 3, 4)
+    nets[1] = GroundNetwork(nets[1].positions, eta=2.0)
+    with pytest.raises(ValueError, match="eta"):
+        detection_probability(nets, trues, preds, CovertConfig(runs=3))
+
+
+def test_prediction_error_per_frame_over_leading_axes():
+    rng = np.random.default_rng(11)
+    a, b = rng.normal(size=(2, 3, 5, 3)), rng.normal(size=(2, 3, 5, 3))
+    eps = prediction_error(a, b)
+    assert eps.shape == (2, 3)
+    assert all(eps[i, j] == prediction_error(a[i, j], b[i, j])
+               for i in range(2) for j in range(3))
+    assert isinstance(prediction_error(a[0, 0], b[0, 0]), float)
 
 
 def test_covert_config_validation():
