@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import json
 import math
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -274,15 +276,17 @@ def _dense_chain_forward(layers: list, x: np.ndarray):
     return x, tape
 
 
-def _dense_chain_backward(layers: list, tape: list, upstream: np.ndarray, acc: list) -> np.ndarray:
-    """Backward through a dense stack, accumulating (dW, db) pairs into acc."""
-    up = upstream
+def _dense_chain_backward(layers: list, tape: list, upstream: np.ndarray,
+                          need_input: bool = True):
+    """Backward through a dense stack, popping each tape entry as it passes
+    so its arrays can be freed.  Returns (input gradient, or None when not
+    need_input; [dW, db] per layer)."""
+    up, grads = upstream, [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
-        x, saved = tape[k]
-        up, dW, db = dense_backward(layers[k], x, up, saved)
-        acc[k][0] += dW
-        acc[k][1] += db
-    return up
+        x, saved = tape.pop()
+        up, dW, db = dense_backward(layers[k], x, up, saved, need_input=need_input or k > 0)
+        grads[k] = [dW, db]
+    return up, grads
 
 
 def _encoder_forward(model: GkaeModel, X: np.ndarray, A: np.ndarray):
@@ -317,27 +321,114 @@ def _phase1_loss_grads(model: GkaeModel, X: np.ndarray, A: np.ndarray, alpha1: f
     B, L, d = X.shape
     Xhat, enc_tape, head_tape = _phase1_forward(model, X, A)
     loss = mse(Xhat, X)
-    head_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in model.graph_decoder]
     up = (alpha1 * mse_grad(Xhat, X)).reshape(B * L, d)
-    dflat = _dense_chain_backward(model.graph_decoder, head_tape, up, head_acc)
+    dflat, head_grads = _dense_chain_backward(model.graph_decoder, head_tape, up)
     dH = dflat.reshape(B, L, model.node_dim)
     grads = []
     for k in range(len(model.graph_encoder) - 1, -1, -1):
-        H, saved = enc_tape[k]
-        dH, dWs, dWn, db = sage_backward(model.graph_encoder[k], H, A, dH, saved)
+        H, saved = enc_tape.pop()
+        dH, dWs, dWn, db = sage_backward(model.graph_encoder[k], H, A, dH, saved,
+                                         need_input=k > 0)
         grads[:0] = [dWs, dWn, db]
-    grads += [g for pair in head_acc for g in pair]
+    grads += [g for pair in head_grads for g in pair]
     return loss, grads
 
 
-def _horizons(model: GkaeModel, w: np.ndarray, h: np.ndarray, anchors: np.ndarray,
-              tau: int):
-    """Advance the anchors' latents w by K for dt = 1..tau and decode each
-    step; yields (latent, error against h[anchors + dt], decoder tape)."""
+def _latents(K: np.ndarray, w0: np.ndarray, tau: int) -> np.ndarray:
+    """w0 (n, latent) advanced by K for dt = 0..tau, as one (tau+1, n,
+    latent) block: one block, not tau arrays, keeps the heap unfragmented."""
+    W = np.empty((tau + 1,) + w0.shape)
+    W[0] = w0
     for d in range(1, tau + 1):
-        w = w @ model.K.T
-        y, tape = _dense_chain_forward(model.koopman_decoder, w)
-        yield w, y - h[anchors + d], tape
+        W[d] = W[d - 1] @ K.T
+    return W
+
+
+def _horizon_forward(dec: list, w: np.ndarray, target: np.ndarray):
+    """Decode the latents w of one horizon; returns (squared error sum
+    against target, error, decoder tape).  The error is written over
+    target, which must be the caller's own copy: one fewer array per
+    horizon to allocate and fault in."""
+    y, tape = _dense_chain_forward(dec, w)
+    err = np.subtract(y, target, out=target)
+    return float(np.sum(err * err)), err, tape
+
+
+def _horizon_grads(dec: list, w: np.ndarray, target: np.ndarray, scale: float):
+    """One horizon's prediction term: (squared error sum, decoder [dW, db]
+    per layer, gradient w.r.t. w) for the loss scale * squared error sum / 2;
+    target is overwritten as by _horizon_forward."""
+    sse, err, tape = _horizon_forward(dec, w, target)
+    g, grads = _dense_chain_backward(dec, tape, np.multiply(err, scale, out=err))
+    return sse, grads, g
+
+
+def _blas_thread_control():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None
+    when numpy links a BLAS that does not export them."""
+    import ctypes
+
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        get = lib.scipy_openblas_get_num_threads64_
+        set_ = lib.scipy_openblas_set_num_threads64_
+    except (AttributeError, OSError):
+        return None
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
+
+
+# Decoder rows, summed over horizons, below which the horizon jobs run on
+# the calling thread.  Threads hand the GIL back and forth between numpy
+# calls; on 2 cores two workers broke even at 120k-180k rows and were 1.3x
+# faster at 720k, while calls of a few hundred rows (the gradient checks
+# make thousands) ran 3-4x slower.
+_POOL_MIN_ROWS = 1 << 17
+
+# Most horizon jobs run at once.  Two, each on one BLAS thread, is what was
+# measured (on 2 cores); each job in flight holds its own decoder tape and
+# error arrays, so the count does not grow with the machine's cores.
+_MAX_WORKERS = 2
+
+
+@contextmanager
+def _horizon_map(tau: int, rows: int):
+    """A map for tau horizon jobs of rows decoder rows each, yielding the
+    results in order.
+
+    Large jobs go to a thread pool with one worker per OpenBLAS thread, at
+    most _MAX_WORKERS, and OpenBLAS is set to one thread meanwhile: 2 jobs x
+    1 BLAS thread beat 1 x 2, and 2 x 2 oversubscribe the cores.  At most
+    one job more than there are workers is submitted ahead of the consumer.
+    On exit pending jobs are cancelled and the thread count is restored.
+    With one worker (small jobs, one BLAS thread, or no thread control) it
+    is the builtin map.
+    """
+    control = _blas_thread_control() if rows * tau >= _POOL_MIN_ROWS else None
+    threads = control[0]() if control else 1
+    workers = min(tau, threads, _MAX_WORKERS)
+    if workers == 1:
+        yield map
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    def run(fn, items):
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+
+    pool = ThreadPoolExecutor(workers)
+    control[1](1)
+    try:
+        yield run
+    finally:
+        pool.shutdown(cancel_futures=True)
+        control[1](threads)
 
 
 def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
@@ -348,46 +439,55 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
     dt = 1..tau stay within the same source sequence.  Returns
     (L_rec, L_pred, grads) with grads scaled by alpha2 and ordered as
     _phase2_params.
+
+    Each horizon's decoder pass runs as its own job; the K-adjoint
+    recurrence consumes their latent gradients from dt = tau down, and the
+    sums over horizons are taken in dt = 1..tau order afterwards, so the
+    result does not depend on how many jobs run at once.
     """
     F, D = h.shape
     enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
     z, enc_tape = _dense_chain_forward(enc, h)
-    enc_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in enc]
-    dec_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in dec]
     dK = np.zeros_like(K)
 
     hr, dec_tape = _dense_chain_forward(dec, z)
     loss_rec = mse(hr, h)
-    dz = _dense_chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h), dec_acc)
+    dz, dec_grads = _dense_chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h))
 
     loss_pred = 0.0
     na = int(anchors.size)
     if tau > 0 and na > 0:
         n_pred = na * tau * D
-        # One block each, not 2*tau separate arrays: those fragmented the
-        # heap and raised peak memory by about 10%.
-        W = np.empty((tau + 1, na, model.latent))
-        gW = np.empty((tau + 1, na, model.latent))
-        W[0] = z[anchors]
-        sse = 0.0
-        for d, (w, err, tape) in enumerate(_horizons(model, W[0], h, anchors, tau), 1):
-            W[d] = w
-            sse += float(np.sum(err * err))
-            gW[d] = _dense_chain_backward(dec, tape, (2.0 * alpha2 / n_pred) * err, dec_acc)
-        loss_pred = sse / n_pred
-        t_grad = gW[tau]
-        for d in range(tau, 0, -1):
-            dK += t_grad.T @ W[d - 1]
-            down = t_grad @ K
-            t_grad = gW[d - 1] + down if d > 1 else down
+        scale = 2.0 * alpha2 / n_pred
+        W = _latents(K, z[anchors], tau)
+
+        def job(d):
+            return _horizon_grads(dec, W[d], h[anchors + d], scale)
+
+        per_horizon = []
+        t_grad = None
+        horizons = range(tau, 0, -1)
+        with _horizon_map(tau, na) as run:
+            # both maps yield in order and let go of each result
+            for d, (sse, grads, g) in zip(horizons, run(job, horizons)):
+                t_grad = g if t_grad is None else g + t_grad @ K
+                dK += t_grad.T @ W[d - 1]
+                per_horizon.append((sse, grads))
         # The anchors are distinct, so this plain scatter adds each row once,
         # exactly as np.add.at would, and faster.
-        dz[anchors] += t_grad
+        dz[anchors] += t_grad @ K
+        sse_total = 0.0
+        for sse, grads in reversed(per_horizon):
+            sse_total += sse
+            for pair, (dW, db) in zip(dec_grads, grads):
+                pair[0] += dW
+                pair[1] += db
+        loss_pred = sse_total / n_pred
 
-    _dense_chain_backward(enc, enc_tape, dz, enc_acc)
-    grads = [g for pair in enc_acc for g in pair]
+    _, enc_grads = _dense_chain_backward(enc, enc_tape, dz, need_input=False)
+    grads = [g for pair in enc_grads for g in pair]
     grads.append(dK)
-    grads += [g for pair in dec_acc for g in pair]
+    grads += [g for pair in dec_grads for g in pair]
     return loss_rec, loss_pred, grads
 
 
@@ -424,9 +524,10 @@ def loss_pred(model: GkaeModel, seq: GraphSequence, tau: int) -> float:
     h = _embed_frames(model, X, A)
     z, _ = _dense_chain_forward(model.koopman_encoder, h)
     anchors = np.arange(h.shape[0] - tau)
+    W = _latents(model.K, z[anchors], tau)
     sse = 0.0
-    for _, err, _ in _horizons(model, z[anchors], h, anchors, tau):
-        sse += float(np.sum(err * err))
+    for d in range(1, tau + 1):
+        sse += _horizon_forward(model.koopman_decoder, W[d], h[anchors + d])[0]
     return sse / (anchors.size * tau * h.shape[1])
 
 
@@ -581,14 +682,32 @@ def save_checkpoint(model: GkaeModel, path) -> None:
         fh.write(json.dumps(doc))
 
 
+def _check_finite(field: str, value: np.ndarray) -> None:
+    # a NaN would otherwise surface only as a diverged rollout or training loss
+    if not np.isfinite(value).all():
+        raise CheckpointError(f"checkpoint {field} is not finite")
+
+
+def _dim(dims: dict, key: str) -> int:
+    # int() would read 4.7 as 4 and "8" as 8
+    value = dims[key]
+    if type(value) is not int or value < 1:
+        raise CheckpointError(f"checkpoint dims.{key} must be a positive integer, "
+                              f"got {value!r}")
+    return value
+
+
 def _layer_chain(params: dict, name: str, from_dict, n_in: int, n_out: int) -> list:
-    """params[name] as layers whose shapes chain n_in -> ... -> n_out."""
+    """params[name] as finite layers whose shapes chain n_in -> ... -> n_out."""
     layers = []
     for k, d in enumerate(params[name]):
         try:
             layer = from_dict(d)
         except ValueError as exc:
             raise CheckpointError(f"checkpoint {name}[{k}]: {exc}") from exc
+        for field, value in vars(layer).items():
+            if isinstance(value, np.ndarray):
+                _check_finite(f"{name}[{k}].{field}", value)
         if layer.n_in != n_in:
             raise CheckpointError(f"checkpoint {name}[{k}] takes {layer.n_in} inputs, "
                                   f"expected {n_in}")
@@ -614,13 +733,14 @@ def load_checkpoint(path) -> GkaeModel:
         params = doc["params"]
         norm = NormalizationSpec(scale=doc["norm"]["scale"],
                                  offset=tuple(doc["norm"]["offset"]))
-        L, d_out = int(dims["L"]), int(dims["d_out"])
-        latent, node_dim = int(dims["latent"]), int(dims["node_dim"])
+        L, d_out, latent, node_dim = (_dim(dims, k) for k in ("L", "d_out", "latent",
+                                                              "node_dim"))
         embed = node_dim * L
         K = np.asarray(params["K"], dtype=float)
         if K.shape != (latent, latent):
             raise CheckpointError(f"checkpoint K has shape {K.shape}, expected "
                                   f"(latent, latent) = {(latent, latent)}")
+        _check_finite("K", K)
         model = GkaeModel(
             graph_encoder=_layer_chain(params, "graph_encoder", _sage_from_dict,
                                        d_out, node_dim),

@@ -53,12 +53,16 @@ def _grad_source(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
 
 
 def _backprop_activation(name: str, upstream: np.ndarray, saved) -> np.ndarray:
-    """upstream * act'(z), from the value _grad_source picked."""
+    """upstream * act'(z), from the value _grad_source picked, computed in
+    place in one temporary (the same bits as the plain expression)."""
     if name == "tanh":
-        return upstream * (1.0 - saved * saved)
-    if name == "elu":
-        return upstream * elu_grad(saved)
-    return upstream
+        g = saved * saved
+        np.subtract(1.0, g, out=g)
+    elif name == "elu":
+        g = elu_grad(saved)
+    else:
+        return upstream
+    return np.multiply(upstream, g, out=g)
 
 
 def glorot_uniform(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -99,17 +103,19 @@ def dense_forward(layer: DenseLayer, x: np.ndarray, keep: bool = False):
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.n_in:
         raise ValueError(f"dense input dim {x.shape[-1]} != {layer.n_in}")
-    z = x @ layer.W.T + layer.b
+    z = x @ layer.W.T
+    z += layer.b
     y = _activate(layer.activation, z)
     return (y, _grad_source(layer.activation, z, y)) if keep else y
 
 
-def dense_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, saved=None):
+def dense_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, saved=None,
+                   need_input: bool = True):
     """Gradients for y = act(Wx + b), given dense_forward's saved value (or
     recomputing it when None).
 
     Returns (dx, dW, db); parameter gradients are summed over any batch
-    dimensions of x.
+    dimensions of x.  With need_input=False dx is None and not computed.
     """
     x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
@@ -120,7 +126,7 @@ def dense_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, saved
     dz2 = dz.reshape(-1, layer.n_out)
     dW = dz2.T @ x2
     db = dz2.sum(axis=0)
-    dx = (dz2 @ layer.W).reshape(x.shape)
+    dx = (dz2 @ layer.W).reshape(x.shape) if need_input else None
     return dx, dW, db
 
 
@@ -186,11 +192,12 @@ def sage_forward(layer: SageLayer, X: np.ndarray, A: np.ndarray, keep: bool = Fa
 
 
 def sage_backward(layer: SageLayer, X: np.ndarray, A: np.ndarray, upstream: np.ndarray,
-                  saved=None):
+                  saved=None, need_input: bool = True):
     """Returns (dX, dW_self, dW_neigh, db), parameter grads summed over batch.
 
     saved is sage_forward's; when given, A is not read, and when None the
-    forward pass is recomputed.
+    forward pass is recomputed.  With need_input=False dX is None and not
+    computed.
     """
     X = np.asarray(X, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
@@ -202,6 +209,8 @@ def sage_backward(layer: SageLayer, X: np.ndarray, A: np.ndarray, upstream: np.n
     dW_self = dz2.T @ X.reshape(-1, layer.n_in)
     dW_neigh = dz2.T @ agg.reshape(-1, layer.n_in)
     db = dz2.sum(axis=0)
+    if not need_input:
+        return None, dW_self, dW_neigh, db
     dagg = dz @ layer.W_neigh
     dX = dz @ layer.W_self + np.swapaxes(An, -1, -2) @ dagg
     return dX, dW_self, dW_neigh, db

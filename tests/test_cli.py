@@ -272,7 +272,7 @@ def test_train_rejects_malformed_or_mixed_sequences_exit_2(tmp_path, capsys, tra
 
 
 def test_train_resume_with_other_norm_exit_2(tmp_path, capsys, trained):
-    doc = json.loads(open(trained["ckpt"]).read())
+    doc = json.loads(Path(trained["ckpt"]).read_text())
     doc["norm"]["scale"] = 1000.0
     resume = write_json(tmp_path / "other_norm.json", doc)
     err = train_rejects(tmp_path, capsys, trained["root"] / "data", resume=resume)
@@ -282,7 +282,7 @@ def test_train_resume_with_other_norm_exit_2(tmp_path, capsys, trained):
 def diverging_checkpoint(trained, tmp_path):
     """The trained checkpoint with K scaled to spectral radius 1e12, so that a
     30-step rollout overflows although every parameter is finite."""
-    doc = json.loads(open(trained["ckpt"]).read())
+    doc = json.loads(Path(trained["ckpt"]).read_text())
     K = np.array(doc["params"]["K"])
     doc["params"]["K"] = (K * 1e12 / np.abs(np.linalg.eigvals(K)).max()).tolist()
     return write_json(tmp_path / "diverging.json", doc)
@@ -456,7 +456,7 @@ def test_eval_covert_grid_rows_and_monotonicity(tmp_path, trained):
 @pytest.mark.parametrize("l_grid", [[7], [3, 3], []], ids=["other_L", "repeated", "empty"])
 def test_eval_covert_mismatched_l_grid_exit_2(tmp_path, trained, capsys, l_grid):
     # the checkpoint fixes L = 3; a repeated entry would redo every run
-    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5])).read_text())
     doc["l_grid"] = l_grid
     cfg = write_json(tmp_path / "eval.json", doc)
     out = tmp_path / "agg.csv"
@@ -480,7 +480,7 @@ def test_eval_covert_bad_grid_exit_2(tmp_path, trained, capsys, lambdas, n_grid)
 def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
     # use_nominal_power: every node transmits at its own link-target power,
     # and each cell equals the library engine run on the same inputs
-    doc = json.loads(open(eval_config(tmp_path, [0.5, 0.9], [6, 4], runs=3)).read())
+    doc = json.loads(Path(eval_config(tmp_path, [0.5, 0.9], [6, 4], runs=3)).read_text())
     doc["use_nominal_power"] = True
     cfg = write_json(tmp_path / "eval.json", doc)
     out = tmp_path / "agg.csv"
@@ -512,7 +512,7 @@ def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
 def test_eval_covert_burn_in_matches_the_engine(tmp_path, trained):
     # after a 1 s burn-in, frame 10 is the start frame and frames 20, 30, 40
     # are the truth at the checks
-    doc = json.loads(open(eval_config(tmp_path, [0.5, 0.9], [6], runs=4)).read())
+    doc = json.loads(Path(eval_config(tmp_path, [0.5, 0.9], [6], runs=4)).read_text())
     doc["burn_in_s"] = 1.0
     cfg = write_json(tmp_path / "eval.json", doc)
     out = tmp_path / "agg.csv"
@@ -541,7 +541,7 @@ def test_eval_covert_burn_in_matches_the_engine(tmp_path, trained):
 @pytest.mark.parametrize("burn_in", [0.55, -5.0])
 def test_eval_covert_bad_burn_in_exit_2(tmp_path, trained, capsys, burn_in):
     # 0.55 s used to end in an IndexError; -5 s read frame -50 as the start
-    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5])).read_text())
     doc["burn_in_s"] = burn_in
     cfg = write_json(tmp_path / "eval.json", doc)
     out = tmp_path / "agg.csv"
@@ -556,7 +556,7 @@ def test_eval_covert_bad_burn_in_exit_2(tmp_path, trained, capsys, burn_in):
 def test_eval_covert_report_interval_not_multiple_of_dt_exit_2(tmp_path, trained,
                                                                  capsys, interval):
     # 0.25 s is 2.5 steps of dt = 0.1 s; 0.04 s would round to zero steps
-    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5])).read_text())
     doc["covert"]["report_interval_s"] = interval
     cfg = write_json(tmp_path / "eval.json", doc)
     out = tmp_path / "agg.csv"
@@ -590,7 +590,7 @@ def test_eval_covert_audit_csv(tmp_path, trained):
 def test_eval_covert_horizon_not_multiple_of_report_interval_exit_2(
         tmp_path, trained, capsys, horizon, interval):
     # 2.5 s with 1 s reports would check at 1 s and 2 s only but print H=2.5
-    doc = json.loads(open(eval_config(tmp_path, [0.5], [5])).read())
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5])).read_text())
     doc["covert"].update(horizon_s=horizon, report_interval_s=interval)
     cfg = write_json(tmp_path / "eval.json", doc)
     out = tmp_path / "agg.csv"
@@ -647,7 +647,7 @@ def test_unknown_config_key_exit_2(tmp_path, trained, capsys, command, section, 
         cfg = Path(eval_config(tmp_path, [0.5], [5]))
     else:
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(open(trained["ds_cfg" if command == "dataset" else "tr_cfg"]).read())
+        cfg.write_text(Path(trained["ds_cfg" if command == "dataset" else "tr_cfg"]).read_text())
     doc = json.loads(cfg.read_text())
     (doc[section] if section else doc)[key] = 1.0
     write_json(cfg, doc)
@@ -679,13 +679,15 @@ def _set_graph_encoder_inputs(doc, n):
     (lambda doc: _set_graph_encoder_inputs(doc, 2), "graph_encoder[0]"),
     (lambda doc: doc["dims"].update(node_dim=5), "graph_encoder"),
     (lambda doc: doc["params"]["graph_decoder"].pop(), "graph_decoder"),
+    (lambda doc: doc["dims"].update(L=3.5), "dims.L"),
+    (lambda doc: doc["dims"].update(latent="8"), "dims.latent"),
 ], ids=["K_8x7", "latent_9", "unknown_activation", "encoder_input", "node_dim",
-        "decoder_output"])
+        "decoder_output", "fractional_L", "string_latent"])
 @pytest.mark.parametrize("command", ["predict", "eval-covert"])
 def test_checkpoint_with_broken_shapes_exit_2(tmp_path, trained, truth_csv, capsys,
                                               corrupt, field, command):
     # these used to fail only inside the rollout, with numpy's message
-    doc = json.loads(open(trained["ckpt"]).read())
+    doc = json.loads(Path(trained["ckpt"]).read_text())
     corrupt(doc)
     ckpt = write_json(tmp_path / "bad.json", doc)
     args = {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
@@ -698,6 +700,98 @@ def test_checkpoint_with_broken_shapes_exit_2(tmp_path, trained, truth_csv, caps
     assert err.startswith(f"error: checkpoint {field}") and err.count("\n") == 1
     assert "Traceback" not in err
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["predict", "eval-covert", "train"])
+def test_checkpoint_with_a_nan_parameter_exit_2(tmp_path, trained, truth_csv, capsys,
+                                                command):
+    # loading used to accept it: predict and eval-covert then failed in the
+    # rollout (exit 4), train --resume after all of phase 1, as a diverged
+    # phase-2 loss
+    doc = json.loads(Path(trained["ckpt"]).read_text())
+    doc["params"]["koopman_decoder"][0]["b"][0] = math.nan
+    ckpt = write_json(tmp_path / "nan.json", doc)
+    if command == "train":
+        err = train_rejects(tmp_path, capsys, trained["root"] / "data", resume=ckpt)
+    else:
+        args = {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
+                            "--out", str(tmp_path / "pred.csv")],
+                "eval-covert": ["--config", eval_config(tmp_path, [0.5], [5], runs=2),
+                                "--out", str(tmp_path / "agg.csv")]}[command]
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert err == "error: checkpoint koopman_decoder[0].b is not finite\n"
+
+
+@functools.cache
+def checkpoint_mutations(ckpt):
+    """Every way to break one field of the checkpoint the model needs (not
+    meta): drop a key, drop the last entry of a list of numbers or rows (a
+    wrong shape), or put NaN or a string in place of a number."""
+    out = []
+
+    def walk(node, path):
+        if isinstance(node, dict):
+            for k, v in node.items():
+                out.append(("drop", path + (k,)))
+                walk(v, path + (k,))
+        elif isinstance(node, list):
+            if node and not isinstance(node[0], dict):
+                out.append(("shorten", path))
+            for i, v in enumerate(node):
+                walk(v, path + (i,))
+        elif isinstance(node, (int, float)) and not isinstance(node, bool):
+            out.extend([("nan", path), ("string", path)])
+
+    doc = json.loads(Path(ckpt).read_text())
+    for key in ("version", "dims", "norm", "params"):
+        out.append(("drop", (key,)))
+        walk(doc[key], (key,))
+    return tuple(out)
+
+
+def mutated_checkpoint(ckpt, kind, path):
+    doc = json.loads(Path(ckpt).read_text())
+    parent = doc
+    for k in path[:-1]:
+        parent = parent[k]
+    key = path[-1]
+    if kind == "drop":
+        del parent[key]
+    elif kind == "shorten":
+        parent[key].pop()
+    else:
+        parent[key] = math.nan if kind == "nan" else "x"
+    return doc
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_mutated_checkpoint_fails_cleanly(trained, data):
+    kind, path = data.draw(st.sampled_from(checkpoint_mutations(trained["ckpt"])))
+    command = data.draw(st.sampled_from(["predict", "eval-covert"]))
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        ckpt = write_json(d / "ckpt.json", mutated_checkpoint(trained["ckpt"], kind, path))
+        if command == "predict":
+            truth = d / "truth.csv"
+            truth.write_text("\n".join(",".join(r) for r in
+                                       [swarm.CSV_HEADER] + list(truth_rows())) + "\n")
+            args = ["--trajectory", str(truth), "--horizon-s", "1",
+                    "--out", str(d / "pred.csv")]
+        else:
+            args = ["--config", eval_config(d, [0.5], [5], runs=2),
+                    "--out", str(d / "agg.csv")]
+        before = sorted(p.name for p in d.iterdir())
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([command, "--checkpoint", ckpt, *args, "--quiet"])
+        assert code in (2, 3, 4), (kind, path, code)
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        assert "Traceback" not in err.getvalue()
+        assert sorted(p.name for p in d.iterdir()) == before
 
 
 # --- cross-command determinism -----------------------------------------------------

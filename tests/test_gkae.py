@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -28,7 +30,15 @@ from covertswarm.gkae import (
     train,
 )
 from covertswarm.graphs import NormalizationSpec, build_snapshot, normalize_snapshot
-from covertswarm.nn import DenseLayer, SageLayer, grad_check
+from covertswarm.nn import (
+    DenseLayer,
+    SageLayer,
+    dense_backward,
+    dense_forward,
+    grad_check,
+    mse,
+    mse_grad,
+)
 
 
 def random_sequence(rng, L=2, T=6, d=3, threshold=100.0):
@@ -398,6 +408,214 @@ def test_full_model_gradients_match_finite_differences():
                       lambda: gkae._phase2_loss_grads(model, h, anchors, 2, 1.0)[2],
                       p2)
     assert rep2["max_rel_err"] < 1e-4
+
+
+# --- threaded phase-2 horizons ---------------------------------------------------------
+
+def serial_phase2_loss_grads(model, h, anchors, tau, alpha2):
+    """Phase-2 losses and gradients with every horizon decoded in turn and
+    the latent gradients kept in one block: the serial loop that the
+    threaded horizons must reproduce bit for bit."""
+    def chain_forward(layers, x):
+        tape = []
+        for layer in layers:
+            y, saved = dense_forward(layer, x, keep=True)
+            tape.append((x, saved))
+            x = y
+        return x, tape
+
+    def chain_backward(layers, tape, up, acc):
+        for k in range(len(layers) - 1, -1, -1):
+            x, saved = tape[k]
+            up, dW, db = dense_backward(layers[k], x, up, saved)
+            acc[k][0] += dW
+            acc[k][1] += db
+        return up
+
+    D = h.shape[1]
+    enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
+    z, enc_tape = chain_forward(enc, h)
+    enc_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in enc]
+    dec_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in dec]
+    dK = np.zeros_like(K)
+    hr, dec_tape = chain_forward(dec, z)
+    rec = mse(hr, h)
+    dz = chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h), dec_acc)
+    na = anchors.size
+    n_pred = na * tau * D
+    W = np.empty((tau + 1, na, model.latent))
+    gW = np.empty((tau + 1, na, model.latent))
+    W[0] = z[anchors]
+    sse = 0.0
+    w = W[0]
+    for d in range(1, tau + 1):
+        w = w @ K.T
+        W[d] = w
+        y, tape = chain_forward(dec, w)
+        err = y - h[anchors + d]
+        sse += float(np.sum(err * err))
+        gW[d] = chain_backward(dec, tape, (2.0 * alpha2 / n_pred) * err, dec_acc)
+    t_grad = gW[tau]
+    for d in range(tau, 0, -1):
+        dK += t_grad.T @ W[d - 1]
+        down = t_grad @ K
+        t_grad = gW[d - 1] + down if d > 1 else down
+    dz[anchors] += t_grad
+    chain_backward(enc, enc_tape, dz, enc_acc)
+    grads = [g for pair in enc_acc for g in pair] + [dK]
+    grads += [g for pair in dec_acc for g in pair]
+    return rec, sse / n_pred, grads
+
+
+def phase2_inputs(tau, seed=31, frames=None):
+    """A perturbed model and the embeddings of one sequence, with every
+    anchor whose horizon stays in it; by default just enough anchors for
+    the horizon jobs to run on threads."""
+    rng = np.random.default_rng(seed)
+    model = build_model(3, seed=seed)
+    for p in gkae._phase2_params(model):
+        p += rng.normal(scale=0.3, size=p.shape)
+    if frames is None:
+        frames = -(-gkae._POOL_MIN_ROWS // tau) + tau
+    h = rng.normal(size=(frames, model.embed_dim))
+    return model, h, np.arange(frames - tau)
+
+
+def assert_phase2_matches_serial(model, h, anchors, tau):
+    want = serial_phase2_loss_grads(model, h, anchors, tau, 0.7)
+    got = gkae._phase2_loss_grads(model, h, anchors, tau, 0.7)
+    assert got[0] == want[0] and got[1] == want[1]
+    assert len(got[2]) == len(want[2]) == 13
+    for a, b in zip(got[2], want[2]):
+        assert np.array_equal(a, b)
+
+
+def fake_blas(threads):
+    """A stand-in for _blas_thread_control reporting `threads` BLAS threads
+    and ignoring any change to them."""
+    return lambda: (lambda: threads, lambda n: None)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 5])
+@pytest.mark.parametrize("workers", ["one", "machine", "eight", "no BLAS control"])
+def test_phase2_horizon_jobs_equal_the_serial_loop_bitwise(monkeypatch, tau, workers):
+    if workers == "one":
+        monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(1))
+    elif workers == "no BLAS control":
+        monkeypatch.setattr(gkae, "_blas_thread_control", lambda: None)
+    elif workers == "eight":
+        monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(8))
+        monkeypatch.setattr(gkae, "_MAX_WORKERS", 8)
+    interval = sys.getswitchinterval()
+    try:
+        if workers == "eight":  # more workers than cores, switching often
+            sys.setswitchinterval(1e-6)
+        assert_phase2_matches_serial(*phase2_inputs(tau), tau)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("blas_threads, max_workers, workers",
+                         [(2, 2, 2), (16, 2, 2), (16, 8, 8), (3, 8, 3)])
+def test_horizon_map_caps_workers_and_jobs_submitted_ahead(monkeypatch, blas_threads,
+                                                           max_workers, workers):
+    monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(blas_threads))
+    monkeypatch.setattr(gkae, "_MAX_WORKERS", max_workers)
+    tau = 30
+    pulled = []
+
+    def items():
+        for d in range(tau, 0, -1):
+            pulled.append(d)
+            yield d
+
+    with gkae._horizon_map(tau, gkae._POOL_MIN_ROWS) as run:
+        results = run(lambda d: (d, threading.get_ident()), items())
+        first = next(results)
+        assert len(pulled) == workers + 1
+        rest = list(results)
+    assert [d for d, _ in [first] + rest] == list(range(tau, 0, -1))
+    assert len({ident for _, ident in [first] + rest}) <= workers
+
+
+def recording_jobs(monkeypatch, control):
+    """Make every horizon job record (its thread, the BLAS thread count)."""
+    seen = []
+    job = gkae._horizon_grads
+
+    def recording_job(*args):
+        seen.append((threading.get_ident(), control[0]()))
+        return job(*args)
+
+    monkeypatch.setattr(gkae, "_horizon_grads", recording_job)
+    return seen
+
+
+def test_phase2_runs_one_job_per_blas_thread_on_one_thread_blas(monkeypatch):
+    control = gkae._blas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS exports no thread control")
+    get, set_ = control
+    before = get()
+    seen = recording_jobs(monkeypatch, control)
+    threads = threading.active_count()
+    try:
+        set_(2)
+        model, h, anchors = phase2_inputs(5)
+        gkae._phase2_loss_grads(model, h, anchors, 5, 1.0)
+        assert get() == 2
+        assert threading.active_count() == threads
+        assert len(seen) == 5 and {n for _, n in seen} == {1}
+        assert len({ident for ident, _ in seen}) <= 2
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+    finally:
+        set_(before)
+
+
+def test_phase2_small_calls_run_on_the_calling_thread(monkeypatch):
+    control = gkae._blas_thread_control() or (lambda: None, None)
+    seen = recording_jobs(monkeypatch, control)
+    before = control[0]()
+    model, h, anchors = phase2_inputs(5, frames=gkae._POOL_MIN_ROWS // 5)
+    gkae._phase2_loss_grads(model, h, anchors, 5, 1.0)
+    assert seen == [(threading.get_ident(), before)] * 5
+
+
+def test_phase2_restores_blas_threads_when_a_job_raises(monkeypatch):
+    control = gkae._blas_thread_control()
+    if control is None:
+        pytest.skip("numpy's BLAS exports no thread control")
+    get, set_ = control
+    before = get()
+    job = gkae._horizon_grads
+    done = []
+
+    def failing_job(*args):
+        if len(done) >= 2:
+            raise RuntimeError("job failed")
+        done.append(job(*args))
+        return done[-1]
+
+    monkeypatch.setattr(gkae, "_horizon_grads", failing_job)
+    threads = threading.active_count()
+    try:
+        set_(2)
+        model, h, anchors = phase2_inputs(5)
+        with pytest.raises(RuntimeError, match="job failed"):
+            gkae._phase2_loss_grads(model, h, anchors, 5, 1.0)
+        assert get() == 2
+        assert threading.active_count() == threads
+    finally:
+        set_(before)
+
+
+def test_loss_pred_equals_the_training_prediction_loss():
+    rng = np.random.default_rng(32)
+    model = build_model(2, seed=33)
+    seq = random_sequence(rng, L=2, T=12)
+    h = gkae._embed_frames(model, seq.features, seq.adjacency.astype(float))
+    _, pred, _ = gkae._phase2_loss_grads(model, h, np.arange(12 - 4), 4, 1.0)
+    assert loss_pred(model, seq, tau=4) == pred
 
 
 # --- training ----------------------------------------------------------------------------

@@ -208,6 +208,24 @@ def test_dense_backward_from_saved_equals_recomputed_bitwise(activation):
 
 
 @pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
+def test_dense_pass_equals_the_plain_expressions_bitwise(activation):
+    """The in-place bias add and activation derivative change no bit."""
+    rng = np.random.default_rng(14)
+    layer = make_dense(rng, 5, 7, activation)
+    x = rng.normal(scale=2.0, size=(64, 5))
+    up = rng.normal(size=(64, 7))
+    z = x @ layer.W.T + layer.b
+    y, dact = {"elu": (nn.elu(z), nn.elu_grad(z)),
+               "tanh": (np.tanh(z), 1.0 - np.tanh(z) * np.tanh(z)),
+               "identity": (z, 1.0)}[activation]
+    dz = up * dact
+    assert np.array_equal(dense_forward(layer, x), y)
+    dx, dW, db = dense_backward(layer, x, up)
+    assert np.array_equal(dW, dz.T @ x) and np.array_equal(db, dz.sum(axis=0))
+    assert np.array_equal(dx, dz @ layer.W)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
 def test_sage_backward_from_saved_equals_recomputed_bitwise(activation):
     rng = np.random.default_rng(12)
     layer = make_sage(rng, 3, 4, activation)
@@ -218,6 +236,31 @@ def test_sage_backward_from_saved_equals_recomputed_bitwise(activation):
     y, saved = sage_forward(layer, X, A, keep=True, An=nn.row_normalized(A))
     np.testing.assert_array_equal(y, sage_forward(layer, X, A))
     for a, b in zip(sage_backward(layer, X, A, up, saved), sage_backward(layer, X, A, up)):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
+def test_backward_without_input_gradient_keeps_parameter_gradients_bitwise(activation):
+    rng = np.random.default_rng(13)
+    dense = make_dense(rng, 5, 7, activation)
+    x = rng.normal(scale=2.0, size=(64, 5))
+    up = rng.normal(size=(64, 7))
+    full = dense_backward(dense, x, up)
+    skipped = dense_backward(dense, x, up, need_input=False)
+    assert skipped[0] is None
+    for a, b in zip(full[1:], skipped[1:]):
+        assert np.array_equal(a, b)
+
+    sage = make_sage(rng, 3, 4, activation)
+    X = rng.normal(scale=2.0, size=(16, 5, 3))
+    A = np.triu((rng.random((16, 5, 5)) < 0.5).astype(float), 1)
+    A = A + np.swapaxes(A, 1, 2)
+    up = rng.normal(size=(16, 5, 4))
+    _, saved = sage_forward(sage, X, A, keep=True)
+    full = sage_backward(sage, X, A, up, saved)
+    skipped = sage_backward(sage, X, A, up, saved, need_input=False)
+    assert skipped[0] is None
+    for a, b in zip(full[1:], skipped[1:]):
         assert np.array_equal(a, b)
 
 
