@@ -10,7 +10,6 @@ from .graphs import (  # noqa: F401
     NormalizationSpec,
     build_snapshot,
     normalize,
-    denormalize,
 )
 from .gkae import (  # noqa: F401
     GkaeModel,

@@ -16,7 +16,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import fields, replace
+import typing
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -120,16 +121,52 @@ def _whole_steps(seconds: float, dt: float, what: str, allow_zero: bool = False)
     return steps
 
 
-def _known(data, section: str, known) -> dict:
-    """data once it is a JSON object with no key outside known: a misspelt
-    key would otherwise leave its default silently in force."""
+# The JSON types a config value may take, as the Python types json.load
+# gives them, each with how an error message names it.
+_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+               dict: "a JSON object", list[int]: "a list of integers",
+               list[float]: "a list of numbers", int | None: "an integer or null"}
+
+
+def _is_json(value, kind) -> bool:
+    """Whether a parsed JSON value has the type kind, a key of _JSON_TYPES.
+    true/false is only a boolean, never a number, and 2.0 is no integer."""
+    args = typing.get_args(kind)
+    if typing.get_origin(kind) is list:
+        return isinstance(value, list) and all(_is_json(v, args[0]) for v in value)
+    if args:  # a union
+        return any(_is_json(value, k) for k in args)
+    if isinstance(value, bool):
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def _field_types(cls, *skip) -> dict:
+    """The JSON type of each field of a dataclass, leaving out skip."""
+    return {k: v for k, v in typing.get_type_hints(cls).items() if k not in skip}
+
+
+def _known(data, section: str, types: dict) -> dict:
+    """data once it is a JSON object whose every key is one of types and
+    every value of that key's JSON type: a misspelt key would otherwise
+    leave its default silently in force, and a value of the wrong type be
+    coerced (the string "false" is true, 25.9 nodes are 25)."""
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be a JSON object")
-    unknown = sorted(set(data) - set(known))
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ValueError(f"unknown key{'s' * (len(unknown) > 1)} "
                          f"{', '.join(map(repr, unknown))} in the {section}")
+    for key, value in data.items():
+        if not _is_json(value, types[key]):
+            raise ValueError(f"{key!r} in the {section} must be "
+                             f"{_JSON_TYPES[types[key]]}, got {json.dumps(value)}")
     return data
+
+
+def _swarm_section(cfg: dict) -> swarm.SwarmConfig:
+    return swarm.config_from_dict(_known(cfg["swarm"], "swarm section",
+                                         _field_types(swarm.SwarmConfig)))
 
 
 def _say(args, msg: str) -> None:
@@ -140,7 +177,8 @@ def _say(args, msg: str) -> None:
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args, outputs: _Outputs) -> None:
-    cfg_dict = _load_json(args.config)
+    cfg_dict = _known(_load_json(args.config), "simulate config",
+                      _field_types(swarm.SwarmConfig))
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     config = swarm.config_from_dict(cfg_dict)
@@ -155,9 +193,10 @@ def cmd_simulate(args, outputs: _Outputs) -> None:
 
 def cmd_dataset(args, outputs: _Outputs) -> None:
     cfg = _known(_load_json(args.config), "dataset config",
-                 ("swarm", "n_trajectories", "d_tilde", "scale", "offset", "burn_in_s"))
-    swarm_cfg = swarm.config_from_dict(cfg["swarm"])
-    n = args.n if args.n is not None else int(cfg["n_trajectories"])
+                 {"swarm": dict, "n_trajectories": int, "d_tilde": float, "scale": float,
+                  "offset": list[float], "burn_in_s": float})
+    swarm_cfg = _swarm_section(cfg)
+    n = args.n if args.n is not None else cfg["n_trajectories"]
     if n < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n}")
     base_seed = args.seed if args.seed is not None else swarm_cfg.seed
@@ -201,7 +240,7 @@ def _sequence_spec(seq: graphs.GraphSequence) -> dict:
 
 def cmd_train(args, outputs: _Outputs) -> None:
     cfg_dict = _known(_load_json(args.config), "train config",
-                      [f.name for f in fields(gkae.TrainConfig)])
+                      _field_types(gkae.TrainConfig))
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     cfg = gkae.TrainConfig(**cfg_dict)
@@ -288,9 +327,8 @@ def cmd_predict(args, outputs: _Outputs) -> None:
             raise ValueError("replay file shorter than the requested horizon")
         pred = pred[:steps]
     else:
-        d_tilde = args.d_tilde if args.d_tilde is not None else \
-            float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
-        snap = graphs.build_snapshot(positions[0], d_tilde, t=0.0)
+        d_tilde = float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
+        snap = graphs.build_snapshot(positions[0], d_tilde)
         snap = graphs.normalize_snapshot(snap, model.norm)
         pred = gkae.rollout_predict(model, snap, steps)
 
@@ -298,7 +336,6 @@ def cmd_predict(args, outputs: _Outputs) -> None:
         positions=pred,
         velocities=_finite_difference_velocities(positions[0], pred, dt),
         dt=dt,
-        config=None,
     )
     out = Path(args.out)
     # prediction frames start one step after the observed frame
@@ -308,8 +345,9 @@ def cmd_predict(args, outputs: _Outputs) -> None:
     eps = cv.prediction_error(positions[checks], pred[checks - 1])
     cols = {"delta_t_s": checks * dt, "eps_pred": eps, "eps_pred_norm": eps / scale2}
     if args.baseline:
-        cv_pred = cv.baseline_constant_velocity(positions[0:2], steps)
-        cols["eps_cv"] = cv.prediction_error(positions[checks], cv_pred[checks - 1])
+        # the constant-velocity line through frames 0 and 1, at each check frame
+        cv_pred = positions[0] + checks[:, None, None] * (positions[1] - positions[0])
+        cols["eps_cv"] = cv.prediction_error(positions[checks], cv_pred)
         cols["eps_cv_norm"] = cols["eps_cv"] / scale2
     errors_csv = Path(args.errors_out) if args.errors_out else \
         out.with_name(out.stem + "_errors.csv")
@@ -336,23 +374,23 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     _require_file(args.checkpoint, "checkpoint")
     model = gkae.load_checkpoint(args.checkpoint)
     cfg = _known(_load_json(args.config), "eval-covert config",
-                 ("swarm", "burn_in_s", "covert", "ground", "lambda_grid", "n_grid",
-                  "l_grid", "use_nominal_power"))
-    swarm_cfg = swarm.config_from_dict(cfg["swarm"])
+                 {"swarm": dict, "burn_in_s": float, "covert": dict, "ground": dict,
+                  "lambda_grid": list[float], "n_grid": list[int], "l_grid": list[int],
+                  "use_nominal_power": bool})
+    swarm_cfg = _swarm_section(cfg)
     covert_dict = dict(_known(cfg.get("covert", {}), "covert section",
-                              ["lambda"] + [f.name for f in fields(cv.CovertConfig)]))
+                              {"lambda": float, **_field_types(cv.CovertConfig)}))
     if "lambda" in covert_dict:
         covert_dict["lambda_"] = covert_dict.pop("lambda")
     if args.seed is not None:
         covert_dict["seed"] = args.seed
     covert_cfg = cv.CovertConfig(**covert_dict)
     ground = dict(_known(cfg.get("ground", {}), "ground section",
-                         ["area"] + [f.name for f in fields(cv.GroundNetwork)
-                                     if f.name != "positions"]))
+                         {"area": float, **_field_types(cv.GroundNetwork, "positions")}))
     area = float(ground.pop("area", swarm_cfg.X_size))
     lambda_grid = list(cfg.get("lambda_grid", [covert_cfg.lambda_]))
-    n_grid = [int(v) for v in cfg.get("n_grid", [25])]
-    l_grid = [int(v) for v in cfg.get("l_grid", [model.L])]
+    n_grid = cfg.get("n_grid", [25])
+    l_grid = cfg.get("l_grid", [model.L])
     if not lambda_grid or not n_grid:
         raise ValueError("lambda_grid and n_grid must not be empty")
     for lam in lambda_grid:
@@ -462,7 +500,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="add constant-velocity comparison columns")
     p.add_argument("--replay", default=None,
                    help="evaluate an existing prediction CSV instead of the model")
-    p.add_argument("--d-tilde", type=float, default=None)
     common(p)
     p.set_defaults(func=cmd_predict)
 

@@ -26,12 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def noise_power_watts(dbm_per_hz: float = -174.0, bandwidth_hz: float = 1e6) -> float:
-    """Noise power over a bandwidth from a spectral density in dBm/Hz."""
-    return 10.0 ** (dbm_per_hz / 10.0) * 1e-3 * bandwidth_hz
-
-
-DEFAULT_NOISE_W = noise_power_watts()  # ~3.98e-15 W at -174 dBm/Hz over 1 MHz
+# Thermal noise power: -174 dBm/Hz over 1 MHz, about 3.98e-15 W
+DEFAULT_NOISE_W = 10.0 ** (-174.0 / 10.0) * 1e-3 * 1e6
 
 
 def whole_multiple(total: float, unit: float) -> int:
@@ -116,41 +112,7 @@ class CovertConfig:
 
 # --- link model --------------------------------------------------------------
 
-def received_power(P_n: float, uav_pos: np.ndarray, node_pos: np.ndarray,
-                   eta: float) -> float:
-    """Power received at a UAV from a ground node: P_n * d^(-eta)."""
-    d = float(np.linalg.norm(np.asarray(uav_pos, dtype=float)
-                             - np.asarray(node_pos, dtype=float)))
-    if d == 0.0:
-        raise ValueError("UAV coincides with ground node (d = 0)")
-    return P_n * d ** (-eta)
-
-
-def snr_linear(P_i: float, d: float, nu: float, eta_t: float, N0: float) -> float:
-    """Instantaneous linear SNR: P_i * d^(-eta_t) * nu / N0."""
-    if d <= 0.0:
-        raise ValueError(f"distance must be > 0, got {d}")
-    if N0 <= 0.0:
-        raise ValueError(f"N0 must be > 0, got {N0}")
-    return P_i * d ** (-eta_t) * nu / N0
-
-
-def mean_snr(P_i: float, d: float, eta_t: float, N0: float) -> float:
-    """Time-averaged SNR under unit-mean fading."""
-    return snr_linear(P_i, d, 1.0, eta_t, N0)
-
-
-def mean_link_set(net: GroundNetwork, i: int, P_i: float) -> np.ndarray:
-    """Indices j != i whose time-averaged SNR from node i meets the threshold."""
-    if not 0 <= i < net.n_nodes:
-        raise ValueError(f"node index {i} out of range")
-    d = np.linalg.norm(net.positions - net.positions[i], axis=1)
-    d[i] = np.inf
-    gamma_bar = P_i * d ** (-net.eta_t) / net.N0
-    return np.flatnonzero(gamma_bar >= net.gamma_t)
-
-
-def nominal_power(net: GroundNetwork, i: int, floor: float = 0.0) -> float:
+def nominal_power(net: GroundNetwork, i: int) -> float:
     """Smallest power giving node i at least M_bar mean-SNR links.
 
     Closed form from the M_bar-th nearest neighbour distance; capped at
@@ -159,7 +121,7 @@ def nominal_power(net: GroundNetwork, i: int, floor: float = 0.0) -> float:
     if net.M_bar >= net.n_nodes:
         raise ValueError(f"M_bar={net.M_bar} must be < N={net.n_nodes}")
     if net.M_bar <= 0:
-        return floor
+        return 0.0
     d = np.linalg.norm(net.positions - net.positions[i], axis=1)
     d = np.sort(np.delete(d, i))
     d_m = d[net.M_bar - 1]
@@ -170,7 +132,7 @@ def nominal_power(net: GroundNetwork, i: int, floor: float = 0.0) -> float:
             RuntimeWarning,
         )
         return net.P_max
-    return max(p, floor)
+    return max(p, 0.0)
 
 
 # Node-UAV distances the power-bound kernel holds at once: it walks the frames
@@ -310,10 +272,6 @@ class DetectionReport:
     def detected(self) -> np.ndarray:
         """(R, C, N) flags, the same expression as detection_events."""
         return self.p_true < self.lambda_ * self.p_pred
-
-    @property
-    def n_runs(self) -> int:
-        return self.p_true.shape[0]
 
     @property
     def run_detected(self) -> np.ndarray:

@@ -165,42 +165,6 @@ def _check_graph(model: GkaeModel, graph: GraphSnapshot | GraphSequence) -> None
                          f"model expects {(model.L, model.d_out)}")
 
 
-def graph_encode(model: GkaeModel, snapshot: GraphSnapshot) -> np.ndarray:
-    """Embed one normalized snapshot into the stacked per-node vector (node_dim*L,)."""
-    _check_graph(model, snapshot)
-    return _embed_frames(model, snapshot.features[None], snapshot.adjacency[None])[0]
-
-
-def koopman_encode(model: GkaeModel, h: np.ndarray) -> np.ndarray:
-    h = np.asarray(h, dtype=float)
-    if h.shape[-1] != model.embed_dim:
-        raise ValueError(f"embedding length {h.shape[-1]} != {model.embed_dim}")
-    for layer in model.koopman_encoder:
-        h = dense_forward(layer, h)
-    return h
-
-
-def koopman_decode(model: GkaeModel, z: np.ndarray) -> np.ndarray:
-    z = np.asarray(z, dtype=float)
-    if z.shape[-1] != model.latent:
-        raise ValueError(f"latent length {z.shape[-1]} != {model.latent}")
-    for layer in model.koopman_decoder:
-        z = dense_forward(layer, z)
-    return z
-
-
-def graph_decode(model: GkaeModel, h: np.ndarray) -> np.ndarray:
-    """Apply the shared per-node head to each node_dim block of (..., embed_dim)
-    embeddings; returns (..., L, d_out) in normalized coordinates."""
-    h = np.asarray(h, dtype=float)
-    if h.shape[-1:] != (model.embed_dim,):
-        raise ValueError(f"embedding shape {h.shape} does not end in {model.embed_dim}")
-    y = h.reshape(-1, model.node_dim)
-    for layer in model.graph_decoder:
-        y = dense_forward(layer, y)
-    return y.reshape(h.shape[:-1] + (model.L, model.d_out))
-
-
 def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
                   steps) -> np.ndarray:
     """Forecast R start frames at once, at the given steps only.
@@ -229,7 +193,7 @@ def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
     for p in all_parameters(model):
         if not np.all(np.isfinite(p)):
             raise ModelStateError("model parameters are not finite")
-    z = koopman_encode(model, _embed_frames(model, features, adjacency))
+    z = _dense_chain(model.koopman_encoder, _embed_frames(model, features, adjacency))
     Z = np.empty((steps.size, R, model.latent))
     with np.errstate(over="ignore", invalid="ignore"):
         k = 0
@@ -238,7 +202,8 @@ def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
             if s == steps[k]:
                 Z[k] = z
                 k += 1
-        coords = graph_decode(model, koopman_decode(model, Z.reshape(-1, model.latent)))
+        h = _dense_chain(model.koopman_decoder, Z.reshape(-1, model.latent))
+        coords = _dense_chain(model.graph_decoder, h.reshape(-1, model.node_dim))
         out = model.norm.invert(coords).reshape(steps.size, R, model.L, model.d_out)
     if not np.isfinite(out).all():
         raise ModelStateError("rollout diverged: predicted positions are not finite")
@@ -265,6 +230,13 @@ def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: in
 # of the forward pass.  For tanh that value is the layer's output, which is
 # already the next layer's input, so a tanh chain's tape costs no more memory
 # than its layer inputs; elu layers add their pre-activation.
+
+def _dense_chain(layers: list, x: np.ndarray) -> np.ndarray:
+    """Forward through a dense stack, keeping no tape."""
+    for layer in layers:
+        x = dense_forward(layer, x)
+    return x
+
 
 def _dense_chain_forward(layers: list, x: np.ndarray):
     """Forward through a dense stack; returns (output, tape)."""
@@ -344,21 +316,14 @@ def _latents(K: np.ndarray, w0: np.ndarray, tau: int) -> np.ndarray:
     return W
 
 
-def _horizon_forward(dec: list, w: np.ndarray, target: np.ndarray):
-    """Decode the latents w of one horizon; returns (squared error sum
-    against target, error, decoder tape).  The error is written over
-    target, which must be the caller's own copy: one fewer array per
-    horizon to allocate and fault in."""
-    y, tape = _dense_chain_forward(dec, w)
-    err = np.subtract(y, target, out=target)
-    return float(np.sum(err * err)), err, tape
-
-
 def _horizon_grads(dec: list, w: np.ndarray, target: np.ndarray, scale: float):
     """One horizon's prediction term: (squared error sum, decoder [dW, db]
-    per layer, gradient w.r.t. w) for the loss scale * squared error sum / 2;
-    target is overwritten as by _horizon_forward."""
-    sse, err, tape = _horizon_forward(dec, w, target)
+    per layer, gradient w.r.t. w) for the loss scale * squared error sum / 2.
+    The error is written over target, which must be the caller's own copy:
+    one fewer array per horizon to allocate and fault in."""
+    y, tape = _dense_chain_forward(dec, w)
+    err = np.subtract(y, target, out=target)
+    sse = float(np.sum(err * err))
     g, grads = _dense_chain_backward(dec, tape, np.multiply(err, scale, out=err))
     return sse, grads, g
 
@@ -451,10 +416,10 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
     dK = np.zeros_like(K)
 
     hr, dec_tape = _dense_chain_forward(dec, z)
-    loss_rec = mse(hr, h)
+    rec = mse(hr, h)
     dz, dec_grads = _dense_chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h))
 
-    loss_pred = 0.0
+    pred = 0.0
     na = int(anchors.size)
     if tau > 0 and na > 0:
         n_pred = na * tau * D
@@ -482,53 +447,13 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
             for pair, (dW, db) in zip(dec_grads, grads):
                 pair[0] += dW
                 pair[1] += db
-        loss_pred = sse_total / n_pred
+        pred = sse_total / n_pred
 
     _, enc_grads = _dense_chain_backward(enc, enc_tape, dz, need_input=False)
     grads = [g for pair in enc_grads for g in pair]
     grads.append(dK)
     grads += [g for pair in dec_grads for g in pair]
-    return loss_rec, loss_pred, grads
-
-
-# --- sequence-level losses ---------------------------------------------------
-
-def _sequence_arrays(model: GkaeModel, seq: GraphSequence):
-    """Checked (T, L, d) features and (T, L, L) float adjacency of a sequence."""
-    _check_graph(model, seq)
-    return seq.features, seq.adjacency.astype(float)
-
-
-def loss_grec(model: GkaeModel, seq: GraphSequence) -> float:
-    """Mean squared reconstruction error of node features across the sequence."""
-    X, A = _sequence_arrays(model, seq)
-    return mse(_phase1_forward(model, X, A)[0], X)
-
-
-def loss_rec(model: GkaeModel, seq: GraphSequence) -> float:
-    """Mean squared embedding reconstruction error through the latent stage."""
-    h = _embed_frames(model, *_sequence_arrays(model, seq))
-    z, _ = _dense_chain_forward(model.koopman_encoder, h)
-    hr, _ = _dense_chain_forward(model.koopman_decoder, z)
-    return mse(hr, h)
-
-
-def loss_pred(model: GkaeModel, seq: GraphSequence, tau: int) -> float:
-    """Mean squared multi-step embedding prediction error, averaged over all
-    anchors t and horizons dt = 1..tau."""
-    X, A = _sequence_arrays(model, seq)
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-    if seq.n_frames < tau + 1:
-        raise ValueError(f"sequence of {seq.n_frames} frames is shorter than tau+1={tau + 1}")
-    h = _embed_frames(model, X, A)
-    z, _ = _dense_chain_forward(model.koopman_encoder, h)
-    anchors = np.arange(h.shape[0] - tau)
-    W = _latents(model.K, z[anchors], tau)
-    sse = 0.0
-    for d in range(1, tau + 1):
-        sse += _horizon_forward(model.koopman_decoder, W[d], h[anchors + d])[0]
-    return sse / (anchors.size * tau * h.shape[1])
+    return rec, pred, grads
 
 
 # --- training ----------------------------------------------------------------
@@ -565,12 +490,12 @@ def _stack_dataset(model: GkaeModel, dataset: list, window: int):
     X_parts, A_parts, anchor_parts = [], [], []
     offset = 0
     for seq in dataset:
-        X, A = _sequence_arrays(model, seq)
+        _check_graph(model, seq)
         if seq.n_frames < window:
             raise ValueError(
                 f"sequence of {seq.n_frames} frames is shorter than window={window}")
-        X_parts.append(X)
-        A_parts.append(A)
+        X_parts.append(seq.features)
+        A_parts.append(seq.adjacency.astype(float))
         anchor_parts.append(offset + np.arange(seq.n_frames - window + 1))
         offset += seq.n_frames
     return (np.concatenate(X_parts), np.concatenate(A_parts),

@@ -48,7 +48,6 @@ class GraphSnapshot:
     features: np.ndarray
     adjacency: np.ndarray
     threshold: float
-    timestamp: float = 0.0
     normalized: bool = False
 
 
@@ -115,8 +114,8 @@ class GraphSequence:
     # what it reads the arrays with.
     @property
     def snapshots(self) -> list:
-        return [GraphSnapshot(x, a, self.threshold, t, self.normalized)
-                for x, a, t in zip(self.features, self.adjacency, self.times.tolist())]
+        return [GraphSnapshot(x, a, self.threshold, self.normalized)
+                for x, a in zip(self.features, self.adjacency)]
 
     def features_array(self) -> np.ndarray:
         return self.features
@@ -130,20 +129,20 @@ def sequence_from_positions(
     threshold: float,
     dt: float,
     norm: NormalizationSpec = NormalizationSpec(),
-    t0: float = 0.0,
 ) -> GraphSequence:
-    """Convert a (T, L, d) position array in meters into an unnormalized sequence."""
+    """Convert a (T, L, d) position array in meters into an unnormalized
+    sequence whose frame k is at time k * dt."""
     features = np.array(positions, dtype=float)
-    times = t0 + np.arange(features.shape[0]) * dt
+    times = np.arange(features.shape[0]) * dt
     return GraphSequence(features, adjacency_from_positions(features, threshold),
                          times, threshold, dt, norm, normalized=False)
 
 
-def build_snapshot(positions: np.ndarray, threshold: float, t: float = 0.0) -> GraphSnapshot:
-    """Build an unnormalized snapshot from raw positions in meters: the
-    one-frame case of sequence_from_positions (whose dt it does not use)."""
+def build_snapshot(positions: np.ndarray, threshold: float) -> GraphSnapshot:
+    """Build an unnormalized snapshot at time 0 from raw positions in meters:
+    the one-frame case of sequence_from_positions (whose dt it does not use)."""
     return sequence_from_positions(np.asarray(positions, dtype=float)[None], threshold,
-                                   1.0, t0=t).snapshots[0]
+                                   1.0).snapshots[0]
 
 
 def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> GraphSequence:
@@ -155,17 +154,9 @@ def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> Grap
                          seq.threshold, seq.dt, spec, normalized=True)
 
 
-def denormalize(seq: GraphSequence) -> GraphSequence:
-    """Inverse of normalize, using the sequence's own spec."""
-    if not seq.normalized:
-        raise ValueError("sequence is not normalized")
-    return GraphSequence(seq.norm.invert(seq.features), seq.adjacency, seq.times,
-                         seq.threshold, seq.dt, seq.norm, normalized=False)
-
-
 def normalize_snapshot(snap: GraphSnapshot, spec: NormalizationSpec) -> GraphSnapshot:
     """The one-frame case of normalize."""
-    seq = GraphSequence(snap.features[None], snap.adjacency[None], [snap.timestamp],
+    seq = GraphSequence(snap.features[None], snap.adjacency[None], [0.0],
                         snap.threshold, 1.0, spec, snap.normalized)
     return normalize(seq).snapshots[0]
 

@@ -29,10 +29,6 @@ def elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
-
-
 def _activate(name: str, z: np.ndarray) -> np.ndarray:
     if name == "elu":
         return elu(z)
@@ -235,6 +231,12 @@ def mse_grad(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return 2.0 * (x - y) / x.size
 
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment accumulators for one flat list of parameter arrays."""
@@ -243,18 +245,11 @@ class AdamState:
     v: list
     step: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, lr: float = 1e-3, beta1: float = 0.9,
-                   beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            step=0, lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-        )
+    def for_params(cls, params, lr: float = 1e-3) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params], step=0, lr=lr)
 
 
 def adam_step(params, grads, state: AdamState):
@@ -265,15 +260,15 @@ def adam_step(params, grads, state: AdamState):
         if p.shape != g.shape:
             raise ValueError(f"param/grad shape mismatch {p.shape} vs {g.shape}")
     t = state.step + 1
-    c1 = 1.0 - state.beta1 ** t
-    c2 = 1.0 - state.beta2 ** t
+    c1 = 1.0 - ADAM_BETA1 ** t
+    c2 = 1.0 - ADAM_BETA2 ** t
     new_m, new_v, new_p = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * (g * g)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
         new_m.append(m)
         new_v.append(v)
-        new_p.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps))
+        new_p.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
     return new_p, replace(state, m=new_m, v=new_v, step=t)
 
 

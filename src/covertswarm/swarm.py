@@ -74,9 +74,6 @@ class Frame:
     positions: np.ndarray
     velocities: np.ndarray
 
-    def __len__(self) -> int:
-        return self.positions.shape[-2]
-
 
 @dataclass
 class Trajectory:
@@ -85,14 +82,10 @@ class Trajectory:
     positions: np.ndarray
     velocities: np.ndarray
     dt: float
-    config: SwarmConfig
 
     @property
     def n_frames(self) -> int:
         return self.positions.shape[0]
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_frames) * self.dt
 
 
 def init_swarm(config: SwarmConfig, rng: np.random.Generator) -> Frame:
@@ -232,7 +225,7 @@ def simulate_batch(config: SwarmConfig, seeds, frames=None):
 def simulate(config: SwarmConfig) -> Trajectory:
     """Run the full simulation; frame count is floor(duration/dt) + 1."""
     positions, velocities = simulate_batch(config, [config.seed])
-    return Trajectory(positions[0], velocities[0], config.dt, config)
+    return Trajectory(positions[0], velocities[0], config.dt)
 
 
 # --- serialization -----------------------------------------------------------

@@ -1,0 +1,64 @@
+"""The library holds no test-only API: every public function, class, method
+and property of covertswarm is reached, directly or through names so reached,
+from the package's module-level statements, tests/test_acceptance.py or
+benchmarks/*.py.  Names match bare; imports (so __init__ re-exports) are no
+use, a string spelling a name is one (the benchmark wraps functions by name).
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+CALLERS = [ROOT / "tests" / "test_acceptance.py", *sorted(ROOT.glob("benchmarks/*.py"))]
+DEFS = (ast.FunctionDef, ast.ClassDef)
+
+
+def names(nodes) -> set:
+    out = set()
+    for node in nodes:
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Name):
+                out.add(sub.id)
+            elif isinstance(sub, ast.Attribute):
+                out.add(sub.attr)
+            elif isinstance(sub, ast.Constant) and isinstance(sub.value, str) \
+                    and sub.value.isidentifier():
+                out.add(sub.value)
+    return out
+
+
+def plain(body) -> list:
+    """The statements of body that define or import nothing."""
+    return [n for n in body if not isinstance(n, DEFS + (ast.Import, ast.ImportFrom))]
+
+
+def definitions(node, prefix=""):
+    """(qualified name, bare name, names it references) for node and, for a
+    class, its methods; a class's dunder methods run implicitly, so they
+    count as the class's own references."""
+    if not isinstance(node, ast.ClassDef):
+        return [(prefix + node.name, node.name, names([node]) - {node.name})]
+    methods = [n for n in node.body if isinstance(n, DEFS)]
+    dunders = [n for n in methods if n.name.startswith("__")]
+    out = [(prefix + node.name, node.name, names(plain(node.body) + node.bases + dunders))]
+    for n in methods:
+        if n not in dunders:
+            out += definitions(n, prefix + node.name + ".")
+    return out
+
+
+def unused_public_names() -> list:
+    defs, used = [], names(ast.parse(p.read_text()) for p in CALLERS)
+    for path in sorted((ROOT / "src" / "covertswarm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= names(plain(tree.body))
+        defs += [d for node in tree.body if isinstance(node, DEFS) for d in definitions(node)]
+    frontier = used
+    while frontier:  # a name used only by unused names stays unused
+        frontier = set().union(*(refs for _, bare, refs in defs if bare in frontier)) - used
+        used |= frontier
+    return sorted(q for q, bare, _ in defs if not bare.startswith("_") and bare not in used)
+
+
+def test_every_public_name_is_used_outside_unit_tests():
+    assert unused_public_names() == []

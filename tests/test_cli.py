@@ -312,19 +312,27 @@ def test_predict_writes_errors_per_second(tmp_path, trained, truth_csv):
     assert err_lines[-1].startswith("mean,")
 
 
-def test_predict_baseline_columns(tmp_path, trained, truth_csv):
-    out = tmp_path / "pred.csv"
-    assert main(["predict", "--checkpoint", trained["ckpt"],
-                 "--trajectory", truth_csv, "--horizon-s", "2",
-                 "--out", str(out), "--baseline", "--quiet"]) == 0
-    header = (tmp_path / "pred_errors.csv").read_text().splitlines()[0]
-    assert header == "delta_t_s,eps_pred,eps_pred_norm,eps_cv,eps_cv_norm"
+def test_predict_baseline_columns(tmp_path, trained):
+    # 20 m/s along x: the constant-velocity line through frames 0 and 1
+    # meets every check frame
+    pos = np.zeros((21, 3, 3))
+    pos[:, :, 0] = 100.0 + 2.0 * np.arange(21)[:, None]
+    pos[:, :, 1:] = [[100.0, 100.0], [250.0, 100.0], [400.0, 100.0]]
+    truth = tmp_path / "line.csv"
+    swarm.save_trajectory_csv(swarm.Trajectory(pos, np.zeros_like(pos), 0.1), truth)
+    assert main(["predict", "--checkpoint", trained["ckpt"], "--trajectory", str(truth),
+                 "--horizon-s", "2", "--out", str(tmp_path / "pred.csv"),
+                 "--baseline", "--quiet"]) == 0
+    lines = (tmp_path / "pred_errors.csv").read_text().splitlines()
+    assert lines[0] == "delta_t_s,eps_pred,eps_pred_norm,eps_cv,eps_cv_norm"
+    assert len(lines) == 1 + 2 + 1
+    assert all(float(line.split(",")[3]) < 1e-12 for line in lines[1:])
 
 
 def test_predict_replay_self_is_zero_error(tmp_path, trained, truth_csv):
     # feeding the truth back as the prediction gives exactly zero error
     times, pos, vel = swarm.load_trajectory_csv(truth_csv)
-    shifted = swarm.Trajectory(pos[1:], vel[1:], 0.1, None)
+    shifted = swarm.Trajectory(pos[1:], vel[1:], 0.1)
     replay = tmp_path / "replay.csv"
     swarm.save_trajectory_csv(shifted, replay)
     out = tmp_path / "pred.csv"
@@ -633,6 +641,68 @@ def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypat
 
 # --- config keys and checkpoint shapes ------------------------------------------
 
+FUZZ_SWARM = {**tiny_swarm(duration=2.0), "Z_min": 50.0, "preserve_vertical": False}
+
+# A small valid config of each command, with a key of every JSON type it
+# reads, and the keys it cannot do without.
+FUZZ_CONFIGS = {
+    "simulate": FUZZ_SWARM,
+    "dataset": {"swarm": FUZZ_SWARM, "n_trajectories": 2, "d_tilde": 100.0,
+                "offset": [0.0, 0.0, 0.0], "burn_in_s": 0.0},
+    "train": {"tau": 3, "epochs_phase1": 1, "epochs_phase2": 1, "lr": 3e-3, "window": 4},
+    "eval-covert": {
+        "swarm": FUZZ_SWARM, "burn_in_s": 0.0,
+        "covert": {"lambda": 0.5, "horizon_s": 1.0, "runs": 2},
+        "ground": {"P_max": 20.0, "M_bar": 3, "area": 500.0},
+        "lambda_grid": [0.5], "n_grid": [5], "l_grid": [3], "use_nominal_power": False},
+}
+FUZZ_REQUIRED = {"dataset": ["swarm", "n_trajectories"], "eval-covert": ["swarm"]}
+
+
+def wrong_json_values(value):
+    """Values of another JSON type than value's."""
+    if isinstance(value, bool):
+        return [0, "false", None]
+    if isinstance(value, int):
+        return [True, float(value), "3"]
+    if isinstance(value, float):
+        return [False, "1.0", [value]]
+    if isinstance(value, list):
+        return [value[0], [True], [value[0] + 0.5]] if isinstance(value[0], int) \
+            else [value[0], [True], [str(value[0])]]
+    return [[], "x", None]  # a section
+
+
+def config_mutations():
+    """(command, key path, value) for every way to break one key of a fuzz
+    config: drop a required key (value None), add an unknown key, give a key
+    a value of the wrong JSON type (a section a non-object), or make the
+    whole file a non-object (an empty path)."""
+    out = []
+    for command, doc in FUZZ_CONFIGS.items():
+        out += [(command, (key,), None) for key in FUZZ_REQUIRED.get(command, [])]
+        out += [(command, (), value) for value in ([], "x", None)]
+        for section in [()] + [(k,) for k, v in doc.items() if isinstance(v, dict)]:
+            keys = doc[section[0]] if section else doc
+            out.append((command, section + ("not_a_key",), 1.0))
+            out += [(command, section + (k,), wrong)
+                    for k, v in keys.items() for wrong in wrong_json_values(v)]
+    return out
+
+
+def run_with_config(command, doc, trained, d):
+    """main's exit code and stderr for command on config doc, writing into d."""
+    cfg = write_json(d / "cfg.json", doc)
+    args = {"simulate": ["--out", str(d / "traj.csv")],
+            "dataset": ["--out", str(d / "data")],
+            "train": ["--data", str(trained["root"] / "data"), "--out", str(d / "m.json")],
+            "eval-covert": ["--checkpoint", trained["ckpt"], "--out", str(d / "agg.csv")]}
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main([command, "--config", cfg, *args[command], "--quiet"])
+    return code, err.getvalue()
+
+
 @pytest.mark.parametrize("command, section, key, where", [
     ("dataset", None, "burnin_s", "dataset config"),
     ("eval-covert", None, "lamda_grid", "eval-covert config"),
@@ -641,24 +711,43 @@ def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypat
     ("eval-covert", "ground", "aera", "ground section"),
     ("train", None, "epoch_phase1", "train config"),
 ])
-def test_unknown_config_key_exit_2(tmp_path, trained, capsys, command, section, key, where):
+def test_unknown_config_key_exit_2(tmp_path, trained, command, section, key, where):
     # a misspelt key used to leave its default silently in force
-    if command == "eval-covert":
-        cfg = Path(eval_config(tmp_path, [0.5], [5]))
-    else:
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(Path(trained["ds_cfg" if command == "dataset" else "tr_cfg"]).read_text())
-    doc = json.loads(cfg.read_text())
+    doc = json.loads(json.dumps(FUZZ_CONFIGS[command]))
     (doc[section] if section else doc)[key] = 1.0
-    write_json(cfg, doc)
-    args = {"dataset": ["--out", str(tmp_path / "data")],
-            "train": ["--data", str(trained["root"] / "data"),
-                      "--out", str(tmp_path / "m.json")],
-            "eval-covert": ["--checkpoint", trained["ckpt"],
-                            "--out", str(tmp_path / "agg.csv")]}[command]
-    assert main([command, "--config", str(cfg), *args, "--quiet"]) == 2
-    assert capsys.readouterr().err == f"error: unknown key '{key}' in the {where}\n"
-    assert [p.name for p in tmp_path.iterdir()] == [cfg.name]
+    assert run_with_config(command, doc, trained, tmp_path) == \
+        (2, f"error: unknown key '{key}' in the {where}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
+def test_fuzz_configs_are_valid(tmp_path, trained, command):
+    assert run_with_config(command, FUZZ_CONFIGS[command], trained, tmp_path) == (0, "")
+
+
+@given(mutation=st.sampled_from(config_mutations()))
+@settings(max_examples=250, deadline=None, derandomize=True)
+def test_malformed_config_fails_cleanly(trained, mutation):
+    # a value of the wrong type used to be coerced: "false" switched nominal
+    # powers on, true ran 1 run and [25.9] evaluated 25 nodes
+    command, path, value = mutation
+    doc = json.loads(json.dumps(FUZZ_CONFIGS[command]))
+    parent = doc[path[0]] if len(path) > 1 else doc
+    if not path:
+        doc = value
+    elif value is None and path[-1] in FUZZ_REQUIRED.get(command, []):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as d:
+        code, err = run_with_config(command, doc, trained, Path(d))
+        assert code == 2, mutation
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        if path:  # the message names the key, and its section when it has one
+            assert repr(path[-1]) in err, err
+            where = f"{path[0]} section" if len(path) > 1 else f"{command} config"
+            assert value is None and len(path) == 1 or where in err, err
+        assert [p.name for p in Path(d).iterdir()] == ["cfg.json"]
 
 
 def _set_K_columns(doc, n):

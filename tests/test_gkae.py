@@ -15,14 +15,7 @@ from covertswarm.gkae import (
     TrainingDivergence,
     build_model,
     count_parameters,
-    graph_decode,
-    graph_encode,
-    koopman_decode,
-    koopman_encode,
     load_checkpoint,
-    loss_grec,
-    loss_pred,
-    loss_rec,
     rollout_batch,
     rollout_predict,
     save_checkpoint,
@@ -47,12 +40,6 @@ def random_sequence(rng, L=2, T=6, d=3, threshold=100.0):
     return graphs.normalize(seq, NormalizationSpec(scale=500.0))
 
 
-def frame(seq, k):
-    """Frame k of a sequence as a snapshot."""
-    return graphs.GraphSnapshot(seq.features[k], seq.adjacency[k], seq.threshold,
-                                seq.times[k], seq.normalized)
-
-
 def random_snapshot(rng, L=2, d=3):
     snap = build_snapshot(rng.uniform(0, 500, size=(L, d)), 100.0)
     return normalize_snapshot(snap, NormalizationSpec(scale=500.0))
@@ -61,6 +48,28 @@ def random_snapshot(rng, L=2, d=3):
 def zero_params(model):
     for p in gkae.all_parameters(model):
         p[...] = 0.0
+
+
+def embed(model, snap):
+    """The (node_dim*L,) embedding of one normalized snapshot."""
+    return gkae._embed_frames(model, snap.features[None], snap.adjacency[None])[0]
+
+
+def head(model, h):
+    """The per-node head over each node_dim block of (..., embed_dim)
+    embeddings: (..., L, d_out)."""
+    y = gkae._dense_chain(model.graph_decoder, h.reshape(-1, model.node_dim))
+    return y.reshape(h.shape[:-1] + (model.L, model.d_out))
+
+
+def phase1_loss(model, seq):
+    return gkae._phase1_loss_grads(model, seq.features, seq.adjacency.astype(float), 1.0)[0]
+
+
+def phase2_losses(model, seq, tau):
+    """(L_rec, L_pred) of one sequence, every anchor with a full horizon."""
+    h = gkae._embed_frames(model, seq.features, seq.adjacency.astype(float))
+    return gkae._phase2_loss_grads(model, h, np.arange(seq.n_frames - tau), tau, 1.0)[:2]
 
 
 # --- architecture -----------------------------------------------------------------
@@ -98,7 +107,7 @@ def test_graph_encode_zero_model_zero_embedding():
     model = build_model(3)
     zero_params(model)
     snap = random_snapshot(np.random.default_rng(0), L=3)
-    np.testing.assert_array_equal(graph_encode(model, snap), np.zeros(12))
+    np.testing.assert_array_equal(embed(model, snap), np.zeros(12))
 
 
 def test_graph_encode_matches_hand_composition():
@@ -116,7 +125,7 @@ def test_graph_encode_matches_hand_composition():
         deg = np.maximum(A.sum(axis=1, keepdims=True), 1.0)
         agg = (A @ H) / deg
         H = elu(H @ layer.W_self.T + agg @ layer.W_neigh.T + layer.b)
-    np.testing.assert_allclose(graph_encode(model, snap), H.reshape(-1), rtol=1e-12)
+    np.testing.assert_allclose(embed(model, snap), H.reshape(-1), rtol=1e-12)
 
 
 def test_graph_encode_permutation_block_equivariance():
@@ -125,8 +134,8 @@ def test_graph_encode_permutation_block_equivariance():
     pos = rng.uniform(0, 500, size=(4, 3))
     perm = np.array([2, 0, 3, 1])
     spec = NormalizationSpec(scale=500.0)
-    h = graph_encode(model, normalize_snapshot(build_snapshot(pos, 100.0), spec))
-    h_p = graph_encode(model, normalize_snapshot(build_snapshot(pos[perm], 100.0), spec))
+    h = embed(model, normalize_snapshot(build_snapshot(pos, 100.0), spec))
+    h_p = embed(model, normalize_snapshot(build_snapshot(pos[perm], 100.0), spec))
     np.testing.assert_allclose(h_p.reshape(4, 4), h.reshape(4, 4)[perm], atol=1e-12)
 
 
@@ -134,10 +143,10 @@ def test_graph_encode_validates():
     model = build_model(3)
     snap = random_snapshot(np.random.default_rng(3), L=4)
     with pytest.raises(ValueError):
-        graph_encode(model, snap)
+        rollout_predict(model, snap, 1)
     raw = build_snapshot(np.zeros((3, 3)), 100.0)
     with pytest.raises(ValueError, match="normalized"):
-        graph_encode(model, raw)
+        rollout_predict(model, raw, 1)
 
 
 def test_koopman_encode_matches_hand_composition():
@@ -147,7 +156,8 @@ def test_koopman_encode_matches_hand_composition():
     expected = h
     for layer in model.koopman_encoder:
         expected = np.tanh(layer.W @ expected + layer.b)
-    np.testing.assert_allclose(koopman_encode(model, h), expected, rtol=1e-12)
+    np.testing.assert_allclose(gkae._dense_chain(model.koopman_encoder, h), expected,
+                               rtol=1e-12)
 
 
 def test_koopman_decode_matches_hand_composition():
@@ -157,13 +167,14 @@ def test_koopman_decode_matches_hand_composition():
     expected = np.tanh(model.koopman_decoder[0].W @ z + model.koopman_decoder[0].b)
     expected = np.tanh(model.koopman_decoder[1].W @ expected + model.koopman_decoder[1].b)
     expected = model.koopman_decoder[2].W @ expected + model.koopman_decoder[2].b
-    np.testing.assert_allclose(koopman_decode(model, z), expected, rtol=1e-12)
+    np.testing.assert_allclose(gkae._dense_chain(model.koopman_decoder, z), expected,
+                               rtol=1e-12)
 
 
 def test_koopman_decode_output_length():
     model = build_model(4)
     z = np.zeros(8)
-    assert koopman_decode(model, z).shape == (16,)
+    assert gkae._dense_chain(model.koopman_decoder, z).shape == (16,)
 
 
 def test_graph_decode_block_permutation():
@@ -171,15 +182,15 @@ def test_graph_decode_block_permutation():
     model = build_model(4, seed=2)
     h = rng.normal(size=16)
     perm = np.array([1, 3, 0, 2])
-    out = graph_decode(model, h)
-    out_p = graph_decode(model, h.reshape(4, 4)[perm].reshape(-1))
+    out = head(model, h)
+    out_p = head(model, h.reshape(4, 4)[perm].reshape(-1))
     np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
 
 
 def test_graph_decode_zero():
     model = build_model(2)
     zero_params(model)
-    np.testing.assert_array_equal(graph_decode(model, np.zeros(8)), np.zeros((2, 3)))
+    np.testing.assert_array_equal(head(model, np.zeros(8)), np.zeros((2, 3)))
 
 
 # --- rollout ----------------------------------------------------------------------------
@@ -188,8 +199,8 @@ def test_rollout_horizon_one_equals_manual_chain():
     rng = np.random.default_rng(9)
     model = build_model(2, seed=5, norm=NormalizationSpec(scale=500.0))
     snap = random_snapshot(rng, L=2)
-    z = koopman_encode(model, graph_encode(model, snap))
-    manual = graph_decode(model, koopman_decode(model, model.K @ z)) * 500.0
+    z = gkae._dense_chain(model.koopman_encoder, embed(model, snap))
+    manual = head(model, gkae._dense_chain(model.koopman_decoder, model.K @ z)) * 500.0
     out = rollout_predict(model, snap, 1)
     assert out.shape == (1, 2, 3)
     np.testing.assert_allclose(out[0], manual, rtol=1e-12)
@@ -208,10 +219,10 @@ def test_rollout_latent_linearity_consistency():
     snap = random_snapshot(rng, L=2)
     s = 3
     out = rollout_predict(model, snap, 2 * s)
-    z0 = koopman_encode(model, graph_encode(model, snap))
+    z0 = gkae._dense_chain(model.koopman_encoder, embed(model, snap))
     K_s = np.linalg.matrix_power(model.K, s)
     z_2s = K_s @ (K_s @ z0)
-    manual = graph_decode(model, koopman_decode(model, z_2s)) * 500.0
+    manual = head(model, gkae._dense_chain(model.koopman_decoder, z_2s)) * 500.0
     np.testing.assert_allclose(out[2 * s - 1], manual, rtol=1e-10)
 
 
@@ -329,7 +340,7 @@ def test_perfect_autoencoder_grec_zero():
     rng = np.random.default_rng(14)
     model = identity_model()
     seq = random_sequence(rng, L=2, T=4)
-    assert loss_grec(model, seq) == 0.0
+    assert phase1_loss(model, seq) == 0.0
 
 
 def test_identity_kae_zero_losses_on_constant_sequence():
@@ -337,8 +348,9 @@ def test_identity_kae_zero_losses_on_constant_sequence():
     pos = np.tile(np.array([[100.0, 200.0, 80.0], [300.0, 350.0, 120.0]]), (5, 1, 1))
     seq = graphs.normalize(graphs.sequence_from_positions(pos, 100.0, 0.1),
                            NormalizationSpec(scale=500.0))
-    assert loss_rec(model, seq) == pytest.approx(0.0, abs=1e-28)
-    assert loss_pred(model, seq, tau=2) == pytest.approx(0.0, abs=1e-28)
+    rec, pred = phase2_losses(model, seq, tau=2)
+    assert rec == pytest.approx(0.0, abs=1e-28)
+    assert pred == pytest.approx(0.0, abs=1e-28)
 
 
 # --- losses ------------------------------------------------------------------------------
@@ -348,38 +360,37 @@ def test_loss_grec_single_frame_hand_computation():
     model = build_model(2, seed=8)
     seq = random_sequence(rng, L=2, T=1)
     X = seq.features[0]
-    h = graph_encode(model, frame(seq, 0))
-    Xhat = graph_decode(model, h)
+    Xhat = head(model, gkae._embed_frames(model, seq.features, seq.adjacency))[0]
     expected = np.mean((Xhat - X) ** 2)
-    assert loss_grec(model, seq) == pytest.approx(expected, rel=1e-12)
+    assert phase1_loss(model, seq) == pytest.approx(expected, rel=1e-12)
 
 
 def test_losses_nonnegative():
     rng = np.random.default_rng(16)
     model = build_model(2, seed=10)
     seq = random_sequence(rng, L=2, T=5)
-    assert loss_grec(model, seq) >= 0.0
-    assert loss_rec(model, seq) >= 0.0
-    assert loss_pred(model, seq, tau=2) >= 0.0
+    assert phase1_loss(model, seq) >= 0.0
+    rec, pred = phase2_losses(model, seq, tau=2)
+    assert rec >= 0.0 and pred >= 0.0
 
 
 def test_loss_pred_single_pair_hand_computation():
     rng = np.random.default_rng(17)
     model = build_model(2, seed=11)
     seq = random_sequence(rng, L=2, T=2)
-    h0 = graph_encode(model, frame(seq, 0))
-    h1 = graph_encode(model, frame(seq, 1))
-    pred = koopman_decode(model, model.K @ koopman_encode(model, h0))
-    expected = np.mean((pred - h1) ** 2)
-    assert loss_pred(model, seq, tau=1) == pytest.approx(expected, rel=1e-12)
+    h0, h1 = gkae._embed_frames(model, seq.features, seq.adjacency)
+    z1 = model.K @ gkae._dense_chain(model.koopman_encoder, h0)
+    expected = np.mean((gkae._dense_chain(model.koopman_decoder, z1) - h1) ** 2)
+    assert phase2_losses(model, seq, tau=1)[1] == pytest.approx(expected, rel=1e-12)
 
 
 def test_loss_pred_requires_enough_frames():
+    # the prediction loss needs a window of tau + 1 frames in every sequence
     rng = np.random.default_rng(18)
     model = build_model(2, seed=12)
-    seq = random_sequence(rng, L=2, T=3)
-    with pytest.raises(ValueError, match="shorter"):
-        loss_pred(model, seq, tau=3)
+    dataset = [random_sequence(rng, L=2, T=4), random_sequence(rng, L=2, T=3)]
+    with pytest.raises(ValueError, match="3 frames is shorter than window=4"):
+        train(model, dataset, TrainConfig(tau=3))
 
 
 # --- full-model gradient check ---------------------------------------------------------
@@ -607,15 +618,6 @@ def test_phase2_restores_blas_threads_when_a_job_raises(monkeypatch):
         assert threading.active_count() == threads
     finally:
         set_(before)
-
-
-def test_loss_pred_equals_the_training_prediction_loss():
-    rng = np.random.default_rng(32)
-    model = build_model(2, seed=33)
-    seq = random_sequence(rng, L=2, T=12)
-    h = gkae._embed_frames(model, seq.features, seq.adjacency.astype(float))
-    _, pred, _ = gkae._phase2_loss_grads(model, h, np.arange(12 - 4), 4, 1.0)
-    assert loss_pred(model, seq, tau=4) == pred
 
 
 # --- training ----------------------------------------------------------------------------

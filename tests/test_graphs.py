@@ -9,7 +9,6 @@ from covertswarm.graphs import (
     GraphSequence,
     NormalizationSpec,
     build_snapshot,
-    denormalize,
     load_sequence_json,
     normalize,
     normalize_snapshot,
@@ -118,9 +117,9 @@ def test_normalize_round_trip():
     pos = rng.uniform(0, 500, size=(5, 4, 3))
     seq = seq_of(pos)
     spec = NormalizationSpec(scale=500.0, offset=(10.0, -5.0, 2.0))
-    back = denormalize(normalize(seq, spec))
-    np.testing.assert_allclose(back.features, pos, rtol=1e-12)
-    assert not back.normalized
+    out = normalize(seq, spec)
+    assert out.normalized
+    np.testing.assert_allclose(spec.invert(out.features), pos, rtol=1e-12)
 
 
 def test_normalize_keeps_adjacency():
@@ -136,8 +135,6 @@ def test_double_normalize_rejected():
     seq = normalize(seq_of([[[1.0, 2.0, 3.0]]]), NormalizationSpec(scale=2.0))
     with pytest.raises(ValueError, match="already normalized"):
         normalize(seq, NormalizationSpec(scale=2.0))
-    with pytest.raises(ValueError):
-        denormalize(denormalize(seq))
 
 
 def test_spec_requires_positive_scale():
@@ -189,11 +186,11 @@ def test_sequence_stores_int_adjacency():
 @pytest.mark.parametrize("normalized", [False, True])
 def test_sequence_equals_per_frame_snapshots(d, normalized):
     rng = np.random.default_rng(d)
-    T, threshold, dt, t0 = 9, 120.0, 0.1, 2.5
+    T, threshold, dt = 9, 120.0, 0.1
     pos = rng.uniform(0, 300, size=(T, 5, d))
     spec = NormalizationSpec(scale=300.0, offset=(10.0, -5.0, 2.0))
-    seq = sequence_from_positions(pos, threshold, dt, spec, t0=t0)
-    snaps = [build_snapshot(pos[k], threshold, t0 + k * dt) for k in range(T)]
+    seq = sequence_from_positions(pos, threshold, dt, spec)
+    snaps = [build_snapshot(pos[k], threshold) for k in range(T)]
     if normalized:
         seq = normalize(seq)
         snaps = [normalize_snapshot(s, spec) for s in snaps]
@@ -201,8 +198,7 @@ def test_sequence_equals_per_frame_snapshots(d, normalized):
     assert np.array_equal(seq.features, np.stack([s.features for s in snaps]))
     assert np.array_equal(seq.adjacency, np.stack([s.adjacency for s in snaps]))
     assert np.array_equal(seq.adjacency, [brute_force_adjacency(p, threshold) for p in pos])
-    assert seq.times.tolist() == [s.timestamp for s in snaps]
-    assert seq.times.tolist() == [t0 + k * dt for k in range(T)]
+    assert seq.times.tolist() == [k * dt for k in range(T)]
 
 
 # --- serialization --------------------------------------------------------------

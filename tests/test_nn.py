@@ -47,7 +47,7 @@ def test_elu_monotone(a, b):
 
 
 def test_tanh_zero():
-    assert nn.tanh(0.0) == 0.0
+    assert nn._activate("tanh", 0.0) == 0.0
 
 
 # --- dense layer -----------------------------------------------------------------

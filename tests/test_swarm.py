@@ -78,7 +78,7 @@ def test_init_speeds_and_bounds():
 def test_init_single_uav():
     cfg = small_config(L=1)
     frame = init_swarm(cfg, np.random.default_rng(3))
-    assert len(frame) == 1
+    assert frame.positions.shape == (1, 3)
     assert np.linalg.norm(frame.velocities[0]) == pytest.approx(cfg.V_max)
 
 
@@ -472,9 +472,10 @@ def test_trajectory_csv_round_trip(tmp_path):
     times, pos, vel = load_trajectory_csv(path)
     np.testing.assert_array_equal(pos, traj.positions)
     np.testing.assert_array_equal(vel, traj.velocities)
-    np.testing.assert_allclose(times, traj.times())
+    expected = np.arange(traj.n_frames) * traj.dt
+    np.testing.assert_allclose(times, expected)
     save_trajectory_csv(traj, path, first_step=1)
-    np.testing.assert_allclose(load_trajectory_csv(path)[0], traj.times() + traj.dt)
+    np.testing.assert_allclose(load_trajectory_csv(path)[0], expected + traj.dt)
 
 
 def test_load_rejects_bad_header(tmp_path):
