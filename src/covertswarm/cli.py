@@ -146,11 +146,12 @@ def _field_types(cls, *skip) -> dict:
     return {k: v for k, v in typing.get_type_hints(cls).items() if k not in skip}
 
 
-def _known(data, section: str, types: dict) -> dict:
-    """data once it is a JSON object whose every key is one of types and
-    every value of that key's JSON type: a misspelt key would otherwise
-    leave its default silently in force, and a value of the wrong type be
-    coerced (the string "false" is true, 25.9 nodes are 25)."""
+def _known(data, section: str, types: dict, required=()) -> dict:
+    """data once it is a JSON object that holds every required key, whose
+    every key is one of types and every value of that key's JSON type: a
+    misspelt key would otherwise leave its default silently in force, and a
+    value of the wrong type be coerced (the string "false" is true, 25.9
+    nodes are 25)."""
     if not isinstance(data, dict):
         raise ValueError(f"{section} must be a JSON object")
     unknown = sorted(set(data) - set(types))
@@ -161,6 +162,9 @@ def _known(data, section: str, types: dict) -> dict:
         if not _is_json(value, types[key]):
             raise ValueError(f"{key!r} in the {section} must be "
                              f"{_JSON_TYPES[types[key]]}, got {json.dumps(value)}")
+    for key in required:
+        if key not in data:
+            raise ValueError(f"missing key {key!r} in the {section}")
     return data
 
 
@@ -194,17 +198,20 @@ def cmd_simulate(args, outputs: _Outputs) -> None:
 def cmd_dataset(args, outputs: _Outputs) -> None:
     cfg = _known(_load_json(args.config), "dataset config",
                  {"swarm": dict, "n_trajectories": int, "d_tilde": float, "scale": float,
-                  "offset": list[float], "burn_in_s": float})
+                  "offset": list[float], "burn_in_s": float},
+                 required=("swarm",) if args.n is not None else ("swarm", "n_trajectories"))
     swarm_cfg = _swarm_section(cfg)
     n = args.n if args.n is not None else cfg["n_trajectories"]
     if n < 1:
         raise ValueError(f"n_trajectories must be >= 1, got {n}")
     base_seed = args.seed if args.seed is not None else swarm_cfg.seed
     d_tilde = float(cfg.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
-    norm = graphs.NormalizationSpec(
-        scale=float(cfg.get("scale", swarm_cfg.X_size)),
-        offset=tuple(cfg.get("offset", (0.0, 0.0, 0.0))),
-    )
+    offset = cfg.get("offset", [0.0, 0.0, 0.0])
+    if len(offset) != 3:
+        raise ValueError(f"'offset' in the dataset config must be a list of 3 numbers, "
+                         f"got {json.dumps(offset)}")
+    norm = graphs.NormalizationSpec(scale=float(cfg.get("scale", swarm_cfg.X_size)),
+                                    offset=tuple(offset))
     skip = _whole_steps(float(cfg.get("burn_in_s", 0.0)), swarm_cfg.dt, "burn_in_s",
                         allow_zero=True)
     if swarm_cfg.n_steps - skip < 1:
@@ -376,7 +383,7 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     cfg = _known(_load_json(args.config), "eval-covert config",
                  {"swarm": dict, "burn_in_s": float, "covert": dict, "ground": dict,
                   "lambda_grid": list[float], "n_grid": list[int], "l_grid": list[int],
-                  "use_nominal_power": bool})
+                  "use_nominal_power": bool}, required=("swarm",))
     swarm_cfg = _swarm_section(cfg)
     covert_dict = dict(_known(cfg.get("covert", {}), "covert section",
                               {"lambda": float, **_field_types(cv.CovertConfig)}))

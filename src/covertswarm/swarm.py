@@ -69,6 +69,8 @@ class Frame:
     """State of L UAVs at one instant: positions and velocities (..., L, 3).
 
     Leading axes hold independent swarms; step advances them all at once.
+    The frames step returns hold transposed views of coordinate-first
+    (3, L, ...) arrays.
     """
 
     positions: np.ndarray
@@ -101,45 +103,69 @@ def init_swarm(config: SwarmConfig, rng: np.random.Generator) -> Frame:
     return Frame(positions, velocities)
 
 
-def _zone_forces(positions: np.ndarray, velocities: np.ndarray, config: SwarmConfig):
-    """Per-UAV repulsion / alignment / attraction sums, each (..., L, 3).
+def _neighbour_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of terms[:, :, j] over the neighbours j, (3, L, L, ...) -> (3, L, ...).
 
-    Bands are evaluated as a priority cascade (repulsion first), so they
-    never overlap even when r_ali < r_rep.
+    The neighbours are added one at a time from +0.0, in the order of a
+    matrix product or of a sum over a non-innermost axis.  terms.sum(axis=2)
+    sums pairwise whenever the j axis ends up innermost (one swarm, or
+    L >= 8), and that rounds differently.
     """
-    L = positions.shape[-2]
-    disp = positions[..., :, None, :] - positions[..., None, :, :]  # [i, j] = u_i - u_j
-    dist = np.sqrt(np.add.reduce(disp * disp, axis=-1))  # np.linalg.norm's arithmetic
-    off_diag = ~np.eye(L, dtype=bool)
-    in_rep = off_diag & (dist < config.r_rep)
-    in_ali = off_diag & ~in_rep & (dist < config.r_ali)
-    in_att = off_diag & ~in_rep & ~in_ali & (dist < config.r_att)
-    f_rep = (disp * in_rep[..., None]).sum(axis=-2)
-    f_ori = in_ali.astype(float) @ velocities
-    f_att = -(disp * in_att[..., None]).sum(axis=-2)
+    acc = terms[:, :, 0] + 0.0
+    for j in range(1, terms.shape[2]):
+        acc += terms[:, :, j]
+    return acc
+
+
+def _zone_forces(positions: np.ndarray, velocities: np.ndarray, config: SwarmConfig):
+    """Per-UAV repulsion / alignment / attraction sums, each (3, L, ...).
+
+    positions and velocities are coordinate-first, (3, L, ...), so that
+    every pass runs over the trailing swarm axes.  The bands are the
+    half-open distance ranges [0, r_rep), [r_rep, r_ali) and
+    [max(r_rep, r_ali), r_att): repulsion takes priority, so they never
+    overlap even when r_ali < r_rep.
+    """
+    disp = positions[:, :, None] - positions[:, None, :]  # [:, i, j] = u_i - u_j
+    sq = disp * disp
+    # np.linalg.norm's order over a length-3 axis; sq[0] + (sq[1] + sq[2]) differs
+    dist = np.sqrt((sq[0] + sq[1]) + sq[2])
+    # The diagonal needs no mask: at distance 0 it lies in repulsion, where
+    # its u_i - u_i = +0.0 adds nothing.
+    f_rep = _neighbour_sum(disp * (dist < config.r_rep))
+    if config.r_ali > config.r_rep:
+        in_ali = (dist >= config.r_rep) & (dist < config.r_ali)
+        f_ori = _neighbour_sum(velocities[:, None] * in_ali)
+    else:  # an empty band: every term would be 0 * v_j, summing to +0.0
+        f_ori = np.zeros_like(velocities)
+    in_att = (dist >= max(config.r_rep, config.r_ali)) & (dist < config.r_att)
+    f_att = -_neighbour_sum(disp * in_att)
     return f_rep, f_ori, f_att
 
 
 def limit_speed(v: np.ndarray, v_max: float) -> np.ndarray:
-    """Rescale each (..., 3) vector to norm min(||v||, v_max); zero vectors
-    stay zero."""
+    """Rescale each coordinate-first (3, ...) vector to norm
+    min(||v||, v_max); zero vectors stay zero."""
     v = np.asarray(v, dtype=float)
-    # vecdot sums in the order np.linalg.norm does, so the norms match it to the bit
-    n = np.sqrt(np.vecdot(v, v))[..., None]
+    # vecdot sums in the order np.linalg.norm does, along axis 0 as along the
+    # last axis, so the norms match it to the bit
+    n = np.sqrt(np.vecdot(v, v, axis=0))
     with np.errstate(invalid="ignore"):
         scaled = np.minimum(n, v_max) / n * v
     return np.where(n == 0.0, 0.0, scaled)
 
 
-# np.arctan2 differs from the C library's atan2 in the last bit on a few
-# percent of inputs; headings go through math.atan2 so that trajectories do
-# not depend on numpy's SIMD kernels.
-_atan2 = np.frompyfunc(math.atan2, 2, 1)
-
-
 def _heading(v: np.ndarray) -> np.ndarray:
-    """Horizontal heading atan2(v_y, v_x) of (..., 3) vectors."""
-    return np.asarray(_atan2(v[..., 1], v[..., 0]), dtype=float)
+    """Horizontal heading atan2(v_y, v_x) of coordinate-first (3, ...) vectors.
+
+    np.arctan2 differs from the C library's atan2 in the last bit on a few
+    percent of inputs; headings go through math.atan2 so that trajectories
+    do not depend on numpy's SIMD kernels.  Mapping it over Python floats
+    costs less than a np.frompyfunc ufunc does.
+    """
+    y, x = v[1], v[0]
+    return np.fromiter(map(math.atan2, y.ravel().tolist(), x.ravel().tolist()),
+                       float, y.size).reshape(y.shape)
 
 
 def limit_turning(
@@ -149,7 +175,8 @@ def limit_turning(
     theta_max: float,
     preserve_vertical: bool = False,
 ) -> np.ndarray:
-    """Clamp the horizontal heading change of (..., 3) velocities to +/- theta_max.
+    """Clamp the horizontal heading change of coordinate-first (3, ...)
+    velocities to +/- theta_max.
 
     Returns v_max * [cos(phi), sin(phi), 0] for the clamped heading phi.
     A horizontally-zero desired velocity keeps the current heading; a
@@ -163,29 +190,37 @@ def limit_turning(
     phi_des = _heading(v_desired)
     dphi = (phi_des - phi_cur + math.pi) % (2.0 * math.pi) - math.pi
     phi = phi_cur + np.minimum(np.maximum(dphi, -theta_max), theta_max)
-    cur_zero = (v_current[..., 0] == 0.0) & (v_current[..., 1] == 0.0)
-    des_zero = (v_desired[..., 0] == 0.0) & (v_desired[..., 1] == 0.0)
+    cur_zero = (v_current[0] == 0.0) & (v_current[1] == 0.0)
+    des_zero = (v_desired[0] == 0.0) & (v_desired[1] == 0.0)
     phi = np.where(cur_zero, phi_des, np.where(des_zero, phi_cur, phi))
-    out = np.empty(phi.shape + (3,))
-    out[..., 0] = v_max * np.cos(phi)
-    out[..., 1] = v_max * np.sin(phi)
-    out[..., 2] = 0.0
-    if preserve_vertical:
-        out[..., 2] = v_desired[..., 2]
-        out = limit_speed(out, v_max)
-    return out
+    out = np.empty((3,) + phi.shape)
+    out[0] = v_max * np.cos(phi)
+    out[1] = v_max * np.sin(phi)
+    out[2] = v_desired[2] if preserve_vertical else 0.0
+    return limit_speed(out, v_max) if preserve_vertical else out
 
 
 def step(frame: Frame, config: SwarmConfig) -> Frame:
     """Advance every UAV by one dt (synchronous update from the given frame);
-    a frame of shape (..., L, 3) advances every swarm in it."""
-    f_rep, f_ori, f_att = _zone_forces(frame.positions, frame.velocities, config)
-    v_des = limit_speed(frame.velocities + f_rep + f_ori + f_att, config.V_max)
-    new_v = limit_turning(frame.velocities, v_des, config.V_max, config.theta_max,
+    a frame of shape (..., L, 3) advances every swarm in it.
+
+    The work runs on coordinate-first (3, L, ...) arrays, so every numpy
+    pass covers all swarms at once instead of looping over tiny (L, L, 3)
+    blocks.  The returned frame holds transposed views of those arrays, so
+    the next step takes them back without a copy.  A frame laid out as
+    (..., L, 3) is copied once: ufuncs give their results the memory order
+    of their inputs, so its transposed view would keep every pass in the
+    slow order.
+    """
+    P = np.ascontiguousarray(frame.positions.T)
+    V = np.ascontiguousarray(frame.velocities.T)
+    f_rep, f_ori, f_att = _zone_forces(P, V, config)
+    v_des = limit_speed(V + f_rep + f_ori + f_att, config.V_max)
+    new_v = limit_turning(V, v_des, config.V_max, config.theta_max,
                           config.preserve_vertical)
-    new_p = frame.positions + new_v * config.dt
-    new_p[..., 2] = np.minimum(np.maximum(new_p[..., 2], config.Z_min), config.Z_max)
-    return Frame(new_p, new_v)
+    new_p = P + new_v * config.dt
+    new_p[2] = np.minimum(np.maximum(new_p[2], config.Z_min), config.Z_max)
+    return Frame(new_p.T, new_v.T)
 
 
 def simulate_batch(config: SwarmConfig, seeds, frames=None):

@@ -245,6 +245,7 @@ def holdout_errors(model, seed):
 
 # --- criterion 5: detection monotonicity on trained models ------------------------------
 
+@pytest.mark.slow
 def test_criterion_5_detection_monotonicity(full_training):
     model = full_training["model"]
     rng = np.random.default_rng(5005)
@@ -294,6 +295,7 @@ def test_criterion_5_detection_monotonicity(full_training):
 
 # --- criterion 6: prediction quality (scaled reproduction) ------------------------------
 
+@pytest.mark.slow
 def test_criterion_6_prediction_quality(full_training):
     model = full_training["model"]
     t0 = time.monotonic()

@@ -676,9 +676,12 @@ def wrong_json_values(value):
 def config_mutations():
     """(command, key path, value) for every way to break one key of a fuzz
     config: drop a required key (value None), add an unknown key, give a key
-    a value of the wrong JSON type (a section a non-object), or make the
-    whole file a non-object (an empty path)."""
-    out = []
+    a value of the wrong JSON type (a section a non-object), make the
+    whole file a non-object (an empty path), or give the dataset offset
+    other than 3 entries."""
+    # 4 entries were written into every file; 2 failed only after the
+    # output directories were made
+    out = [("dataset", ("offset",), value) for value in ([0, 0, 0, 5], [0, 0])]
     for command, doc in FUZZ_CONFIGS.items():
         out += [(command, (key,), None) for key in FUZZ_REQUIRED.get(command, [])]
         out += [(command, (), value) for value in ([], "x", None)]
@@ -746,7 +749,7 @@ def test_malformed_config_fails_cleanly(trained, mutation):
         if path:  # the message names the key, and its section when it has one
             assert repr(path[-1]) in err, err
             where = f"{path[0]} section" if len(path) > 1 else f"{command} config"
-            assert value is None and len(path) == 1 or where in err, err
+            assert where in err, err
         assert [p.name for p in Path(d).iterdir()] == ["cfg.json"]
 
 

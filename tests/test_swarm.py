@@ -93,8 +93,9 @@ def test_init_deterministic_by_seed():
 # --- interaction forces ---------------------------------------------------------
 
 def forces_on_first(frame, cfg):
-    """(f_rep, f_ori, f_att) acting on UAV 0."""
-    return [f[0] for f in swarm._zone_forces(frame.positions, frame.velocities, cfg)]
+    """(f_rep, f_ori, f_att) acting on UAV 0; _zone_forces is coordinate-first."""
+    forces = swarm._zone_forces(frame.positions.T, frame.velocities.T, cfg)
+    return [f[:, 0] for f in forces]
 
 
 def test_forces_no_neighbors():
@@ -322,7 +323,8 @@ def test_cohesion_smoke_property():
 # --- batched stepping against the per-UAV reference loop ---------------------------
 #
 # The simulator's step loop before it became array functions, kept as the
-# reference the batched step must equal bit for bit.
+# reference the batched step must equal bit for bit, with zone forces taken
+# one pair of UAVs at a time.
 
 def reference_limit_speed(v, v_max):
     n = float(np.linalg.norm(v))
@@ -351,9 +353,30 @@ def reference_limit_turning(v_current, v_desired, v_max, theta_max, preserve_ver
     return out
 
 
+def reference_zone_forces(positions, velocities, cfg):
+    """(f_rep, f_ori, f_att) of one swarm, each (L, 3): a neighbour falls in
+    the first band whose radius its distance is under, each band sums its
+    neighbours in index order, and attraction is minus its sum."""
+    L = len(positions)
+    sums = np.zeros((3, L, 3))  # repulsion, alignment, attraction
+    for i in range(L):
+        for j in range(L):
+            if i == j:
+                continue
+            dx, dy, dz = (float(a) - float(b) for a, b in zip(positions[i], positions[j]))
+            dist = math.sqrt((dx * dx + dy * dy) + dz * dz)
+            if dist < cfg.r_rep:
+                sums[0, i] += (dx, dy, dz)
+            elif dist < cfg.r_ali:
+                sums[1, i] += velocities[j]
+            elif dist < cfg.r_att:
+                sums[2, i] += (dx, dy, dz)
+    return sums[0], sums[1], -sums[2]
+
+
 def reference_step(frame, cfg):
     """One swarm, one UAV at a time."""
-    f_rep, f_ori, f_att = swarm._zone_forces(frame.positions, frame.velocities, cfg)
+    f_rep, f_ori, f_att = reference_zone_forces(frame.positions, frame.velocities, cfg)
     new_v = np.empty_like(frame.velocities)
     for i in range(frame.positions.shape[0]):
         v_des = frame.velocities[i] + f_rep[i] + f_ori[i] + f_att[i]
@@ -373,12 +396,14 @@ def same_bits(a, b):
 @st.composite
 def swarm_batches(draw):
     """A config drawn like criterion 1's random_config (with theta_max = pi
-    and r_ali = 0 drawn on their own), R swarms from their own seeds, and
-    UAVs whose horizontal velocity is zero or exactly cancelled by the
-    repulsion of a close neighbour."""
+    and r_ali = 0 drawn on their own, and up to 12 UAVs so that a pairwise
+    sum over neighbours would show), a frame of leading shape (), (R,) or
+    (2, R) whose swarms come from their own seeds, and UAVs whose
+    horizontal velocity is zero or exactly cancelled by the repulsion of a
+    close neighbour."""
     r_rep = draw(st.floats(1.0, 400.0))
     cfg = SwarmConfig(
-        L=draw(st.integers(1, 8)),
+        L=draw(st.integers(1, 12)),
         V_max=draw(st.floats(5.0, 30.0)),
         theta_max=draw(st.one_of(st.just(math.pi), st.floats(0.005, math.pi))),
         dt=draw(st.sampled_from([0.05, 0.1, 0.2])),
@@ -388,11 +413,14 @@ def swarm_batches(draw):
         preserve_vertical=draw(st.booleans()),
     )
     R = draw(st.integers(1, 4))
-    seeds = draw(st.lists(st.integers(0, 2 ** 31 - 1), min_size=R, max_size=R))
+    lead = draw(st.sampled_from([(), (R,), (2, R)]))
+    n_swarms = math.prod(lead)
+    seeds = draw(st.lists(st.integers(0, 2 ** 31 - 1),
+                          min_size=n_swarms, max_size=n_swarms))
     starts = [init_swarm(cfg, np.random.default_rng(s)) for s in seeds]
     positions = np.stack([f.positions for f in starts])
     velocities = np.stack([f.velocities for f in starts])
-    for r in range(R):
+    for r in range(n_swarms):
         kind = draw(st.sampled_from(["none", "zero_current", "zero_desired"]))
         if kind == "zero_current":
             velocities[r, draw(st.integers(0, cfg.L - 1)), :2] = 0.0
@@ -401,20 +429,42 @@ def swarm_batches(draw):
             offset = draw(st.floats(0.05, 0.9)) * r_rep / math.sqrt(3.0)
             positions[r, 1] = positions[r, 0] + offset
             velocities[r, 0, :2] = -(positions[r, 0] - positions[r, 1])[:2]
-    return cfg, Frame(positions, velocities)
+    shape = lead + (cfg.L, 3)
+    return cfg, Frame(positions.reshape(shape), velocities.reshape(shape))
 
 
 @given(batch=swarm_batches())
 @settings(max_examples=80, deadline=None)
 def test_batched_step_equals_per_uav_loop_bit_for_bit(batch):
     cfg, frame = batch
-    refs = [Frame(frame.positions[r], frame.velocities[r])
-            for r in range(frame.positions.shape[0])]
+    shape = frame.positions.shape
+    refs = [Frame(p, v) for p, v in zip(frame.positions.reshape(-1, cfg.L, 3),
+                                        frame.velocities.reshape(-1, cfg.L, 3))]
     for _ in range(5):
         frame = step(frame, cfg)
         refs = [reference_step(f, cfg) for f in refs]
-        assert same_bits(frame.positions, np.stack([f.positions for f in refs]))
-        assert same_bits(frame.velocities, np.stack([f.velocities for f in refs]))
+        assert same_bits(frame.positions, np.stack([f.positions for f in refs]).reshape(shape))
+        assert same_bits(frame.velocities, np.stack([f.velocities for f in refs]).reshape(shape))
+
+
+def test_zone_bands_use_the_norms_summation_order():
+    # (dx*dx + dy*dy) + dz*dz is np.linalg.norm's order; with r_rep between
+    # its root and that of dx*dx + (dy*dy + dz*dz), only the first order
+    # puts the pair in the band the reference does
+    rng = np.random.default_rng(0)
+    found = 0
+    while found < 5:
+        d = rng.uniform(-250.0, 250.0, 3)
+        dist = math.sqrt((d[0] * d[0] + d[1] * d[1]) + d[2] * d[2])
+        other = math.sqrt(d[0] * d[0] + (d[1] * d[1] + d[2] * d[2]))
+        if dist == other:
+            continue
+        found += 1
+        cfg = small_config(L=2, r_rep=max(dist, other))
+        positions, velocities = np.array([d, np.zeros(3)]), np.zeros((2, 3))
+        want = reference_zone_forces(positions, velocities, cfg)
+        got = swarm._zone_forces(positions.T, velocities.T, cfg)
+        assert all(same_bits(g.T, w) for g, w in zip(got, want))
 
 
 coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0))
@@ -427,12 +477,12 @@ coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0))
 @settings(max_examples=200, deadline=None)
 def test_array_limits_equal_scalar_reference(v, theta_max, preserve_vertical):
     v = np.array(v)
-    cur, des = v[:, :3], v[:, 3:]
+    cur, des = v[:, :3], v[:, 3:]  # (n, 3); the limits take coordinate-first (3, n)
     want = np.stack([reference_limit_turning(c, d, 20.0, theta_max, preserve_vertical)
                      for c, d in zip(cur, des)])
-    assert same_bits(limit_turning(cur, des, 20.0, theta_max, preserve_vertical), want)
+    assert same_bits(limit_turning(cur.T, des.T, 20.0, theta_max, preserve_vertical).T, want)
     want = np.stack([reference_limit_speed(d, 20.0) for d in des])
-    assert same_bits(limit_speed(des, 20.0), want)
+    assert same_bits(limit_speed(des.T, 20.0).T, want)
 
 
 def test_simulate_batch_equals_one_simulate_per_seed():
