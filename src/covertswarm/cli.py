@@ -123,14 +123,15 @@ def _whole_steps(seconds: float, dt: float, what: str, allow_zero: bool = False)
 
 # The JSON types a config value may take, as the Python types json.load
 # gives them, each with how an error message names it.
-_JSON_TYPES = {int: "an integer", float: "a number", bool: "true or false",
+_JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false",
                dict: "a JSON object", list[int]: "a list of integers",
-               list[float]: "a list of numbers", int | None: "an integer or null"}
+               list[float]: "a list of finite numbers", int | None: "an integer or null"}
 
 
 def _is_json(value, kind) -> bool:
     """Whether a parsed JSON value has the type kind, a key of _JSON_TYPES.
-    true/false is only a boolean, never a number, and 2.0 is no integer."""
+    true/false is only a boolean, never a number, 2.0 is no integer, and a
+    number must be finite as a float: json.load reads NaN, Infinity and 1e400."""
     args = typing.get_args(kind)
     if typing.get_origin(kind) is list:
         return isinstance(value, list) and all(_is_json(v, args[0]) for v in value)
@@ -138,7 +139,9 @@ def _is_json(value, kind) -> bool:
         return any(_is_json(value, k) for k in args)
     if isinstance(value, bool):
         return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
+    if kind is float:
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, kind)
 
 
 def _field_types(cls, *skip) -> dict:
@@ -429,7 +432,7 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     nets = [cv.GroundNetwork.uniform_random(
         n_max, area, np.random.default_rng([covert_cfg.seed, r, 1]), **ground)
         for r in range(covert_cfg.runs)]
-    nominal = [[cv.nominal_power(net, i) for i in range(n_max)] for net in nets] \
+    nominal = [cv.nominal_powers(net) for net in nets] \
         if cfg.get("use_nominal_power", False) else None
     report = cv.detection_probability(nets, positions[:, 1:], pred_runs, covert_cfg, nominal)
     cells = [{"lambda": lam, "N": n_nodes, "L": model.L, "H": covert_cfg.horizon_s,

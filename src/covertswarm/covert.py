@@ -6,14 +6,22 @@ predicted UAV positions instead of true ones introduces error, hedged by
 a descaling factor applied to the predicted bound.  A detection event is
 a true safe bound falling below the descaled predicted bound.
 
-One kernel bounds the power for any stack of frames, block by block: it
-computes node-UAV distances as arrays in a scalar loop's operation order
-(elementwise arithmetic and sqrt are correctly rounded, so every distance is
-bit-identical), then applies one scalar pow to each node's nearest distance.
-Two facts keep this bit-identical to the loop over (node, UAV) pairs: libm
-pow is monotone, so the largest path gain d ** -eta is that of the smallest
-d; and the pow is scalar, because numpy's SIMD pow differs from libm in the
-last bit on a fraction of inputs.
+One kernel bounds the power for any stack of frames, block by block, with
+every bit of a scalar loop over (node, UAV) pairs that takes
+d = sqrt((dx*dx + dy*dy) + dz*dz) and the largest path gain d ** -eta:
+- squared distances are summed in that loop's order; elementwise arithmetic
+  is correctly rounded, and ground nodes sit at z = +-0, so dz*dz is the
+  UAV's own z*z;
+- the minimum over UAVs comes before the sqrt: sqrt is correctly rounded
+  and monotone, so sqrt(min s) == min sqrt(s), and min s is 0 exactly when
+  some distance is;
+- one scalar libm pow per node and frame, on the nearest distance: libm pow
+  is monotone, so the largest gain is that of the smallest d, and it is
+  scalar because numpy's SIMD pow differs from libm in the last bit on a
+  fraction of inputs.
+Nominal powers take each node's distance to its M_bar-th nearest neighbour
+the same way: an order statistic of squared distances, then one sqrt and
+one scalar pow per node.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -60,12 +69,12 @@ class GroundNetwork:
             raise ValueError("ground node positions must be finite")
         if np.any(self.positions[:, 2] != 0.0):
             raise ValueError("ground nodes must have z = 0")
-        if not self.P_max > 0:
-            raise ValueError(f"P_max must be > 0, got {self.P_max}")
-        if self.eta < 0 or self.eta_t < 0:
-            raise ValueError("path-loss exponents must be >= 0")
-        if not self.N0 > 0:
-            raise ValueError(f"N0 must be > 0, got {self.N0}")
+        for name in ("P_max", "N0", "gamma_t"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not (0 <= self.eta < math.inf and 0 <= self.eta_t < math.inf):
+            raise ValueError(f"path-loss exponents must be finite and >= 0, "
+                             f"got eta={self.eta}, eta_t={self.eta_t}")
 
     @property
     def n_nodes(self) -> int:
@@ -112,32 +121,45 @@ class CovertConfig:
 
 # --- link model --------------------------------------------------------------
 
-def nominal_power(net: GroundNetwork, i: int) -> float:
-    """Smallest power giving node i at least M_bar mean-SNR links.
+# Distances the power-bound kernel and nominal_powers hold at once: they walk
+# their inputs in blocks of about this many, so memory stays flat in runs,
+# checks and nodes.
+_BLOCK_DISTANCES = 2 ** 15
 
-    Closed form from the M_bar-th nearest neighbour distance; capped at
-    P_max with a warning when the link target is unreachable.
+
+def nominal_powers(net: GroundNetwork) -> np.ndarray:
+    """Smallest power giving each node at least M_bar mean-SNR links: (N,).
+
+    Closed form from each node's M_bar-th nearest neighbour distance; a
+    power above P_max is capped there with a warning naming the node, as
+    the link target is unreachable.
     """
-    if net.M_bar >= net.n_nodes:
-        raise ValueError(f"M_bar={net.M_bar} must be < N={net.n_nodes}")
+    N = net.n_nodes
+    if net.M_bar >= N:
+        raise ValueError(f"M_bar={net.M_bar} must be < N={N}")
     if net.M_bar <= 0:
-        return 0.0
-    d = np.linalg.norm(net.positions - net.positions[i], axis=1)
-    d = np.sort(np.delete(d, i))
-    d_m = d[net.M_bar - 1]
-    p = net.gamma_t * net.N0 * d_m ** net.eta_t
-    if p > net.P_max:
+        return np.zeros(N)
+    x, y = net.positions[:, 0], net.positions[:, 1]
+    k = net.M_bar - 1
+    s_m = np.empty(N)
+    rows = max(1, _BLOCK_DISTANCES // N)
+    for i in range(0, N, rows):
+        # squared distances from rows i.. to every node, a node's own at inf
+        s = x[i:i + rows, None] - x
+        s *= s
+        t = y[i:i + rows, None] - y
+        t *= t
+        s += t
+        np.fill_diagonal(s[:, i:], np.inf)
+        s_m[i:i + rows] = np.partition(s, k, axis=1)[:, k]
+    # one numpy scalar pow per node: libm's, and inf with a warning on overflow
+    p = net.gamma_t * net.N0 * np.array([d ** net.eta_t for d in np.sqrt(s_m)])
+    for i in np.flatnonzero(p > net.P_max):
         warnings.warn(
-            f"node {i}: required power {p:.3g} W exceeds P_max={net.P_max} W; capped",
+            f"node {i}: required power {p[i]:.3g} W exceeds P_max={net.P_max} W; capped",
             RuntimeWarning,
         )
-        return net.P_max
-    return max(p, 0.0)
-
-
-# Node-UAV distances the power-bound kernel holds at once: it walks the frames
-# in blocks of about this many, so its memory stays flat in runs and checks.
-_BLOCK_DISTANCES = 4096
+    return np.minimum(p, net.P_max)
 
 
 def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray:
@@ -172,34 +194,39 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
             raise ValueError(f"nominal must be ({N},) or ({R}, {N}), got {nominal.shape}")
         if np.any(nominal < 0) or np.any(nominal > P_max):
             raise ValueError("nominal powers must lie in [0, P_max]")
-    # (R, 3, N) node coordinates and (R, N) nominal powers, views when shared
-    nodes = np.broadcast_to(np.stack([net.positions.T for net in nets]), (R, 3, N))
+    # (R, 2, N) node x and y and (R, N) nominal powers, views when shared;
+    # nodes sit at z = +-0, so a UAV's dz*dz is its own z*z, bit for bit
+    nodes = np.broadcast_to(np.array([net.positions[:, :2].T for net in nets]), (R, 2, N))
     nominal = np.broadcast_to(nominal, (R, N))
-    flat = frames.reshape(-1, L, 3)
-    per_run = len(flat) // R
-    out = np.empty((len(flat), N))
-    step = max(1, _BLOCK_DISTANCES // (L * N))
-    # (B, L, N) distances in the scalar loop's operation order; UAV-major so
-    # that the min over UAVs runs along contiguous rows.  A finite UAV about
-    # 1e154 m or more away overflows its distance to inf and its path gain to
-    # 0, so P_det / w is inf: that UAV caps nothing, which is the right
-    # limit, and the overflow and divide warnings say nothing.
+    uav = frames.reshape(R, -1, L, 3).transpose(3, 0, 1, 2)  # (3, R, F, L) view
+    F = uav.shape[2]
+    out = np.empty((R, F, N))
+    # whole runs per block when a run fits in one, else part of one run
+    per_block = max(1, _BLOCK_DISTANCES // (L * N))
+    n_runs, n_frames = (per_block // F, F) if per_block >= F else (1, per_block)
+    # (runs, frames, L, N) squared distances; a finite UAV about 1e154 m or
+    # more away overflows its distance to inf and its path gain to 0, so
+    # P_det / w is inf: that UAV caps nothing, which is the right limit,
+    # and the overflow and divide warnings say nothing
     with np.errstate(over="ignore", divide="ignore"):
-        for f in range(0, len(flat), step):
-            block = flat[f:f + step, :, :, None]
-            runs = np.arange(f, f + len(block)) // per_run
-            pos = nodes[runs]
-            dx = pos[:, None, 0] - block[:, :, 0]
-            dy = pos[:, None, 1] - block[:, :, 1]
-            dz = pos[:, None, 2] - block[:, :, 2]
-            d = np.sqrt(dx * dx + dy * dy + dz * dz)
-            if not d.all():
-                raise ValueError("UAV coincides with ground node (d = 0)")
-            # max over UAVs of d ** -eta is d_min ** -eta because libm pow is
-            # monotone; scalar pow, not np.power, whose SIMD path can differ
-            # in the last bit
-            w = np.array([v ** -eta for v in d.min(axis=1).ravel().tolist()])
-            out[f:f + len(block)] = np.minimum(nominal[runs], P_det / w.reshape(-1, N))
+        uz2 = uav[2] * uav[2]
+        for r in range(0, R, n_runs):
+            rs = slice(r, r + n_runs)
+            x, y = nodes[rs, 0, None, None], nodes[rs, 1, None, None]
+            for f in range(0, F, n_frames):
+                fs = slice(f, f + n_frames)
+                s = x - uav[0, rs, fs, :, None]
+                s *= s
+                t = y - uav[1, rs, fs, :, None]
+                t *= t
+                s += t
+                s += uz2[rs, fs, :, None]
+                s = s.min(axis=2)
+                if not s.all():
+                    raise ValueError("UAV coincides with ground node (d = 0)")
+                d = np.sqrt(s).ravel().tolist()
+                w = np.fromiter(map(pow, d, repeat(-eta)), float, len(d))
+                np.minimum(nominal[rs, None], P_det / w.reshape(s.shape), out=out[rs, fs])
     return out.reshape(frames.shape[:-2] + (N,))
 
 

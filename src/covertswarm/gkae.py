@@ -531,8 +531,12 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
 
     rec = pred = math.nan
     if cfg.epochs_phase2 > 0:
-        h = _embed_frames(model, X, A)
-        grec_frozen = mse(_phase1_forward(model, X, A)[0], X)
+        # one graph-encoder pass gives the frozen embeddings and, through
+        # the head, the frozen reconstruction loss
+        H = _encoder_forward(model, X, A)[0]
+        h = H.reshape(X.shape[0], model.embed_dim)
+        grec_frozen = mse(_dense_chain(model.graph_decoder, H.reshape(-1, model.node_dim))
+                          .reshape(X.shape), X)
         params2 = _phase2_params(model)
         state2 = AdamState.for_params(params2, lr=cfg.lr)
         for e in range(cfg.epochs_phase2):

@@ -49,7 +49,7 @@ class SwarmConfig:
             raise ValueError(f"dt must be > 0, got {self.dt}")
         if not 0 < self.r_rep <= self.r_att:
             raise ValueError(f"need 0 < r_rep <= r_att, got {self.r_rep}, {self.r_att}")
-        if self.r_ali < 0:
+        if not self.r_ali >= 0:
             raise ValueError(f"r_ali must be >= 0, got {self.r_ali}")
         if not self.Z_min < self.Z_max:
             raise ValueError(f"need Z_min < Z_max, got {self.Z_min}, {self.Z_max}")

@@ -507,7 +507,7 @@ def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
         net = covert.GroundNetwork.uniform_random(
             6, 500.0, np.random.default_rng([5, r, 1]), P_max=20.0, eta=1.0)
         nets.append(net)
-        nominals.append(np.array([covert.nominal_power(net, i) for i in range(6)]))
+        nominals.append(covert.nominal_powers(net))
         trues.append(traj.positions[checks])
         preds.append(pred[checks - 1])
     assert not all((nom == 20.0).all() for nom in nominals)
@@ -665,11 +665,11 @@ def wrong_json_values(value):
         return [0, "false", None]
     if isinstance(value, int):
         return [True, float(value), "3"]
-    if isinstance(value, float):
-        return [False, "1.0", [value]]
+    if isinstance(value, float):  # json.load reads NaN, Infinity and 1e400
+        return [False, "1.0", [value], math.nan, math.inf]
     if isinstance(value, list):
         return [value[0], [True], [value[0] + 0.5]] if isinstance(value[0], int) \
-            else [value[0], [True], [str(value[0])]]
+            else [value[0], [True], [str(value[0])], [math.nan]]
     return [[], "x", None]  # a section
 
 
@@ -729,7 +729,7 @@ def test_fuzz_configs_are_valid(tmp_path, trained, command):
 
 
 @given(mutation=st.sampled_from(config_mutations()))
-@settings(max_examples=250, deadline=None, derandomize=True)
+@settings(max_examples=300, deadline=None, derandomize=True)
 def test_malformed_config_fails_cleanly(trained, mutation):
     # a value of the wrong type used to be coerced: "false" switched nominal
     # powers on, true ran 1 run and [25.9] evaluated 25 nodes
@@ -751,6 +751,30 @@ def test_malformed_config_fails_cleanly(trained, mutation):
             where = f"{path[0]} section" if len(path) > 1 else f"{command} config"
             assert where in err, err
         assert [p.name for p in Path(d).iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("section, key, text", [
+    ("ground", "gamma_t", "NaN"),     # with nominal powers: exit 0, every P_det 0
+    ("swarm", "r_ali", "NaN"),        # ran as if the alignment band were empty
+    ("swarm", "duration", "Infinity"),  # an OverflowError traceback
+    ("swarm", "X_size", "1e400"),     # json.load reads 1e400 as inf
+    ("ground", "eta", "NaN"),         # "all runs must use the same ... eta"
+    ("covert", "P_det", "-Infinity"),
+])
+def test_eval_covert_non_finite_config_number_exit_2(tmp_path, trained, section, key, text):
+    doc = json.loads(json.dumps(FUZZ_CONFIGS["eval-covert"]))
+    doc["use_nominal_power"] = True
+    doc[section][key] = "@"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc).replace('"@"', text))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["eval-covert", "--config", str(cfg), "--checkpoint", trained["ckpt"],
+                     "--out", str(tmp_path / "agg.csv"), "--quiet"])
+    shown = {"1e400": "Infinity"}.get(text, text)
+    assert (code, err.getvalue()) == (
+        2, f"error: {key!r} in the {section} section must be a finite number, got {shown}\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 def _set_K_columns(doc, n):

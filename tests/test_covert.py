@@ -1,5 +1,6 @@
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from covertswarm.covert import (
     baseline_constant_velocity,
     detection_events,
     detection_probability,
-    nominal_power,
+    nominal_powers,
     prediction_error,
     transmit_power_bound,
     whole_multiple,
@@ -81,34 +82,63 @@ def test_mean_link_set_line_hand_case():
     np.testing.assert_array_equal(links, brute)
 
 
+def nominal_power_oracle(net, i):
+    """Node i's nominal power from one distance row and one sort, as the
+    per-node code computed it before nominal_powers."""
+    if net.M_bar <= 0:
+        return 0.0
+    d = np.linalg.norm(net.positions - net.positions[i], axis=1)
+    d_m = np.sort(np.delete(d, i))[net.M_bar - 1]
+    return min(net.gamma_t * net.N0 * d_m ** net.eta_t, net.P_max)
+
+
 def test_nominal_power_closed_form():
     pos = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0], [200.0, 0.0, 0.0],
                     [300.0, 0.0, 0.0]])
     net = GroundNetwork(pos, eta_t=2.0, N0=1e-12, gamma_t=10.0, M_bar=2)
     # second-nearest neighbour of node 0 is at 200 m
     expected = 10.0 * 1e-12 * 200.0 ** 2
-    p = nominal_power(net, 0)
+    p = nominal_powers(net)[0]
     assert p == pytest.approx(expected, rel=1e-12)
     assert mean_link_set(net, 0, p).size >= net.M_bar
 
 
 def test_nominal_power_zero_link_target():
     net = grid_network(4, M_bar=0)
-    assert nominal_power(net, 0) == 0.0
+    np.testing.assert_array_equal(nominal_powers(net), np.zeros(4))
 
 
 def test_nominal_power_capped_with_warning():
-    # required power 10 * 1e-12 * (2e6)^2 = 40 W exceeds P_max
+    # required power 10 * 1e-12 * (2e6)^2 = 40 W exceeds P_max, for both nodes
     pos = np.array([[0.0, 0.0, 0.0], [2e6, 0.0, 0.0]])
     net = GroundNetwork(pos, eta_t=2.0, N0=1e-12, gamma_t=10.0, M_bar=1, P_max=20.0)
-    with pytest.warns(RuntimeWarning, match="capped"):
-        assert nominal_power(net, 0) == 20.0
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.testing.assert_array_equal(nominal_powers(net), [20.0, 20.0])
+    assert [str(w.message) for w in caught] == [
+        f"node {i}: required power 40 W exceeds P_max=20.0 W; capped" for i in (0, 1)]
 
 
 def test_nominal_power_rejects_m_bar_too_large():
     net = grid_network(4, M_bar=4)
     with pytest.raises(ValueError):
-        nominal_power(net, 0)
+        nominal_powers(net)
+
+
+@pytest.mark.parametrize("n", [2, 25, 200, 1000])
+@pytest.mark.parametrize("eta_t", [0.0, 1.3, 2.0, 2.7])
+def test_nominal_powers_equal_the_per_node_closed_form_bit_for_bit(n, eta_t):
+    # blocks of rows (1000 nodes span several), coincident nodes, nodes far
+    # enough apart that a power overflows to inf and is capped
+    rng = np.random.default_rng(n)
+    for area, M_bar in ((500.0, 1), (500.0, 3), (5e5, 5), (1e150, 1)):
+        net = GroundNetwork.uniform_random(n, area, rng, eta_t=eta_t,
+                                           M_bar=min(M_bar, n - 1), P_max=1e3)
+        net.positions[-1] = net.positions[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = [nominal_power_oracle(net, i) for i in range(n)]
+            np.testing.assert_array_equal(nominal_powers(net), want)
 
 
 # --- transmit power bound -------------------------------------------------------------
@@ -180,6 +210,56 @@ def test_bound_equals_oracle_bit_for_bit(seed, n, l, eta, tie):
     np.testing.assert_array_equal(got, brute_force_bound(net, frame, 1e-6, nominal))
 
 
+def squared_distance(node, uav):
+    """The per-pair loop's squared distance."""
+    dx, dy, dz = node[0] - uav[0], node[1] - uav[1], node[2] - uav[2]
+    return dx * dx + dy * dy + dz * dz
+
+
+@pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 2.7])
+def test_bound_on_tied_and_adjacent_squared_distances_equals_the_oracle(eta):
+    # the kernel takes the min over UAVs of squared distances before the
+    # sqrt; two UAVs at equal squared distances from a node, and two one ulp
+    # apart, must give the loop's bits
+    net = grid_network(9, spacing=37.0, eta=eta)
+    node = net.positions[4]
+    a, mirror = node + [300.0, 0.0, 0.5], node + [-300.0, 0.0, 0.5]
+    s = squared_distance(node, a)
+    assert squared_distance(node, mirror) == s
+    b = next(b for b in (node + [300.0, 0.0, 0.5 + j * 1e-11] for j in range(1, 10))
+             if squared_distance(node, b) == np.nextafter(s, math.inf))
+    nominal = np.full(9, net.P_max)
+    for frame in ([a, mirror], [mirror, a], [a, b], [b, a], [b, mirror, a]):
+        frame = np.array(frame)
+        np.testing.assert_array_equal(transmit_power_bound(net, frame, 1e-6, nominal),
+                                      brute_force_bound(net, frame, 1e-6, nominal))
+
+
+def test_bound_with_a_node_at_negative_zero_height_and_a_uav_on_the_ground():
+    # ground nodes may sit at z = -0.0, and a UAV may fly at z = 0 away from
+    # every node: dz*dz is the UAV's z*z either way
+    pos = np.array([[0.0, 0.0, -0.0], [100.0, 0.0, 0.0], [0.0, 250.0, -0.0]])
+    net = GroundNetwork(pos, eta=1.7)
+    nominal = np.full(3, net.P_max)
+    for frame in ([[50.0, 50.0, 0.0]], [[50.0, 50.0, -0.0], [10.0, -20.0, 80.0]],
+                  [[1e-160, 0.0, 0.0]]):
+        frame = np.array(frame)
+        np.testing.assert_array_equal(transmit_power_bound(net, frame, 1e-6, nominal),
+                                      brute_force_bound(net, frame, 1e-6, nominal))
+
+
+@pytest.mark.parametrize("uav", [[1e-170, 0.0, 0.0], [0.0, -1e-170, 0.0],
+                                 [0.0, 0.0, 1e-170], [1e-170, 1e-170, -1e-170]])
+def test_bound_raises_when_squares_underflow_to_zero(uav):
+    # a UAV 1e-170 m from a node: every square underflows to 0, so the loop's
+    # distance is 0 and the kernel raises as it did
+    net = GroundNetwork(np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]), eta=1.0)
+    assert squared_distance(net.positions[0], uav) == 0.0
+    frame = np.array([[20.0, 30.0, 90.0], uav])
+    with pytest.raises(ValueError, match="d = 0"):
+        transmit_power_bound(net, frame, 1e-6, np.full(2, net.P_max))
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 50), l=st.integers(1, 8),
        data=st.data())
 @settings(max_examples=50, deadline=None)
@@ -249,6 +329,16 @@ def test_ground_network_validation():
         GroundNetwork(np.zeros((2, 3)), P_max=0.0)
     with pytest.raises(ValueError, match="finite"):
         GroundNetwork(np.array([[np.nan, 0.0, 0.0]]))
+
+
+@pytest.mark.parametrize("field, value", [
+    (f, v) for f in ("P_max", "N0", "gamma_t") for v in (0.0, -1.0, math.nan, math.inf)
+] + [(f, v) for f in ("eta", "eta_t") for v in (-1.0, math.nan, math.inf)])
+def test_ground_network_rejects_non_finite_or_out_of_range_link_settings(field, value):
+    # a NaN gamma_t made every nominal power NaN and every P_det 0; a NaN eta
+    # was only caught by the kernel's "same eta" check, under its words
+    with pytest.raises(ValueError, match=f"{field}|path-loss"):
+        GroundNetwork(np.zeros((2, 3)), **{field: value})
 
 
 # --- prediction metrics -----------------------------------------------------------------
@@ -460,8 +550,9 @@ def test_report_cell_equals_the_engine_on_the_first_nodes():
 def test_detection_probability_equals_a_per_frame_loop_bit_for_bit(
         seed, runs, C, L, eta, per_run_nominal, data):
     # a few nodes put several runs in one block of the kernel; enough nodes
-    # that one frame's distances fill a block on their own
-    block = cv._BLOCK_DISTANCES
+    # that one frame's distances fill a block on their own, with the block
+    # shrunk so that the per-pair loop below stays quick
+    block = 4096
     n = data.draw(st.integers(1, 40) | st.integers(block // L, block // L + 40))
     rng = np.random.default_rng(seed)
     nets = [GroundNetwork.uniform_random(n, 500.0, rng, eta=eta,
@@ -473,7 +564,8 @@ def test_detection_probability_equals_a_per_frame_loop_bit_for_bit(
     pred[..., 2] = np.abs(pred[..., 2]) + 1.0
     nominal = [rng.uniform(0.0, net.P_max, n) for net in nets] if per_run_nominal else None
     covert = CovertConfig(lambda_=0.5, runs=runs)
-    report = detection_probability(nets, true, pred, covert, nominal)
+    with mock.patch.object(cv, "_BLOCK_DISTANCES", block):
+        report = detection_probability(nets, true, pred, covert, nominal)
     for r, net in enumerate(nets):
         nom = nominal[r] if per_run_nominal else np.full(n, net.P_max)
         for c in range(C):
@@ -488,11 +580,13 @@ def test_detection_probability_equals_a_per_frame_loop_bit_for_bit(
 @pytest.mark.parametrize("fault", ["d = 0", "non-finite"])
 def test_detection_probability_raises_on_a_fault_in_the_last_block(frames_per_block, fault):
     rng = np.random.default_rng(9)
-    n_nodes = cv._BLOCK_DISTANCES // (3 * frames_per_block)
+    block = 4096
+    n_nodes = block // (3 * frames_per_block)
     nets, trues, preds = random_runs(rng, 5, n_nodes, C=4, L=3)
     preds = np.array(preds)
     preds[-1, -1, -1] = nets[-1].positions[-1] if fault == "d = 0" else np.nan
-    with pytest.raises(ValueError, match=fault):
+    with mock.patch.object(cv, "_BLOCK_DISTANCES", block), \
+            pytest.raises(ValueError, match=fault):
         detection_probability(nets, trues, preds, CovertConfig(runs=5))
 
 

@@ -41,6 +41,7 @@ def small_config(**kw):
     dict(r_ali=-1.0),
     dict(Z_min=200.0),  # >= Z_max
     dict(duration=0.0),
+    dict(r_ali=math.nan),  # ran as if the alignment band were empty
 ])
 def test_config_rejects_invalid(bad):
     with pytest.raises(ValueError):
