@@ -63,8 +63,11 @@ def _write_atomic(path, write) -> None:
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            # name the file asked for, not its temporary sibling
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         raise
 
 

@@ -225,7 +225,11 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
                 if not s.all():
                     raise ValueError("UAV coincides with ground node (d = 0)")
                 d = np.sqrt(s).ravel().tolist()
-                w = np.fromiter(map(pow, d, repeat(-eta)), float, len(d))
+                try:
+                    w = np.fromiter(map(pow, d, repeat(-eta)), float, len(d))
+                except OverflowError:
+                    raise ValueError("UAV so close to a ground node that its path gain "
+                                     f"d**-eta overflows (eta={eta:g})") from None
                 np.minimum(nominal[rs, None], P_det / w.reshape(s.shape), out=out[rs, fs])
     return out.reshape(frames.shape[:-2] + (N,))
 

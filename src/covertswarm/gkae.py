@@ -14,7 +14,7 @@ import json
 import math
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -119,14 +119,6 @@ def _phase1_params(model: GkaeModel) -> list:
     return out
 
 
-def _set_phase1_params(model: GkaeModel, arrays: list) -> None:
-    it = iter(arrays)
-    for l in model.graph_encoder:
-        l.W_self, l.W_neigh, l.b = next(it), next(it), next(it)
-    for l in model.graph_decoder:
-        l.W, l.b = next(it), next(it)
-
-
 def _phase2_params(model: GkaeModel) -> list:
     out = []
     for l in model.koopman_encoder:
@@ -135,15 +127,6 @@ def _phase2_params(model: GkaeModel) -> list:
     for l in model.koopman_decoder:
         out += [l.W, l.b]
     return out
-
-
-def _set_phase2_params(model: GkaeModel, arrays: list) -> None:
-    it = iter(arrays)
-    for l in model.koopman_encoder:
-        l.W, l.b = next(it), next(it)
-    model.K = next(it)
-    for l in model.koopman_decoder:
-        l.W, l.b = next(it), next(it)
 
 
 def all_parameters(model: GkaeModel) -> list:
@@ -516,7 +499,7 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
     X, A, anchors = _stack_dataset(model, dataset, window)
     history = []
 
-    params = _phase1_params(model)
+    params = _phase1_params(model)  # the model's own arrays, updated in place
     state = AdamState.for_params(params, lr=cfg.lr)
     loss1 = math.nan
     for e in range(cfg.epochs_phase1):
@@ -524,8 +507,7 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
         total = cfg.alpha1 * loss1
         if not np.isfinite(total):
             raise TrainingDivergence(f"phase 1 loss diverged at epoch {e + 1}")
-        params, state = adam_step(params, grads, state)
-        _set_phase1_params(model, params)
+        adam_step(params, grads, state)
         history.append({"epoch": e + 1, "phase": 1, "L_grec": loss1,
                         "L_rec": math.nan, "L_pred": math.nan, "total": total})
 
@@ -544,8 +526,7 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
             total = cfg.alpha2 * (rec + pred)
             if not np.isfinite(total):
                 raise TrainingDivergence(f"phase 2 loss diverged at epoch {e + 1}")
-            params2, state2 = adam_step(params2, grads, state2)
-            _set_phase2_params(model, params2)
+            adam_step(params2, grads, state2)
             history.append({"epoch": cfg.epochs_phase1 + e + 1, "phase": 2,
                             "L_grec": grec_frozen, "L_rec": rec, "L_pred": pred,
                             "total": total})
@@ -572,24 +553,16 @@ def save_loss_csv(history: list, path) -> None:
 
 # --- checkpointing -----------------------------------------------------------
 
-def _dense_to_dict(l: DenseLayer) -> dict:
-    return {"W": l.W.tolist(), "b": l.b.tolist(), "activation": l.activation}
+def _layer_to_dict(layer) -> dict:
+    """A DenseLayer or SageLayer as {field: value} in field order, arrays as lists."""
+    return {f.name: getattr(layer, f.name) if f.name == "activation"
+            else getattr(layer, f.name).tolist() for f in fields(layer)}
 
 
-def _dense_from_dict(d: dict) -> DenseLayer:
-    return DenseLayer(np.asarray(d["W"], dtype=float), np.asarray(d["b"], dtype=float),
-                      d["activation"])
-
-
-def _sage_to_dict(l: SageLayer) -> dict:
-    return {"W_self": l.W_self.tolist(), "W_neigh": l.W_neigh.tolist(),
-            "b": l.b.tolist(), "activation": l.activation}
-
-
-def _sage_from_dict(d: dict) -> SageLayer:
-    return SageLayer(np.asarray(d["W_self"], dtype=float),
-                     np.asarray(d["W_neigh"], dtype=float),
-                     np.asarray(d["b"], dtype=float), d["activation"])
+def _layer_from_dict(cls, d: dict):
+    """The cls layer that _layer_to_dict wrote as d."""
+    return cls(**{f.name: d[f.name] if f.name == "activation"
+                  else np.asarray(d[f.name], dtype=float) for f in fields(cls)})
 
 
 def save_checkpoint(model: GkaeModel, path) -> None:
@@ -599,11 +572,11 @@ def save_checkpoint(model: GkaeModel, path) -> None:
                  "node_dim": model.node_dim},
         "norm": {"scale": model.norm.scale, "offset": list(model.norm.offset)},
         "params": {
-            "graph_encoder": [_sage_to_dict(l) for l in model.graph_encoder],
-            "koopman_encoder": [_dense_to_dict(l) for l in model.koopman_encoder],
+            "graph_encoder": [_layer_to_dict(l) for l in model.graph_encoder],
+            "koopman_encoder": [_layer_to_dict(l) for l in model.koopman_encoder],
             "K": model.K.tolist(),
-            "koopman_decoder": [_dense_to_dict(l) for l in model.koopman_decoder],
-            "graph_decoder": [_dense_to_dict(l) for l in model.graph_decoder],
+            "koopman_decoder": [_layer_to_dict(l) for l in model.koopman_decoder],
+            "graph_decoder": [_layer_to_dict(l) for l in model.graph_decoder],
         },
         "meta": model.meta,
     }
@@ -626,12 +599,12 @@ def _dim(dims: dict, key: str) -> int:
     return value
 
 
-def _layer_chain(params: dict, name: str, from_dict, n_in: int, n_out: int) -> list:
-    """params[name] as finite layers whose shapes chain n_in -> ... -> n_out."""
+def _layer_chain(params: dict, name: str, cls, n_in: int, n_out: int) -> list:
+    """params[name] as finite cls layers whose shapes chain n_in -> ... -> n_out."""
     layers = []
     for k, d in enumerate(params[name]):
         try:
-            layer = from_dict(d)
+            layer = _layer_from_dict(cls, d)
         except ValueError as exc:
             raise CheckpointError(f"checkpoint {name}[{k}]: {exc}") from exc
         for field, value in vars(layer).items():
@@ -671,15 +644,11 @@ def load_checkpoint(path) -> GkaeModel:
                                   f"(latent, latent) = {(latent, latent)}")
         _check_finite("K", K)
         model = GkaeModel(
-            graph_encoder=_layer_chain(params, "graph_encoder", _sage_from_dict,
-                                       d_out, node_dim),
-            koopman_encoder=_layer_chain(params, "koopman_encoder", _dense_from_dict,
-                                         embed, latent),
+            graph_encoder=_layer_chain(params, "graph_encoder", SageLayer, d_out, node_dim),
+            koopman_encoder=_layer_chain(params, "koopman_encoder", DenseLayer, embed, latent),
             K=K,
-            koopman_decoder=_layer_chain(params, "koopman_decoder", _dense_from_dict,
-                                         latent, embed),
-            graph_decoder=_layer_chain(params, "graph_decoder", _dense_from_dict,
-                                       node_dim, d_out),
+            koopman_decoder=_layer_chain(params, "koopman_decoder", DenseLayer, latent, embed),
+            graph_decoder=_layer_chain(params, "graph_decoder", DenseLayer, node_dim, d_out),
             L=L, d_out=d_out, latent=latent, node_dim=node_dim, norm=norm,
             meta=dict(doc.get("meta", {})),
         )

@@ -11,7 +11,7 @@ it is not given, so both ways return the same bits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -252,24 +252,24 @@ class AdamState:
                    v=[np.zeros_like(p) for p in params], step=0, lr=lr)
 
 
-def adam_step(params, grads, state: AdamState):
-    """One bias-corrected Adam update; returns (new_params, new_state)."""
-    if len(params) != len(grads) or len(params) != len(state.m):
+def adam_step(params, grads, state: AdamState) -> None:
+    """One bias-corrected Adam update of params and state, in place.  Every
+    length and shape is checked before anything is written."""
+    if not len(params) == len(grads) == len(state.m) == len(state.v):
         raise ValueError("params/grads/state length mismatch")
-    for p, g in zip(params, grads):
-        if p.shape != g.shape:
-            raise ValueError(f"param/grad shape mismatch {p.shape} vs {g.shape}")
-    t = state.step + 1
-    c1 = 1.0 - ADAM_BETA1 ** t
-    c2 = 1.0 - ADAM_BETA2 ** t
-    new_m, new_v, new_p = [], [], []
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * (g * g)
-        new_m.append(m)
-        new_v.append(v)
-        new_p.append(p - state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS))
-    return new_p, replace(state, m=new_m, v=new_v, step=t)
+        if not p.shape == g.shape == m.shape == v.shape:
+            raise ValueError(f"param/grad/moment shape mismatch {p.shape}, {g.shape}, "
+                             f"{m.shape}, {v.shape}")
+    state.step += 1
+    c1 = 1.0 - ADAM_BETA1 ** state.step
+    c2 = 1.0 - ADAM_BETA2 ** state.step
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + ADAM_EPS)
 
 
 def finite_difference_grads(loss_fn, params, h: float = 1e-6):

@@ -1,8 +1,11 @@
 """The library holds no test-only API: every public function, class, method
 and property of covertswarm is reached, directly or through names so reached,
 from the package's module-level statements, tests/test_acceptance.py or
-benchmarks/*.py.  Names match bare; imports (so __init__ re-exports) are no
-use, a string spelling a name is one (the benchmark wraps functions by name).
+benchmarks/*.py.  Nor does it hold dead private helpers: every module-level
+private function and class is named somewhere in src/, tests/ or
+benchmarks/ outside its own definition.  Names match bare; imports (so
+__init__ re-exports) are no use, a string spelling a name is one (the
+benchmark wraps functions by name).
 """
 
 import ast
@@ -62,3 +65,19 @@ def unused_public_names() -> list:
 
 def test_every_public_name_is_used_outside_unit_tests():
     assert unused_public_names() == []
+
+
+def unused_private_names() -> list:
+    src = sorted((ROOT / "src" / "covertswarm").glob("*.py"))
+    rest = [*sorted((ROOT / "tests").glob("*.py")), *sorted(ROOT.glob("benchmarks/*.py"))]
+    # every top-level statement of every file, with the names it references
+    stmts = [(path, node, names([node])) for path in src + rest
+             for node in ast.parse(path.read_text()).body]
+    return sorted(f"{path.stem}.{node.name}" for path, node, _ in stmts
+                  if path in src and isinstance(node, DEFS) and node.name.startswith("_")
+                  and not node.name.startswith("__")
+                  and not any(node.name in refs for _, other, refs in stmts if other is not node))
+
+
+def test_every_private_helper_is_used():
+    assert unused_private_names() == []

@@ -81,10 +81,12 @@ def test_simulate_invalid_config_exit_2(tmp_path):
                  "--quiet"]) == 2
 
 
-def test_simulate_unwritable_out_exit_3(tmp_path, sim_config):
+def test_simulate_unwritable_out_exit_3(tmp_path, sim_config, capsys):
     out = tmp_path / "missing_dir" / "o.csv"
     assert main(["simulate", "--config", sim_config, "--out", str(out),
                  "--quiet"]) == 3
+    # the message names the path given, not the temporary file beside it
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 def test_simulate_seed_override_reproducible(tmp_path):

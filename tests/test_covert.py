@@ -260,6 +260,23 @@ def test_bound_raises_when_squares_underflow_to_zero(uav):
         transmit_power_bound(net, frame, 1e-6, np.full(2, net.P_max))
 
 
+@pytest.mark.parametrize("api", ["transmit_power_bound", "detection_probability"])
+def test_bound_raises_when_path_gain_overflows(api):
+    # at eta = 3 a UAV 1e-110 m from a node has gain 1e330, past the float
+    # range; at 1e-100 m the gain 1e300 is finite and the bound is exact
+    net = GroundNetwork(np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]]), eta=3.0)
+    nominal = np.full(2, net.P_max)
+    near = np.array([[20.0, 30.0, 90.0], [1e-100, 0.0, 0.0]])
+    np.testing.assert_array_equal(transmit_power_bound(net, near, 1e-6, nominal),
+                                  brute_force_bound(net, near, 1e-6, nominal))
+    frame = np.array([[20.0, 30.0, 90.0], [1e-110, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="overflows"):
+        if api == "transmit_power_bound":
+            transmit_power_bound(net, frame, 1e-6, nominal)
+        else:
+            detection_probability([net], [near[None]], [frame[None]], CovertConfig(runs=1))
+
+
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 50), l=st.integers(1, 8),
        data=st.data())
 @settings(max_examples=50, deadline=None)

@@ -304,12 +304,13 @@ def test_mse_nonnegative(seed):
 
 def test_adam_zero_gradient_no_change():
     params = [np.array([1.0, -2.0]), np.array([[3.0]])]
+    before = [p.copy() for p in params]
     grads = [np.zeros(2), np.zeros((1, 1))]
     state = AdamState.for_params(params)
-    new_params, new_state = adam_step(params, grads, state)
-    for p, q in zip(params, new_params):
+    assert adam_step(params, grads, state) is None
+    for p, q in zip(params, before):
         np.testing.assert_array_equal(p, q)
-    assert new_state.step == 1
+    assert state.step == 1
 
 
 def test_adam_first_step_approx_sign():
@@ -317,8 +318,8 @@ def test_adam_first_step_approx_sign():
     g = np.array([0.3, -2.0, 5.0])
     params = [np.zeros(3)]
     state = AdamState.for_params(params, lr=1e-3)
-    new_params, _ = adam_step(params, [g], state)
-    np.testing.assert_allclose(new_params[0], -1e-3 * np.sign(g), rtol=1e-6)
+    adam_step(params, [g], state)
+    np.testing.assert_allclose(params[0], -1e-3 * np.sign(g), rtol=1e-6)
 
 
 def test_adam_deterministic_on_copies():
@@ -327,17 +328,68 @@ def test_adam_deterministic_on_copies():
     params = [rng.normal(size=(2, 2))]
     grads = [rng.normal(size=(2, 2))]
     state = AdamState.for_params(params, lr=0.01)
-    a, sa = adam_step([p.copy() for p in params], grads, copy.deepcopy(state))
-    b, sb = adam_step([p.copy() for p in params], grads, copy.deepcopy(state))
+    a, sa = [p.copy() for p in params], copy.deepcopy(state)
+    b, sb = [p.copy() for p in params], copy.deepcopy(state)
+    adam_step(a, grads, sa)
+    adam_step(b, grads, sb)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(sa.m[0], sb.m[0])
+    # the copies moved, the originals did not
+    assert not np.array_equal(a[0], params[0])
+    assert state.step == 0 and not state.m[0].any()
+
+
+def functional_adam(params, grads, m, v, t, lr):
+    """Reference Adam step that returns new arrays: (params, m, v, t)."""
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    t += 1
+    c1, c2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+    m = [b1 * mk + (1.0 - b1) * g for mk, g in zip(m, grads)]
+    v = [b2 * vk + (1.0 - b2) * (g * g) for vk, g in zip(v, grads)]
+    params = [p - lr * (mk / c1) / (np.sqrt(vk / c2) + nn.ADAM_EPS)
+              for p, mk, vk in zip(params, m, v)]
+    return params, m, v, t
+
+
+def test_adam_in_place_matches_functional_reference_bit_for_bit():
+    rng = np.random.default_rng(12)
+    params = [rng.normal(size=(8, 16)), rng.normal(size=16), rng.normal(size=(1, 1))]
+    state = AdamState.for_params(params, lr=3e-3)
+    ref = [p.copy() for p in params]
+    m = [np.zeros_like(p) for p in params]
+    v = [np.zeros_like(p) for p in params]
+    t = 0
+    for _ in range(7):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 3), size=p.shape) for p in params]
+        adam_step(params, grads, state)
+        ref, m, v, t = functional_adam(ref, grads, m, v, t, 3e-3)
+    assert state.step == t == 7
+    for got, want in zip(params + state.m + state.v, ref + m + v):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_adam_shape_mismatch():
-    params = [np.zeros(2)]
-    state = AdamState.for_params(params)
-    with pytest.raises(ValueError):
-        adam_step(params, [np.zeros(3)], state)
+    # each fault sits in the last array, so a check made after a write
+    # would leave the first one changed
+    for case in ("grad shape", "grad count", "moment count", "moment shape"):
+        params = [np.ones(2), np.ones(3)]
+        grads = [np.ones(2), np.ones(3)]
+        state = AdamState.for_params(params)
+        adam_step(params, grads, state)
+        if case == "grad shape":
+            grads[-1] = np.ones(4)
+        elif case == "grad count":
+            grads.append(np.ones(1))
+        elif case == "moment count":
+            state.v.pop()
+        else:
+            state.m[-1] = np.zeros(4)
+        before = [a.copy() for a in params + state.m + state.v]
+        with pytest.raises(ValueError, match="mismatch"):
+            adam_step(params, grads, state)
+        for a, b in zip(params + state.m + state.v, before):
+            assert a.tobytes() == b.tobytes(), case
+        assert state.step == 1, case
 
 
 # --- grad_check ---------------------------------------------------------------------
