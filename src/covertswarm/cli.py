@@ -11,6 +11,7 @@ failure during training or prediction.
 from __future__ import annotations
 
 import argparse
+import errno
 import hashlib
 import json
 import os
@@ -82,6 +83,14 @@ def _sha256(path) -> str:
 def _require_file(path, what: str) -> None:
     if not Path(path).is_file():
         raise ValueError(f"{what} not found: {path}")
+
+
+def _require_out_dirs(*paths) -> None:
+    """Fail before any work with the error writing each output file would
+    give, when its directory is missing."""
+    for path in paths:
+        if path is not None and not Path(path).parent.is_dir():
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
 
 
 def _load_json(path) -> dict:
@@ -187,6 +196,7 @@ def _say(args, msg: str) -> None:
 # --- simulate ----------------------------------------------------------------
 
 def cmd_simulate(args, outputs: _Outputs) -> None:
+    _require_out_dirs(args.out)
     cfg_dict = _known(_load_json(args.config), "simulate config",
                       _field_types(swarm.SwarmConfig))
     if args.seed is not None:
@@ -252,6 +262,7 @@ def _sequence_spec(seq: graphs.GraphSequence) -> dict:
 
 
 def cmd_train(args, outputs: _Outputs) -> None:
+    _require_out_dirs(args.out, args.loss_csv)
     cfg_dict = _known(_load_json(args.config), "train config",
                       _field_types(gkae.TrainConfig))
     if args.seed is not None:
@@ -310,6 +321,7 @@ def _finite_difference_velocities(origin: np.ndarray, pred: np.ndarray,
 
 
 def cmd_predict(args, outputs: _Outputs) -> None:
+    _require_out_dirs(args.out, args.errors_out)
     _require_file(args.checkpoint, "checkpoint")
     _require_file(args.trajectory, "trajectory file")
     model = gkae.load_checkpoint(args.checkpoint)
@@ -384,6 +396,7 @@ def _save_errors_csv(cols: dict, path) -> None:
 # --- eval-covert -------------------------------------------------------------
 
 def cmd_eval_covert(args, outputs: _Outputs) -> None:
+    _require_out_dirs(args.out)
     _require_file(args.checkpoint, "checkpoint")
     model = gkae.load_checkpoint(args.checkpoint)
     cfg = _known(_load_json(args.config), "eval-covert config",

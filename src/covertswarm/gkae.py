@@ -164,7 +164,9 @@ def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
     depends on R; the same inputs always give the same bits.
     """
     steps = np.asarray(steps)
-    if steps.ndim != 1 or steps.size == 0 or steps[0] < 1 or (np.diff(steps) <= 0).any():
+    # a fractional or bool step would leave rows of Z unwritten
+    if steps.dtype.kind not in "iu" or steps.ndim != 1 or steps.size == 0 \
+            or steps[0] < 1 or (np.diff(steps) <= 0).any():
         raise ValueError("steps must be increasing step indices >= 1")
     features = np.asarray(features, dtype=float)
     R = features.shape[0]
@@ -199,8 +201,8 @@ def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: in
 
     Returns (horizon_steps, L, d_out) positions in meters.
     """
-    if horizon_steps < 1:
-        raise ValueError(f"horizon_steps must be >= 1, got {horizon_steps}")
+    if not isinstance(horizon_steps, (int, np.integer)) or horizon_steps < 1:
+        raise ValueError(f"horizon_steps must be an integer >= 1, got {horizon_steps!r}")
     _check_graph(model, snapshot)
     return rollout_batch(model, snapshot.features[None], snapshot.adjacency[None],
                          np.arange(1, horizon_steps + 1))[0]

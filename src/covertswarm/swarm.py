@@ -104,7 +104,7 @@ def init_swarm(config: SwarmConfig, rng: np.random.Generator) -> Frame:
 
 
 def _neighbour_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of terms[:, :, j] over the neighbours j, (3, L, L, ...) -> (3, L, ...).
+    """Sum of terms[:, :, j] over the neighbours j, (C, L, L, ...) -> (C, L, ...).
 
     The neighbours are added one at a time from +0.0, in the order of a
     matrix product or of a sum over a non-innermost axis.  terms.sum(axis=2)
@@ -131,16 +131,18 @@ def _zone_forces(positions: np.ndarray, velocities: np.ndarray, config: SwarmCon
     # np.linalg.norm's order over a length-3 axis; sq[0] + (sq[1] + sq[2]) differs
     dist = np.sqrt((sq[0] + sq[1]) + sq[2])
     # The diagonal needs no mask: at distance 0 it lies in repulsion, where
-    # its u_i - u_i = +0.0 adds nothing.
-    f_rep = _neighbour_sum(disp * (dist < config.r_rep))
+    # its u_i - u_i = +0.0 adds nothing.  Repulsion and attraction both sum
+    # displacements, so one pass over (2 * 3, L, L, ...) terms sums both.
+    bands = np.stack((dist < config.r_rep,
+                      (dist >= max(config.r_rep, config.r_ali)) & (dist < config.r_att)))
+    terms = disp * bands[:, None]
+    acc = _neighbour_sum(terms.reshape((6,) + dist.shape)).reshape((2,) + positions.shape)
     if config.r_ali > config.r_rep:
         in_ali = (dist >= config.r_rep) & (dist < config.r_ali)
         f_ori = _neighbour_sum(velocities[:, None] * in_ali)
     else:  # an empty band: every term would be 0 * v_j, summing to +0.0
         f_ori = np.zeros_like(velocities)
-    in_att = (dist >= max(config.r_rep, config.r_ali)) & (dist < config.r_att)
-    f_att = -_neighbour_sum(disp * in_att)
-    return f_rep, f_ori, f_att
+    return acc[0], f_ori, -acc[1]
 
 
 def limit_speed(v: np.ndarray, v_max: float) -> np.ndarray:
@@ -153,19 +155,6 @@ def limit_speed(v: np.ndarray, v_max: float) -> np.ndarray:
     with np.errstate(invalid="ignore"):
         scaled = np.minimum(n, v_max) / n * v
     return np.where(n == 0.0, 0.0, scaled)
-
-
-def _heading(v: np.ndarray) -> np.ndarray:
-    """Horizontal heading atan2(v_y, v_x) of coordinate-first (3, ...) vectors.
-
-    np.arctan2 differs from the C library's atan2 in the last bit on a few
-    percent of inputs; headings go through math.atan2 so that trajectories
-    do not depend on numpy's SIMD kernels.  Mapping it over Python floats
-    costs less than a np.frompyfunc ufunc does.
-    """
-    y, x = v[1], v[0]
-    return np.fromiter(map(math.atan2, y.ravel().tolist(), x.ravel().tolist()),
-                       float, y.size).reshape(y.shape)
 
 
 def limit_turning(
@@ -183,16 +172,26 @@ def limit_turning(
     horizontally-zero current velocity adopts the desired heading without
     clamping.  With preserve_vertical the desired vertical component is
     carried through and the result is rescaled back under the speed cap.
+
+    Both headings atan2(v_y, v_x) are the imaginary part of the complex
+    log of v_x + i v_y (C99 Annex G).  numpy's complex log is a loop over
+    the C library's clog, and glibc's clog takes that part from the atan2
+    that math.atan2 calls, so the headings equal math.atan2's to the bit;
+    np.arctan2's SIMD kernels differ in the last bit on some inputs.  That
+    rests on the numpy and C library in use; tests/test_swarm.py checks it.
     """
     v_current = np.asarray(v_current, dtype=float)
     v_desired = np.asarray(v_desired, dtype=float)
-    phi_cur = _heading(v_current)
-    phi_des = _heading(v_desired)
+    z = np.empty((2,) + v_current.shape[1:], complex)  # current, desired
+    z.real[0], z.real[1] = v_current[0], v_desired[0]
+    z.imag[0], z.imag[1] = v_current[1], v_desired[1]
+    with np.errstate(divide="ignore"):  # log(0) is -inf, its imaginary part atan2(+-0, +-0)
+        phi_cur, phi_des = np.log(z).imag
     dphi = (phi_des - phi_cur + math.pi) % (2.0 * math.pi) - math.pi
     phi = phi_cur + np.minimum(np.maximum(dphi, -theta_max), theta_max)
-    cur_zero = (v_current[0] == 0.0) & (v_current[1] == 0.0)
-    des_zero = (v_desired[0] == 0.0) & (v_desired[1] == 0.0)
-    phi = np.where(cur_zero, phi_des, np.where(des_zero, phi_cur, phi))
+    zero = z == 0.0  # horizontally-zero current, desired velocities
+    if zero.any():
+        phi = np.where(zero[0], phi_des, np.where(zero[1], phi_cur, phi))
     out = np.empty((3,) + phi.shape)
     out[0] = v_max * np.cos(phi)
     out[1] = v_max * np.sin(phi)
@@ -239,8 +238,9 @@ def simulate_batch(config: SwarmConfig, seeds, frames=None):
     if frames is None:
         frames = np.arange(config.n_steps + 1)
     frames = np.asarray(frames)
-    if frames.ndim != 1 or frames.size == 0 or frames[0] < 0 \
-            or (np.diff(frames) <= 0).any():
+    # a fractional or bool index would leave rows of the outputs unwritten
+    if frames.dtype.kind not in "iu" or frames.ndim != 1 or frames.size == 0 \
+            or frames[0] < 0 or (np.diff(frames) <= 0).any():
         raise ValueError("frames must be increasing indices >= 0")
     starts = [init_swarm(config, np.random.default_rng(s)) for s in seeds]
     frame = Frame(np.stack([f.positions for f in starts]),

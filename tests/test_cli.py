@@ -210,6 +210,28 @@ def test_train_divergence_exit_4(tmp_path, trained):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("command, flag", [("train", "--out"), ("train", "--loss-csv"),
+                                           ("eval-covert", "--out")])
+def test_missing_output_directory_exit_3_before_any_work(tmp_path, trained, capsys,
+                                                         monkeypatch, command, flag):
+    def reached(*args, **kwargs):
+        raise AssertionError("ran before checking the output directories")
+    for module, name in [(gkae, "train"), (swarm, "simulate_batch"),
+                         (gkae, "load_checkpoint"), (graphs, "load_sequence_json")]:
+        monkeypatch.setattr(module, name, reached)
+    if command == "train":
+        argv = ["train", "--data", str(trained["root"] / "data"),
+                "--config", trained["tr_cfg"]]
+    else:
+        argv = ["eval-covert", "--checkpoint", trained["ckpt"],
+                "--config", eval_config(tmp_path, [0.5], [4])]
+    missing = tmp_path / "missing" / "o.csv"
+    outs = {"--out": str(tmp_path / "o.csv"), flag: str(missing)}
+    assert main(argv + [a for kv in outs.items() for a in kv] + ["--quiet"]) == 3
+    assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert not (tmp_path / "o.csv").exists()
+
+
 def set_at(*keys, value):
     """An edit that sets doc[k0][k1]... = value."""
     def edit(doc):

@@ -210,6 +210,9 @@ def test_rollout_frame_count():
     model = build_model(2, seed=5)
     snap = random_snapshot(np.random.default_rng(10), L=2)
     assert rollout_predict(model, snap, 7).shape == (7, 2, 3)
+    for bad in (0, 7.0, 7.5):  # 7.5 once gave 8 frames
+        with pytest.raises(ValueError, match="horizon_steps must be an integer >= 1"):
+            rollout_predict(model, snap, bad)
 
 
 def test_rollout_latent_linearity_consistency():
@@ -286,7 +289,8 @@ def test_rollout_batch_rejects_non_finite_output():
         rollout_batch(model, X, A, [10, 20, 30])
 
 
-@pytest.mark.parametrize("steps", [[], [0, 1], [3, 3], [5, 2], [[1, 2]]])
+@pytest.mark.parametrize("steps", [[], [0, 1], [3, 3], [5, 2], [[1, 2]], [1.5, 2.5], [1.0, 2.0],
+                                   [True], np.array([1, 2], dtype=np.float32)])
 def test_rollout_batch_rejects_bad_steps(steps):
     model = build_model(3, seed=5)
     X, A, _ = start_frames(np.random.default_rng(34), 2)

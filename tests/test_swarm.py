@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -227,7 +228,53 @@ def test_limit_turning_preserve_vertical_respects_speed_cap():
     assert math.atan2(out[1], out[0]) == pytest.approx(0.0, abs=1e-12)
 
 
+def edge_pairs():
+    edges = [0.0, 5e-324, 1e-310, 1.0, 20.0, 1e308, math.inf]
+    edges += [-e for e in edges]
+    return np.array([(x, y) for x in edges for y in edges]).T
+
+
+def wide_pairs():
+    rng = np.random.default_rng(1914)
+    return rng.standard_normal((2, 10 ** 5)) * 10.0 ** rng.uniform(-300.0, 300.0, (2, 10 ** 5))
+
+
+@pytest.mark.parametrize("pairs", [edge_pairs, wide_pairs])
+def test_headings_are_math_atan2_to_the_bit(pairs, monkeypatch):
+    # limit_turning takes headings from numpy's complex log, on the
+    # assumption that it runs the C library's atan2 as math.atan2 does;
+    # a numpy or libm that breaks it must fail here, not shift trajectories.
+    # With the other velocity horizontally zero the unclamped heading is
+    # what reaches np.cos, so the test reads it there.
+    x, y = pairs()
+    want = np.array(list(map(math.atan2, y.tolist(), x.tolist())))
+    seen, cos = [], np.cos
+
+    def recording_cos(phi):
+        seen.append(phi.copy())
+        return cos(phi)
+
+    monkeypatch.setattr(np, "cos", recording_cos)
+    v = np.stack([x, y, np.zeros_like(x)])
+    limit_turning(np.zeros_like(v), v, 1.0, math.pi)  # the desired heading
+    limit_turning(v, np.zeros_like(v), 1.0, math.pi)  # the current heading
+    is_zero = (x == 0.0) & (y == 0.0)  # both zero: the desired heading atan2(+0, +0)
+    assert same_bits(seen[0], want)
+    assert same_bits(seen[1], np.where(is_zero, 0.0, want))
+
+
 # --- step ------------------------------------------------------------------------
+
+def test_step_with_zero_horizontal_velocities_warns_nothing():
+    cfg = small_config(L=1)
+    velocities = np.array([[[0.0, 0.0, 5.0]], [[-0.0, 0.0, 0.0]], [[0.0, -0.0, -3.0]],
+                           [[20.0, 0.0, 0.0]]])
+    frame = Frame(np.full((4, 1, 3), 100.0), velocities)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = step(frame, cfg)
+    assert same_bits(out.velocities[:, 0, :2], np.array([[20.0, 0.0]] * 4))
+
 
 def test_step_single_uav_integrates_position():
     cfg = small_config(L=1, dt=0.1)
@@ -501,7 +548,8 @@ def test_simulate_batch_equals_one_simulate_per_seed():
     assert np.array_equal(kept, longer[:, frames])
 
 
-@pytest.mark.parametrize("frames", [[], [3, 3], [4, 2], [-1, 2], [[1, 2]]])
+@pytest.mark.parametrize("frames", [[], [3, 3], [4, 2], [-1, 2], [[1, 2]], [0.5, 2], [0.0, 2.0],
+                                    [False, True]])
 def test_simulate_batch_rejects_bad_frames(frames):
     with pytest.raises(ValueError, match="increasing"):
         simulate_batch(small_config(), [0], frames)
