@@ -15,13 +15,14 @@ d = sqrt((dx*dx + dy*dy) + dz*dz) and the largest path gain d ** -eta:
 - the minimum over UAVs comes before the sqrt: sqrt is correctly rounded
   and monotone, so sqrt(min s) == min sqrt(s), and min s is 0 exactly when
   some distance is;
-- one scalar libm pow per node and frame, on the nearest distance: libm pow
-  is monotone, so the largest gain is that of the smallest d, and it is
-  scalar because numpy's SIMD pow differs from libm in the last bit on a
-  fraction of inputs.
+- one libm pow per node and frame, on the nearest distance: libm pow is
+  monotone, so the largest gain is that of the smallest d.  np.float_power
+  has no SIMD loop for float64, so it calls libm's pow once per element as
+  the loop does (tests/test_covert.py pins this); np.power's SIMD loop and
+  1 / d differ from libm in the last bit on a fraction of inputs.
 Nominal powers take each node's distance to its M_bar-th nearest neighbour
 the same way: an order statistic of squared distances, then one sqrt and
-one scalar pow per node.
+one libm pow per node.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 
 import numpy as np
 
@@ -75,6 +75,9 @@ class GroundNetwork:
         if not (0 <= self.eta < math.inf and 0 <= self.eta_t < math.inf):
             raise ValueError(f"path-loss exponents must be finite and >= 0, "
                              f"got eta={self.eta}, eta_t={self.eta_t}")
+        if isinstance(self.M_bar, bool) or not isinstance(self.M_bar, (int, np.integer)) \
+                or self.M_bar < 0:
+            raise ValueError(f"M_bar must be an integer >= 0, got {self.M_bar!r}")
 
     @property
     def n_nodes(self) -> int:
@@ -101,8 +104,8 @@ class CovertConfig:
     def __post_init__(self):
         if not 0 < self.lambda_ < 1:
             raise ValueError(f"lambda must be in (0, 1), got {self.lambda_}")
-        if not self.P_det > 0:
-            raise ValueError(f"P_det must be > 0, got {self.P_det}")
+        if not 0 < self.P_det < math.inf:
+            raise ValueError(f"P_det must be finite and > 0, got {self.P_det}")
         if not self.horizon_s > 0:
             raise ValueError(f"horizon_s must be > 0, got {self.horizon_s}")
         if not self.report_interval_s > 0:
@@ -152,8 +155,10 @@ def nominal_powers(net: GroundNetwork) -> np.ndarray:
         s += t
         np.fill_diagonal(s[:, i:], np.inf)
         s_m[i:i + rows] = np.partition(s, k, axis=1)[:, k]
-    # one numpy scalar pow per node: libm's, and inf with a warning on overflow
-    p = net.gamma_t * net.N0 * np.array([d ** net.eta_t for d in np.sqrt(s_m)])
+    # libm's pow per node; a power that overflows is inf, and the capped
+    # warning below names its node, so numpy's own warning would add nothing
+    with np.errstate(over="ignore"):
+        p = net.gamma_t * net.N0 * np.float_power(np.sqrt(s_m, out=s_m), net.eta_t)
     for i in np.flatnonzero(p > net.P_max):
         warnings.warn(
             f"node {i}: required power {p[i]:.3g} W exceeds P_max={net.P_max} W; capped",
@@ -175,6 +180,8 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
         raise ValueError(f"UAV frames must be (..., L, 3) with L >= 1, got {frames.shape}")
     if not np.isfinite(frames).all():
         raise ValueError("UAV frames have non-finite coordinates")
+    if not 0 < P_det < math.inf:
+        raise ValueError(f"P_det must be finite and > 0, got {P_det}")
     R, L = frames.shape[0], frames.shape[-2]
     if isinstance(nets, GroundNetwork):
         nets = [nets]
@@ -192,7 +199,7 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
         nominal = np.asarray(nominal, dtype=float)
         if nominal.shape not in ((N,), (R, N)):
             raise ValueError(f"nominal must be ({N},) or ({R}, {N}), got {nominal.shape}")
-        if np.any(nominal < 0) or np.any(nominal > P_max):
+        if not ((nominal >= 0) & (nominal <= P_max)).all():
             raise ValueError("nominal powers must lie in [0, P_max]")
     # (R, 2, N) node x and y and (R, N) nominal powers, views when shared;
     # nodes sit at z = +-0, so a UAV's dz*dz is its own z*z, bit for bit
@@ -207,7 +214,8 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
     # (runs, frames, L, N) squared distances; a finite UAV about 1e154 m or
     # more away overflows its distance to inf and its path gain to 0, so
     # P_det / w is inf: that UAV caps nothing, which is the right limit,
-    # and the overflow and divide warnings say nothing
+    # and the overflow and divide warnings say nothing; a gain that
+    # overflows to inf is an error, raised below
     with np.errstate(over="ignore", divide="ignore"):
         uz2 = uav[2] * uav[2]
         for r in range(0, R, n_runs):
@@ -224,13 +232,11 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
                 s = s.min(axis=2)
                 if not s.all():
                     raise ValueError("UAV coincides with ground node (d = 0)")
-                d = np.sqrt(s).ravel().tolist()
-                try:
-                    w = np.fromiter(map(pow, d, repeat(-eta)), float, len(d))
-                except OverflowError:
+                w = np.float_power(np.sqrt(s, out=s), -eta, out=s)
+                if np.isinf(w).any():
                     raise ValueError("UAV so close to a ground node that its path gain "
-                                     f"d**-eta overflows (eta={eta:g})") from None
-                np.minimum(nominal[rs, None], P_det / w.reshape(s.shape), out=out[rs, fs])
+                                     f"d**-eta overflows (eta={eta:g})")
+                np.minimum(nominal[rs, None], np.divide(P_det, w, out=w), out=out[rs, fs])
     return out.reshape(frames.shape[:-2] + (N,))
 
 

@@ -5,10 +5,12 @@ benchmarks/*.py.  Nor does it hold dead private helpers: every module-level
 private function and class is named somewhere in src/, tests/ or
 benchmarks/ outside its own definition.  Names match bare; imports (so
 __init__ re-exports) are no use, a string spelling a name is one (the
-benchmark wraps functions by name).
+benchmark wraps functions by name).  Nor does it import anything beyond
+numpy, the standard library and itself, or any name it does not use.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -81,3 +83,33 @@ def unused_private_names() -> list:
 
 def test_every_private_helper_is_used():
     assert unused_private_names() == []
+
+
+def imports(tree):
+    """(module, bound name) for every import in tree, at any depth; a
+    relative import's module is its package, covertswarm."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((a.name, a.asname or a.name.split(".")[0]) for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            module = "covertswarm" if node.level else node.module
+            yield from ((module, a.asname or a.name) for a in node.names)
+
+
+def import_faults() -> list:
+    allowed = sys.stdlib_module_names | {"numpy", "covertswarm"}
+    out = []
+    for path in sorted((ROOT / "src" / "covertswarm").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for module, name in imports(tree):
+            if module.split(".")[0] not in allowed:
+                out.append(f"{path.name} imports {module}")
+            if path.name != "__init__.py" and name not in used:  # __init__ re-exports
+                out.append(f"{path.name} never uses {name}")
+    return out
+
+
+def test_src_imports_only_numpy_and_the_standard_library_and_uses_each_name():
+    # numpy and the standard library are the only runtime dependencies
+    assert import_faults() == []

@@ -541,6 +541,18 @@ def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
         (lam, n, report.cell(lam, n).p_det) for n in (6, 4) for lam in (0.5, 0.9)]
 
 
+def test_eval_covert_negative_m_bar_exit_2(tmp_path, trained, capsys):
+    # M_bar = -2 made every nominal power 0 W, so every cell reported P_det 0
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5], runs=2)).read_text())
+    doc["use_nominal_power"] = True
+    doc["ground"]["M_bar"] = -2
+    cfg = write_json(tmp_path / "eval.json", doc)
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(tmp_path / "agg.csv"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: M_bar must be an integer >= 0, got -2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+
+
 def test_eval_covert_burn_in_matches_the_engine(tmp_path, trained):
     # after a 1 s burn-in, frame 10 is the start frame and frames 20, 30, 40
     # are the truth at the checks

@@ -119,6 +119,25 @@ def test_nominal_power_capped_with_warning():
         f"node {i}: required power 40 W exceeds P_max=20.0 W; capped" for i in (0, 1)]
 
 
+def test_nominal_power_overflow_warns_only_the_capped_nodes():
+    # each power, about (1e120)^3, overflows to inf; the capped warnings
+    # name each node, and numpy adds none of its own
+    pos = np.array([[0.0, 0.0, 0.0], [1e120, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    net = GroundNetwork(pos, eta_t=3.0, M_bar=2, P_max=20.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.testing.assert_array_equal(nominal_powers(net), [20.0, 20.0, 20.0])
+    assert [str(w.message) for w in caught] == [
+        f"node {i}: required power inf W exceeds P_max=20.0 W; capped" for i in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("M_bar", [-2, -1, 1.0, 2.5, True, "3", None])
+def test_ground_network_rejects_m_bar_other_than_a_whole_number(M_bar):
+    # M_bar = -2 gave every node a nominal power of 0 W and every cell P_det 0
+    with pytest.raises(ValueError, match="M_bar must be an integer >= 0"):
+        GroundNetwork(np.zeros((4, 3)), M_bar=M_bar)
+
+
 def test_nominal_power_rejects_m_bar_too_large():
     net = grid_network(4, M_bar=4)
     with pytest.raises(ValueError):
@@ -214,6 +233,73 @@ def squared_distance(node, uav):
     """The per-pair loop's squared distance."""
     dx, dy, dz = node[0] - uav[0], node[1] - uav[1], node[2] - uav[2]
     return dx * dx + dy * dy + dz * dz
+
+
+def same_bits(a, b):
+    """Equal to the bit, so that 0.0 and -0.0 differ, as they do in a CSV."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def pow_or_inf(x, y):
+    """Python's pow, which is libm's on floats, with inf where it raises for
+    an overflow (or the pole at x = 0)."""
+    try:
+        return pow(x, y)
+    except (OverflowError, ZeroDivisionError):
+        return math.inf
+
+
+def edge_powers():
+    d = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e-200, 1.5e-154, 0.5, 1.0,
+         2.0, 20.0, 1e154, 1e200, 1.7976931348623157e308, math.inf]
+    e = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 2.7, 3.0, 1e300, 1.7976931348623157e308]
+    return np.array([(x, y) for x in d for y in e + [-y for y in e]]).T
+
+
+def wide_powers():
+    rng = np.random.default_rng(1915)
+    d = np.abs(rng.standard_normal(10 ** 5)) * 10.0 ** rng.uniform(-300.0, 300.0, 10 ** 5)
+    e = np.array([0.0, 0.5, 1.0, 2.0, 2.7, 3.0])
+    e = np.concatenate([e, -e])
+    return np.tile(d, e.size), np.repeat(e, d.size)
+
+
+@pytest.mark.parametrize("powers", [edge_powers, wide_powers])
+def test_float_power_is_libm_pow_to_the_bit(powers):
+    # the power bound and nominal_powers take path gains from np.float_power
+    # on the assumption that numpy has no SIMD loop for it on float64 and so
+    # calls the C library's pow per element, as Python's pow does (np.power's
+    # SIMD loop differs in the last bit); a numpy or libm that breaks it must
+    # fail here, not shift bounds
+    d, e = powers()
+    want = np.array(list(map(pow_or_inf, d.tolist(), e.tolist())))
+    with np.errstate(all="ignore"):
+        got = np.float_power(d, e)
+    assert same_bits(got, want), (
+        "np.float_power is no longer libm's pow bit for bit: the power bound's "
+        "exactness rests on this numpy/libm assumption")
+
+
+def test_bound_and_nominal_powers_take_their_pow_from_float_power(monkeypatch):
+    # the pin above holds for the kernel only while it calls np.float_power
+    seen, float_power = [], np.float_power
+
+    def recording_float_power(x, y, **kwargs):
+        x = np.array(x)  # a copy: the kernel writes the gains over the distances
+        out = float_power(x, y, **kwargs)
+        seen.append((x, y, out.copy()))
+        return out
+
+    monkeypatch.setattr(np, "float_power", recording_float_power)
+    rng = np.random.default_rng(3)
+    net = GroundNetwork.uniform_random(40, 500.0, rng, eta=2.7, eta_t=1.3)
+    frames = np.column_stack([rng.uniform(0, 500, (12, 2)), rng.uniform(50, 150, 12)])
+    transmit_power_bound(net, frames.reshape(4, 3, 3), 1e-6, nominal_powers(net))
+    assert [y for _, y, _ in seen] == [1.3, -2.7], \
+        "nominal_powers or the power bound no longer takes its pow from np.float_power"
+    for x, y, out in seen:
+        assert same_bits(out, np.array([pow(v, y) for v in x.ravel().tolist()])
+                         .reshape(x.shape))
 
 
 @pytest.mark.parametrize("eta", [0.0, 0.5, 1.0, 2.7])
@@ -335,6 +421,28 @@ def test_bound_validates_inputs():
         transmit_power_bound(net, np.array([[0.0, 0.0, 0.0]]), 1e-6, np.array([20.0]))
     with pytest.raises(ValueError):
         transmit_power_bound(net, np.array([[0.0, 0.0, 100.0]]), 1e-6, np.array([25.0]))
+
+
+@pytest.mark.parametrize("nominal", [[math.nan, 1.0], [1.0, -math.nan]])
+def test_bound_rejects_nan_nominal_power(nominal):
+    # a NaN nominal power passed the range check: its node's bound was NaN,
+    # and detection_probability flagged that node False
+    net = grid_network(2, eta=1.0)
+    frame = np.array([[20.0, 30.0, 90.0]])
+    with pytest.raises(ValueError, match=r"nominal powers must lie in \[0, P_max\]"):
+        transmit_power_bound(net, frame, 1e-6, np.array(nominal))
+    with pytest.raises(ValueError, match=r"nominal powers must lie in \[0, P_max\]"):
+        detection_probability([net], [frame[None]], [frame[None]], CovertConfig(runs=1),
+                              [nominal])
+
+
+@pytest.mark.parametrize("P_det", [0.0, -1e-6, math.nan, math.inf, -math.inf])
+def test_bound_rejects_p_det_not_finite_and_positive(P_det):
+    # -1e-6 gave negative bounds and NaN gave NaN bounds, silently
+    net = grid_network(2, eta=1.0)
+    frame = np.array([[20.0, 30.0, 90.0]])
+    with pytest.raises(ValueError, match="P_det must be finite and > 0"):
+        transmit_power_bound(net, frame, P_det, np.full(2, net.P_max))
 
 
 def test_ground_network_validation():
@@ -630,8 +738,9 @@ def test_covert_config_validation():
         CovertConfig(lambda_=0.0)
     with pytest.raises(ValueError):
         CovertConfig(lambda_=1.0)
-    with pytest.raises(ValueError):
-        CovertConfig(P_det=0.0)
+    for P_det in (0.0, -1e-6, math.nan, math.inf):
+        with pytest.raises(ValueError, match="P_det must be finite and > 0"):
+            CovertConfig(P_det=P_det)
     with pytest.raises(ValueError):
         CovertConfig(runs=0)
 
