@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 from .swarm import SwarmConfig, Trajectory, simulate, simulate_batch  # noqa: F401
 from .graphs import (  # noqa: F401
     GraphSequence,
-    GraphSnapshot,
     NormalizationSpec,
     build_snapshot,
     normalize,

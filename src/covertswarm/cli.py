@@ -314,6 +314,15 @@ def cmd_train(args, outputs: _Outputs) -> None:
 
 # --- predict -----------------------------------------------------------------
 
+def _forecast(model: gkae.GkaeModel, start_frames_m: np.ndarray, steps) -> np.ndarray:
+    """The model's forecast from each (L, 3) start frame in meters, graphed
+    at the checkpoint's d_tilde: (R, len(steps), L, 3) meters."""
+    d_tilde = float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
+    return gkae.rollout_batch(model, model.norm.apply(start_frames_m),
+                              graphs.adjacency_from_positions(start_frames_m, d_tilde),
+                              steps)
+
+
 def _finite_difference_velocities(origin: np.ndarray, pred: np.ndarray,
                                   dt: float) -> np.ndarray:
     stacked = np.concatenate([origin[None], pred])
@@ -352,10 +361,7 @@ def cmd_predict(args, outputs: _Outputs) -> None:
             raise ValueError("replay file shorter than the requested horizon")
         pred = pred[:steps]
     else:
-        d_tilde = float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
-        snap = graphs.build_snapshot(positions[0], d_tilde)
-        snap = graphs.normalize_snapshot(snap, model.norm)
-        pred = gkae.rollout_predict(model, snap, steps)
+        pred = _forecast(model, positions[:1], np.arange(1, steps + 1))[0]
 
     pred_traj = swarm.Trajectory(
         positions=pred,
@@ -405,7 +411,7 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
                   "use_nominal_power": bool}, required=("swarm",))
     swarm_cfg = _swarm_section(cfg)
     covert_dict = dict(_known(cfg.get("covert", {}), "covert section",
-                              {"lambda": float, **_field_types(cv.CovertConfig)}))
+                              {"lambda": float, **_field_types(cv.CovertConfig, "lambda_")}))
     if "lambda" in covert_dict:
         covert_dict["lambda_"] = covert_dict.pop("lambda")
     if args.seed is not None:
@@ -434,17 +440,13 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     skip = _whole_steps(float(cfg.get("burn_in_s", 0.0)), dt, "burn_in_s",
                         allow_zero=True)
     n_max = max(n_grid)
-    d_tilde = float(model.meta.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
 
     t0 = time.monotonic()
     # every run is stepped together; only the start frame and the check frames are kept
     seeds = range(covert_cfg.seed, covert_cfg.seed + covert_cfg.runs)
     positions, _ = swarm.simulate_batch(replace(swarm_cfg, L=model.L), seeds,
                                         np.concatenate([[skip], skip + check_steps]))
-    start = positions[:, 0]
-    pred_runs = gkae.rollout_batch(model, model.norm.apply(start),
-                                   graphs.adjacency_from_positions(start, d_tilde),
-                                   check_steps)
+    pred_runs = _forecast(model, positions[:, 0], check_steps)
     nets = [cv.GroundNetwork.uniform_random(
         n_max, area, np.random.default_rng([covert_cfg.seed, r, 1]), **ground)
         for r in range(covert_cfg.runs)]

@@ -85,6 +85,8 @@ class GroundNetwork:
 
     @classmethod
     def uniform_random(cls, n: int, area: float, rng: np.random.Generator, **kwargs):
+        if not 0 < area < math.inf:
+            raise ValueError(f"area must be finite and > 0, got {area}")
         xy = rng.uniform(0.0, area, size=(n, 2))
         pos = np.hstack([xy, np.zeros((n, 1))])
         return cls(pos, **kwargs)
@@ -146,18 +148,18 @@ def nominal_powers(net: GroundNetwork) -> np.ndarray:
     k = net.M_bar - 1
     s_m = np.empty(N)
     rows = max(1, _BLOCK_DISTANCES // N)
-    for i in range(0, N, rows):
-        # squared distances from rows i.. to every node, a node's own at inf
-        s = x[i:i + rows, None] - x
-        s *= s
-        t = y[i:i + rows, None] - y
-        t *= t
-        s += t
-        np.fill_diagonal(s[:, i:], np.inf)
-        s_m[i:i + rows] = np.partition(s, k, axis=1)[:, k]
-    # libm's pow per node; a power that overflows is inf, and the capped
-    # warning below names its node, so numpy's own warning would add nothing
+    # a squared distance or a power (libm's pow per node) that overflows is inf,
+    # and the capped warning below names its node, so numpy's would add nothing
     with np.errstate(over="ignore"):
+        for i in range(0, N, rows):
+            # squared distances from rows i.. to every node, a node's own at inf
+            s = x[i:i + rows, None] - x
+            s *= s
+            t = y[i:i + rows, None] - y
+            t *= t
+            s += t
+            np.fill_diagonal(s[:, i:], np.inf)
+            s_m[i:i + rows] = np.partition(s, k, axis=1)[:, k]
         p = net.gamma_t * net.N0 * np.float_power(np.sqrt(s_m, out=s_m), net.eta_t)
     for i in np.flatnonzero(p > net.P_max):
         warnings.warn(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import GraphSequence, GraphSnapshot, NormalizationSpec
+from .graphs import GraphSequence, NormalizationSpec
 from .nn import (
     AdamState,
     DenseLayer,
@@ -75,13 +75,11 @@ def build_model(
     d_out: int = 3,
     norm: NormalizationSpec = NormalizationSpec(),
     seed: int = 0,
-    node_dim: int = 4,
-    hidden: int = 16,
-    latent: int = 8,
 ) -> GkaeModel:
     """Fresh model with the reference architecture (13 layers, ~1.6K params at L=4)."""
     if d_out not in (2, 3):
         raise ValueError(f"d_out must be 2 or 3, got {d_out}")
+    node_dim, hidden, latent = 4, 16, 8  # features per node, dense width, latent size
     rng = np.random.default_rng(seed)
     graph_encoder = [
         make_sage(rng, d_out, node_dim, "elu"),
@@ -139,8 +137,8 @@ def count_parameters(model: GkaeModel) -> int:
 
 # --- forward operations ------------------------------------------------------
 
-def _check_graph(model: GkaeModel, graph: GraphSnapshot | GraphSequence) -> None:
-    """Check that a snapshot or sequence is normalized and has the model's L and d_out."""
+def _check_graph(model: GkaeModel, graph: GraphSequence) -> None:
+    """Check that a sequence is normalized and has the model's L and d_out."""
     if not graph.normalized:
         raise ValueError("graph must be normalized before encoding")
     if graph.features.shape[-2:] != (model.L, model.d_out):
@@ -195,16 +193,18 @@ def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
     return out.swapaxes(0, 1)
 
 
-def rollout_predict(model: GkaeModel, snapshot: GraphSnapshot, horizon_steps: int) -> np.ndarray:
-    """Encode once, advance the latent step by step, decode every step:
-    rollout_batch of one frame at steps 1..horizon_steps.
+def rollout_predict(model: GkaeModel, graph: GraphSequence, horizon_steps: int) -> np.ndarray:
+    """Encode the one frame of graph once, advance the latent step by step,
+    decode every step: rollout_batch of that frame at steps 1..horizon_steps.
 
     Returns (horizon_steps, L, d_out) positions in meters.
     """
     if not isinstance(horizon_steps, (int, np.integer)) or horizon_steps < 1:
         raise ValueError(f"horizon_steps must be an integer >= 1, got {horizon_steps!r}")
-    _check_graph(model, snapshot)
-    return rollout_batch(model, snapshot.features[None], snapshot.adjacency[None],
+    if graph.n_frames != 1:
+        raise ValueError(f"graph must have one frame, got {graph.n_frames}")
+    _check_graph(model, graph)
+    return rollout_batch(model, graph.features, graph.adjacency,
                          np.arange(1, horizon_steps + 1))[0]
 
 

@@ -2,7 +2,7 @@
 
 A sequence holds T frames as arrays: node features (positions) and binary
 adjacencies built by distance thresholding.  Sequences train the
-forecasting model; a snapshot, one frame, is its prediction input.
+forecasting model; a one-frame sequence is its prediction input.
 """
 
 from __future__ import annotations
@@ -39,16 +39,6 @@ class NormalizationSpec:
     def invert(self, x: np.ndarray) -> np.ndarray:
         """(..., d) normalized coordinates -> meters."""
         return x * self.scale + self.offset_array(x.shape[-1])
-
-
-@dataclass
-class GraphSnapshot:
-    """One graph sample: features (L,d), symmetric 0/1 adjacency (L,L)."""
-
-    features: np.ndarray
-    adjacency: np.ndarray
-    threshold: float
-    normalized: bool = False
 
 
 def adjacency_from_positions(positions: np.ndarray, threshold: float) -> np.ndarray:
@@ -109,19 +99,27 @@ class GraphSequence:
     def n_nodes(self) -> int:
         return self.features.shape[1]
 
-    # The benchmark harness still indexes frames and writes through them;
-    # these views share the arrays' memory, and the two methods below are
-    # what it reads the arrays with.
+    # The benchmark harness still indexes frames and writes through these
+    # views; the two methods below are what it reads the arrays with.
     @property
     def snapshots(self) -> list:
-        return [GraphSnapshot(x, a, self.threshold, self.normalized)
-                for x, a in zip(self.features, self.adjacency)]
+        return [GraphSnapshot(x, a) for x, a in zip(self.features, self.adjacency)]
 
     def features_array(self) -> np.ndarray:
         return self.features
 
     def adjacency_array(self) -> np.ndarray:
         return self.adjacency
+
+
+@dataclass
+class GraphSnapshot:
+    """One frame of a GraphSequence as views of its (L, d) features and (L, L)
+    adjacency.  Only GraphSequence.snapshots makes one, until the benchmark
+    harness reads the arrays themselves (ROADMAP direction 3)."""
+
+    features: np.ndarray
+    adjacency: np.ndarray
 
 
 def sequence_from_positions(
@@ -138,11 +136,10 @@ def sequence_from_positions(
                          times, threshold, dt, norm, normalized=False)
 
 
-def build_snapshot(positions: np.ndarray, threshold: float) -> GraphSnapshot:
-    """Build an unnormalized snapshot at time 0 from raw positions in meters:
-    the one-frame case of sequence_from_positions (whose dt it does not use)."""
-    return sequence_from_positions(np.asarray(positions, dtype=float)[None], threshold,
-                                   1.0).snapshots[0]
+def build_snapshot(positions: np.ndarray, threshold: float) -> GraphSequence:
+    """One (L, d) frame of raw positions in meters as an unnormalized
+    one-frame sequence at time 0 (its dt of 1 is not used)."""
+    return sequence_from_positions(np.asarray(positions, dtype=float)[None], threshold, 1.0)
 
 
 def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> GraphSequence:
@@ -154,11 +151,8 @@ def normalize(seq: GraphSequence, spec: NormalizationSpec | None = None) -> Grap
                          seq.threshold, seq.dt, spec, normalized=True)
 
 
-def normalize_snapshot(snap: GraphSnapshot, spec: NormalizationSpec) -> GraphSnapshot:
-    """The one-frame case of normalize."""
-    seq = GraphSequence(snap.features[None], snap.adjacency[None], [0.0],
-                        snap.threshold, 1.0, spec, snap.normalized)
-    return normalize(seq).snapshots[0]
+# the name the prediction path calls it by, on a build_snapshot result
+normalize_snapshot = normalize
 
 
 # --- serialization -----------------------------------------------------------

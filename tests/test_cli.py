@@ -369,6 +369,21 @@ def test_predict_replay_self_is_zero_error(tmp_path, trained, truth_csv):
         assert float(fields[1]) == 0.0
 
 
+def test_predict_forecast_equals_the_library_rollout_bit_for_bit(tmp_path, trained,
+                                                                 truth_csv):
+    # predict and the library path (build_snapshot, normalize_snapshot,
+    # rollout_predict) must give the same forecast
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--checkpoint", trained["ckpt"], "--trajectory", truth_csv,
+                 "--horizon-s", "3", "--out", str(out), "--quiet"]) == 0
+    model = gkae.load_checkpoint(trained["ckpt"])
+    _, truth, _ = swarm.load_trajectory_csv(truth_csv)
+    graph = graphs.normalize_snapshot(
+        graphs.build_snapshot(truth[0], model.meta["d_tilde"]), model.norm)
+    np.testing.assert_array_equal(swarm.load_trajectory_csv(out)[1],
+                                  gkae.rollout_predict(model, graph, 30))
+
+
 def test_predict_uav_count_mismatch_exit_2(tmp_path, trained):
     traj = swarm.simulate(swarm.SwarmConfig(**tiny_swarm(duration=2.0, L=5)))
     path = tmp_path / "truth5.csv"
@@ -550,6 +565,18 @@ def test_eval_covert_negative_m_bar_exit_2(tmp_path, trained, capsys):
     assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
                  "--out", str(tmp_path / "agg.csv"), "--quiet"]) == 2
     assert capsys.readouterr().err == "error: M_bar must be an integer >= 0, got -2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
+
+
+@pytest.mark.parametrize("area", [0, -500])
+def test_eval_covert_area_not_positive_exit_2(tmp_path, trained, capsys, area):
+    # area 0 put every ground node at the origin; -500 failed inside numpy
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5], runs=2)).read_text())
+    doc["ground"]["area"] = area
+    cfg = write_json(tmp_path / "eval.json", doc)
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(tmp_path / "agg.csv"), "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: area must be finite and > 0, got {area:.1f}\n"
     assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
 
 
@@ -747,6 +774,8 @@ def run_with_config(command, doc, trained, d):
     ("eval-covert", None, "lamda_grid", "eval-covert config"),
     ("eval-covert", None, "use_nominal_powr", "eval-covert config"),
     ("eval-covert", "covert", "horizn_s", "covert section"),
+    # lambda has one spelling: next to "lambda", "lambda_" was silently dropped
+    ("eval-covert", "covert", "lambda_", "covert section"),
     ("eval-covert", "ground", "aera", "ground section"),
     ("train", None, "epoch_phase1", "train config"),
 ])

@@ -131,6 +131,25 @@ def test_nominal_power_overflow_warns_only_the_capped_nodes():
         f"node {i}: required power inf W exceeds P_max=20.0 W; capped" for i in (0, 1, 2)]
 
 
+def test_nominal_power_distance_overflow_warns_only_the_capped_nodes():
+    # nodes 1e200 m apart: the squared distances already overflow to inf,
+    # and still only the capped warnings are given
+    pos = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [2e200, 0.0, 0.0]])
+    net = GroundNetwork(pos, M_bar=2, P_max=20.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        np.testing.assert_array_equal(nominal_powers(net), [20.0, 20.0, 20.0])
+    assert [str(w.message) for w in caught] == [
+        f"node {i}: required power inf W exceeds P_max=20.0 W; capped" for i in (0, 1, 2)]
+
+
+@pytest.mark.parametrize("area", [0.0, -500.0, math.nan, math.inf])
+def test_uniform_random_rejects_an_area_not_finite_and_positive(area):
+    # area 0 put every node at the origin; a negative one failed inside numpy
+    with pytest.raises(ValueError, match=f"area must be finite and > 0, got {area}"):
+        GroundNetwork.uniform_random(5, area, np.random.default_rng(0))
+
+
 @pytest.mark.parametrize("M_bar", [-2, -1, 1.0, 2.5, True, "3", None])
 def test_ground_network_rejects_m_bar_other_than_a_whole_number(M_bar):
     # M_bar = -2 gave every node a nominal power of 0 W and every cell P_det 0

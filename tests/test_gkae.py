@@ -41,6 +41,7 @@ def random_sequence(rng, L=2, T=6, d=3, threshold=100.0):
 
 
 def random_snapshot(rng, L=2, d=3):
+    """A normalized one-frame sequence of L random nodes."""
     snap = build_snapshot(rng.uniform(0, 500, size=(L, d)), 100.0)
     return normalize_snapshot(snap, NormalizationSpec(scale=500.0))
 
@@ -51,8 +52,8 @@ def zero_params(model):
 
 
 def embed(model, snap):
-    """The (node_dim*L,) embedding of one normalized snapshot."""
-    return gkae._embed_frames(model, snap.features[None], snap.adjacency[None])[0]
+    """The (node_dim*L,) embedding of one normalized one-frame sequence."""
+    return gkae._embed_frames(model, snap.features, snap.adjacency)[0]
 
 
 def head(model, h):
@@ -114,8 +115,8 @@ def test_graph_encode_matches_hand_composition():
     rng = np.random.default_rng(1)
     model = build_model(3, seed=4)
     snap = random_snapshot(rng, L=3)
-    X = snap.features
-    A = snap.adjacency.astype(float)
+    X = snap.features[0]
+    A = snap.adjacency[0].astype(float)
 
     def elu(v):
         return np.where(v >= 0, v, np.expm1(v))
@@ -147,6 +148,14 @@ def test_graph_encode_validates():
     raw = build_snapshot(np.zeros((3, 3)), 100.0)
     with pytest.raises(ValueError, match="normalized"):
         rollout_predict(model, raw, 1)
+
+
+@pytest.mark.parametrize("T", [2, 5])
+def test_rollout_predict_takes_one_frame(T):
+    model = build_model(2, seed=3)
+    seq = random_sequence(np.random.default_rng(T), L=2, T=T)
+    with pytest.raises(ValueError, match=f"one frame, got {T}"):
+        rollout_predict(model, seq, 1)
 
 
 def test_koopman_encode_matches_hand_composition():
@@ -258,8 +267,8 @@ def test_rollout_finite_under_bounded_spectral_radius():
 def start_frames(rng, R, L=3):
     """R normalized start frames as (R, L, 3) features and (R, L, L) adjacency."""
     snaps = [random_snapshot(rng, L=L) for _ in range(R)]
-    return (np.stack([s.features for s in snaps]), np.stack([s.adjacency for s in snaps]),
-            snaps)
+    return (np.concatenate([s.features for s in snaps]),
+            np.concatenate([s.adjacency for s in snaps]), snaps)
 
 
 def test_rollout_batch_rows_agree_with_single_start_rollouts():

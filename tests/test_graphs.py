@@ -34,19 +34,19 @@ def test_triangle_fully_connected():
                     [25.0, 25.0 * math.sqrt(3), 0.0]])
     snap = build_snapshot(pos, 100.0)
     expected = np.ones((3, 3), dtype=np.int64) - np.eye(3, dtype=np.int64)
-    np.testing.assert_array_equal(snap.adjacency, expected)
+    np.testing.assert_array_equal(snap.adjacency[0], expected)
 
 
 def test_zero_threshold_gives_empty_graph():
     pos = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
     snap = build_snapshot(pos, 0.0)
-    np.testing.assert_array_equal(snap.adjacency, np.zeros((2, 2), dtype=np.int64))
+    np.testing.assert_array_equal(snap.adjacency[0], np.zeros((2, 2), dtype=np.int64))
 
 
 def test_threshold_is_inclusive():
     pos = np.array([[0.0, 0.0, 0.0], [100.0, 0.0, 0.0]])
     snap = build_snapshot(pos, 100.0)
-    assert snap.adjacency[0, 1] == 1 and snap.adjacency[1, 0] == 1
+    assert snap.adjacency[0, 0, 1] == 1 and snap.adjacency[0, 1, 0] == 1
 
 
 def test_non_finite_positions_rejected():
@@ -60,18 +60,18 @@ def test_adjacency_matches_brute_force():
     for _ in range(25):
         L = rng.integers(2, 9)
         pos = rng.uniform(0, 300, size=(L, 3))
-        snap = build_snapshot(pos, 120.0)
-        np.testing.assert_array_equal(snap.adjacency, brute_force_adjacency(pos, 120.0))
-        assert np.array_equal(snap.adjacency, snap.adjacency.T)
-        assert np.all(np.diag(snap.adjacency) == 0)
+        adj = build_snapshot(pos, 120.0).adjacency[0]
+        np.testing.assert_array_equal(adj, brute_force_adjacency(pos, 120.0))
+        assert np.array_equal(adj, adj.T)
+        assert np.all(np.diag(adj) == 0)
 
 
 def test_adjacency_permutation_covariance():
     rng = np.random.default_rng(1)
     pos = rng.uniform(0, 300, size=(6, 3))
     perm = rng.permutation(6)
-    a = build_snapshot(pos, 150.0).adjacency
-    b = build_snapshot(pos[perm], 150.0).adjacency
+    a = build_snapshot(pos, 150.0).adjacency[0]
+    b = build_snapshot(pos[perm], 150.0).adjacency[0]
     np.testing.assert_array_equal(b, a[np.ix_(perm, perm)])
 
 
@@ -79,9 +79,9 @@ def test_neighborhood_complete_and_empty():
     pos = np.zeros((4, 3))
     pos[:, 0] = [0.0, 1.0, 2.0, 3.0]
     full = build_snapshot(pos, 10.0)
-    np.testing.assert_array_equal(np.flatnonzero(full.adjacency[0]), [1, 2, 3])
+    np.testing.assert_array_equal(np.flatnonzero(full.adjacency[0, 0]), [1, 2, 3])
     empty = build_snapshot(pos, 0.0)
-    assert not empty.adjacency[0].any()
+    assert not empty.adjacency[0, 0].any()
 
 
 def test_neighborhood_matches_brute_force_distances():
@@ -91,7 +91,7 @@ def test_neighborhood_matches_brute_force_distances():
     for l in range(7):
         expected = [m for m in range(7)
                     if m != l and math.dist(pos[l], pos[m]) <= 100.0]
-        np.testing.assert_array_equal(np.flatnonzero(snap.adjacency[l]), expected)
+        np.testing.assert_array_equal(np.flatnonzero(snap.adjacency[0, l]), expected)
 
 
 # --- normalization ------------------------------------------------------------
@@ -195,8 +195,9 @@ def test_sequence_equals_per_frame_snapshots(d, normalized):
         seq = normalize(seq)
         snaps = [normalize_snapshot(s, spec) for s in snaps]
     assert seq.normalized == normalized and all(s.normalized == normalized for s in snaps)
-    assert np.array_equal(seq.features, np.stack([s.features for s in snaps]))
-    assert np.array_equal(seq.adjacency, np.stack([s.adjacency for s in snaps]))
+    assert all(s.n_frames == 1 and s.times.tolist() == [0.0] for s in snaps)
+    assert np.array_equal(seq.features, np.concatenate([s.features for s in snaps]))
+    assert np.array_equal(seq.adjacency, np.concatenate([s.adjacency for s in snaps]))
     assert np.array_equal(seq.adjacency, [brute_force_adjacency(p, threshold) for p in pos])
     assert seq.times.tolist() == [k * dt for k in range(T)]
 
