@@ -442,16 +442,18 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     n_max = max(n_grid)
 
     t0 = time.monotonic()
-    # every run is stepped together; only the start frame and the check frames are kept
-    seeds = range(covert_cfg.seed, covert_cfg.seed + covert_cfg.runs)
-    positions, _ = swarm.simulate_batch(replace(swarm_cfg, L=model.L), seeds,
-                                        np.concatenate([[skip], skip + check_steps]))
-    pred_runs = _forecast(model, positions[:, 0], check_steps)
+    # the networks draw from their own streams, so building them first checks
+    # the ground section before any simulation
     nets = [cv.GroundNetwork.uniform_random(
         n_max, area, np.random.default_rng([covert_cfg.seed, r, 1]), **ground)
         for r in range(covert_cfg.runs)]
     nominal = [cv.nominal_powers(net) for net in nets] \
         if cfg.get("use_nominal_power", False) else None
+    # every run is stepped together; only the start frame and the check frames are kept
+    seeds = range(covert_cfg.seed, covert_cfg.seed + covert_cfg.runs)
+    positions, _ = swarm.simulate_batch(replace(swarm_cfg, L=model.L), seeds,
+                                        np.concatenate([[skip], skip + check_steps]))
+    pred_runs = _forecast(model, positions[:, 0], check_steps)
     report = cv.detection_probability(nets, positions[:, 1:], pred_runs, covert_cfg, nominal)
     cells = [{"lambda": lam, "N": n_nodes, "L": model.L, "H": covert_cfg.horizon_s,
               "P_det": report.cell(lam, n_nodes).p_det, "eps_mean": report.eps_mean}

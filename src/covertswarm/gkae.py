@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import queue
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -223,25 +224,45 @@ def _dense_chain(layers: list, x: np.ndarray) -> np.ndarray:
     return x
 
 
-def _dense_chain_forward(layers: list, x: np.ndarray):
-    """Forward through a dense stack; returns (output, tape)."""
+def _rows(buffer: np.ndarray, n: int, width: int) -> np.ndarray:
+    """The first n * width entries of a flat buffer as an (n, width) array."""
+    return buffer[:n * width].reshape(n, width)
+
+
+def _dense_chain_forward(layers: list, x: np.ndarray, outs: list | None = None):
+    """Forward through a dense stack over 2-D x; returns (output, tape).
+    With outs, one flat buffer per layer, layer k writes its output into
+    outs[k] (an elu layer its pre-activation, its output being new)."""
     tape = []
-    for layer in layers:
-        y, saved = dense_forward(layer, x, keep=True)
+    for k, layer in enumerate(layers):
+        out = None if outs is None else _rows(outs[k], len(x), layer.n_out)
+        y, saved = dense_forward(layer, x, keep=True, out=out)
         tape.append((x, saved))
         x = y
     return x, tape
 
 
 def _dense_chain_backward(layers: list, tape: list, upstream: np.ndarray,
-                          need_input: bool = True):
+                          need_input: bool = True, outs: list | None = None,
+                          scratch: np.ndarray | None = None):
     """Backward through a dense stack, popping each tape entry as it passes
     so its arrays can be freed.  Returns (input gradient, or None when not
-    need_input; [dW, db] per layer)."""
+    need_input; [dW, db] per layer).
+
+    With the forward's outs and a flat scratch buffer, layer k writes
+    upstream * act'(z) into scratch and its input gradient over outs[k],
+    whose forward values it is the last to read; then only the input
+    gradient of layer 0 is a new array.  Every buffer must hold rows x the
+    widest layer."""
     up, grads = upstream, [None] * len(layers)
     for k in range(len(layers) - 1, -1, -1):
         x, saved = tape.pop()
-        up, dW, db = dense_backward(layers[k], x, up, saved, need_input=need_input or k > 0)
+        layer, dz_out, dx_out = layers[k], None, None
+        if outs is not None:
+            dz_out = _rows(scratch, len(x), layer.n_out)
+            dx_out = _rows(outs[k], len(x), layer.n_in) if k > 0 else None
+        up, dW, db = dense_backward(layer, x, up, saved, need_input=need_input or k > 0,
+                                    dz_out=dz_out, dx_out=dx_out)
         grads[k] = [dW, db]
     return up, grads
 
@@ -291,25 +312,78 @@ def _phase1_loss_grads(model: GkaeModel, X: np.ndarray, A: np.ndarray, alpha1: f
     return loss, grads
 
 
-def _latents(K: np.ndarray, w0: np.ndarray, tau: int) -> np.ndarray:
-    """w0 (n, latent) advanced by K for dt = 0..tau, as one (tau+1, n,
-    latent) block: one block, not tau arrays, keeps the heap unfragmented."""
-    W = np.empty((tau + 1,) + w0.shape)
-    W[0] = w0
-    for d in range(1, tau + 1):
-        W[d] = W[d - 1] @ K.T
+class _Workspace:
+    """Flat buffers for one pass through the Koopman decoder and back over
+    up to `rows` rows, each row as wide as the widest layer: one output per
+    layer, the error, and one scratch buffer (see _dense_chain_backward)."""
+
+    def __init__(self, n_layers: int, rows: int, width: int):
+        self.outs = [np.empty(rows * width) for _ in range(n_layers)]
+        self.error = np.empty(rows * width)
+        self.scratch = np.empty(rows * width)
+
+
+class _Phase2Buffers:
+    """The large arrays of phase-2 calls over one set of frames and anchors,
+    kept from one call to the next so that an epoch writes into pages it
+    already has: the Koopman encoder's layer outputs, the (tau+1, anchors,
+    latent) block of latents, the (anchors, latent) product of the
+    K-adjoint recurrence, and a free list of decoder workspaces, made as
+    passes need them, so one for each pass that runs at once."""
+
+    def __init__(self, model: GkaeModel, frames: int, tau: int, n_anchors: int):
+        # one width for every buffer, so a workspace's scratch serves the encoder too
+        width = max(l.n_out for l in model.koopman_encoder + model.koopman_decoder)
+        self.encoder = [np.empty(frames * width) for _ in model.koopman_encoder]
+        self.latents = np.empty((tau + 1, n_anchors, model.latent))
+        self.adjoint = np.empty((n_anchors, model.latent))
+        self._workspace_args = (len(model.koopman_decoder), frames, width)
+        self._idle = queue.SimpleQueue()
+
+    @contextmanager
+    def workspace(self):
+        """An idle workspace, or a new one if none is idle, given back on exit."""
+        try:
+            ws = self._idle.get_nowait()
+        except queue.Empty:
+            ws = _Workspace(*self._workspace_args)
+        try:
+            yield ws
+        finally:
+            self._idle.put(ws)
+
+
+def _latents(K: np.ndarray, z: np.ndarray, anchors: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """z[anchors] advanced by K for dt = 0..tau, written into the (tau+1, n,
+    latent) block W."""
+    np.take(z, anchors, axis=0, out=W[0], mode="clip")  # the caller checked the range
+    for d in range(1, W.shape[0]):
+        np.matmul(W[d - 1], K.T, out=W[d])
     return W
 
 
-def _horizon_grads(dec: list, w: np.ndarray, target: np.ndarray, scale: float):
-    """One horizon's prediction term: (squared error sum, decoder [dW, db]
-    per layer, gradient w.r.t. w) for the loss scale * squared error sum / 2.
-    The error is written over target, which must be the caller's own copy:
-    one fewer array per horizon to allocate and fault in."""
-    y, tape = _dense_chain_forward(dec, w)
-    err = np.subtract(y, target, out=target)
-    sse = float(np.sum(err * err))
-    g, grads = _dense_chain_backward(dec, tape, np.multiply(err, scale, out=err))
+def _decoder_error(dec: list, w: np.ndarray, target: np.ndarray, ws: _Workspace):
+    """Decode w in ws; returns (squared error sum, error, tape), the error
+    being the output minus target, written into ws.error."""
+    y, tape = _dense_chain_forward(dec, w, ws.outs)
+    err = np.subtract(y, target, out=_rows(ws.error, *y.shape))
+    sse = float(np.sum(np.multiply(err, err, out=_rows(ws.scratch, *err.shape))))
+    return sse, err, tape
+
+
+def _horizon_grads(dec: list, w: np.ndarray, h: np.ndarray, rows: np.ndarray,
+                   scale: float, buffers: _Phase2Buffers):
+    """One horizon's prediction term, with targets h[rows]: (squared error
+    sum, decoder [dW, db] per layer, gradient w.r.t. w) for the loss
+    scale * squared error sum / 2.  Only the gradient w.r.t. w is a new
+    array; the rest runs in a workspace of buffers."""
+    with buffers.workspace() as ws:
+        # mode="raise" would gather into a temporary first; the caller checked rows
+        target = np.take(h, rows, axis=0, out=_rows(ws.error, rows.size, h.shape[1]),
+                         mode="clip")
+        sse, err, tape = _decoder_error(dec, w, target, ws)
+        g, grads = _dense_chain_backward(dec, tape, np.multiply(err, scale, out=err),
+                                         outs=ws.outs, scratch=ws.scratch)
     return sse, grads, g
 
 
@@ -337,8 +411,8 @@ def _blas_thread_control():
 _POOL_MIN_ROWS = 1 << 17
 
 # Most horizon jobs run at once.  Two, each on one BLAS thread, is what was
-# measured (on 2 cores); each job in flight holds its own decoder tape and
-# error arrays, so the count does not grow with the machine's cores.
+# measured (on 2 cores); each job running holds its own workspace, so the
+# count does not grow with the machine's cores.
 _MAX_WORKERS = 2
 
 
@@ -382,13 +456,15 @@ def _horizon_map(tau: int, rows: int):
 
 
 def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
-                       tau: int, alpha2: float):
+                       tau: int, alpha2: float, buffers: _Phase2Buffers | None = None):
     """Latent reconstruction + prediction losses over frozen embeddings h (F, D).
 
     anchors are distinct row indices into h whose targets h[anchor + dt] for
     dt = 1..tau stay within the same source sequence.  Returns
     (L_rec, L_pred, grads) with grads scaled by alpha2 and ordered as
-    _phase2_params.
+    _phase2_params.  buffers, made for the same F, tau and anchors, carry
+    the large arrays from one call to the next; without them the call makes
+    its own.
 
     Each horizon's decoder pass runs as its own job; the K-adjoint
     recurrence consumes their latent gradients from dt = tau down, and the
@@ -396,23 +472,33 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
     result does not depend on how many jobs run at once.
     """
     F, D = h.shape
+    na = int(anchors.size)
+    if na > 0 and (anchors.min() < 0 or anchors.max() + tau >= F):
+        raise ValueError(f"anchors + dt must be rows of h for dt = 0..{tau}")
     enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
-    z, enc_tape = _dense_chain_forward(enc, h)
+    if buffers is None:
+        buffers = _Phase2Buffers(model, F, tau, na)
+    z, enc_tape = _dense_chain_forward(enc, h, buffers.encoder)
     dK = np.zeros_like(K)
 
-    hr, dec_tape = _dense_chain_forward(dec, z)
-    rec = mse(hr, h)
-    dz, dec_grads = _dense_chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h))
+    with buffers.workspace() as ws:
+        sse, err, dec_tape = _decoder_error(dec, z, h, ws)
+        rec = sse / err.size  # mse(hr, h): the same sum and division
+        # alpha2 * mse_grad(hr, h), pass by pass, written over the error
+        np.multiply(err, 2.0, out=err)
+        np.divide(err, err.size, out=err)
+        np.multiply(err, alpha2, out=err)
+        dz, dec_grads = _dense_chain_backward(dec, dec_tape, err, outs=ws.outs,
+                                              scratch=ws.scratch)
 
     pred = 0.0
-    na = int(anchors.size)
     if tau > 0 and na > 0:
         n_pred = na * tau * D
         scale = 2.0 * alpha2 / n_pred
-        W = _latents(K, z[anchors], tau)
+        W = _latents(K, z, anchors, buffers.latents)
 
         def job(d):
-            return _horizon_grads(dec, W[d], h[anchors + d], scale)
+            return _horizon_grads(dec, W[d], h, anchors + d, scale, buffers)
 
         per_horizon = []
         t_grad = None
@@ -420,12 +506,14 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
         with _horizon_map(tau, na) as run:
             # both maps yield in order and let go of each result
             for d, (sse, grads, g) in zip(horizons, run(job, horizons)):
-                t_grad = g if t_grad is None else g + t_grad @ K
+                if t_grad is not None:  # g + t_grad @ K, into g
+                    g += np.matmul(t_grad, K, out=buffers.adjoint)
+                t_grad = g
                 dK += t_grad.T @ W[d - 1]
                 per_horizon.append((sse, grads))
         # The anchors are distinct, so this plain scatter adds each row once,
         # exactly as np.add.at would, and faster.
-        dz[anchors] += t_grad @ K
+        dz[anchors] += np.matmul(t_grad, K, out=buffers.adjoint)
         sse_total = 0.0
         for sse, grads in reversed(per_horizon):
             sse_total += sse
@@ -434,7 +522,9 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
                 pair[1] += db
         pred = sse_total / n_pred
 
-    _, enc_grads = _dense_chain_backward(enc, enc_tape, dz, need_input=False)
+    with buffers.workspace() as ws:
+        _, enc_grads = _dense_chain_backward(enc, enc_tape, dz, need_input=False,
+                                             outs=buffers.encoder, scratch=ws.scratch)
     grads = [g for pair in enc_grads for g in pair]
     grads.append(dK)
     grads += [g for pair in dec_grads for g in pair]
@@ -523,8 +613,10 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
                           .reshape(X.shape), X)
         params2 = _phase2_params(model)
         state2 = AdamState.for_params(params2, lr=cfg.lr)
+        buffers = _Phase2Buffers(model, len(h), cfg.tau, anchors.size)
         for e in range(cfg.epochs_phase2):
-            rec, pred, grads = _phase2_loss_grads(model, h, anchors, cfg.tau, cfg.alpha2)
+            rec, pred, grads = _phase2_loss_grads(model, h, anchors, cfg.tau, cfg.alpha2,
+                                                  buffers)
             total = cfg.alpha2 * (rec + pred)
             if not np.isfinite(total):
                 raise TrainingDivergence(f"phase 2 loss diverged at epoch {e + 1}")

@@ -29,11 +29,12 @@ def elu_grad(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _activate(name: str, z: np.ndarray) -> np.ndarray:
+def _activate(name: str, z: np.ndarray, out=None) -> np.ndarray:
+    """act(z); tanh writes into out when it is given, which may be z."""
     if name == "elu":
         return elu(z)
     if name == "tanh":
-        return np.tanh(z)
+        return np.tanh(z, out=out)
     if name == "identity":
         return z
     raise ValueError(f"unknown activation {name!r}")
@@ -48,17 +49,18 @@ def _grad_source(name: str, z: np.ndarray, y: np.ndarray) -> np.ndarray | None:
     return z if name == "elu" else None
 
 
-def _backprop_activation(name: str, upstream: np.ndarray, saved) -> np.ndarray:
+def _backprop_activation(name: str, upstream: np.ndarray, saved, out=None) -> np.ndarray:
     """upstream * act'(z), from the value _grad_source picked, computed in
-    place in one temporary (the same bits as the plain expression)."""
+    place in one array, out or a temporary (the same bits as the plain
+    expression).  For identity it is upstream itself."""
     if name == "tanh":
-        g = saved * saved
+        g = np.multiply(saved, saved, out=out)
         np.subtract(1.0, g, out=g)
-    elif name == "elu":
+        return np.multiply(upstream, g, out=g)
+    if name == "elu":
         g = elu_grad(saved)
-    else:
-        return upstream
-    return np.multiply(upstream, g, out=g)
+        return np.multiply(upstream, g, out=g if out is None else out)
+    return upstream
 
 
 def glorot_uniform(rng: np.random.Generator, n_out: int, n_in: int) -> np.ndarray:
@@ -93,36 +95,41 @@ def make_dense(rng: np.random.Generator, n_in: int, n_out: int, activation: str)
     return DenseLayer(glorot_uniform(rng, n_out, n_in), np.zeros(n_out), activation)
 
 
-def dense_forward(layer: DenseLayer, x: np.ndarray, keep: bool = False):
+def dense_forward(layer: DenseLayer, x: np.ndarray, keep: bool = False, out=None):
     """y = act(Wx + b).  With keep=True returns (y, saved), saved being the
-    value dense_backward needs from this pass."""
+    value dense_backward needs from this pass.  Wx + b is written into out
+    when it is given, and so are y and saved for tanh and identity; an elu
+    layer's y is still a new array."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != layer.n_in:
         raise ValueError(f"dense input dim {x.shape[-1]} != {layer.n_in}")
-    z = x @ layer.W.T
+    z = np.matmul(x, layer.W.T, out=out)
     z += layer.b
-    y = _activate(layer.activation, z)
+    y = _activate(layer.activation, z, out=z)  # z is this call's own or out
     return (y, _grad_source(layer.activation, z, y)) if keep else y
 
 
 def dense_backward(layer: DenseLayer, x: np.ndarray, upstream: np.ndarray, saved=None,
-                   need_input: bool = True):
+                   need_input: bool = True, dz_out=None, dx_out=None):
     """Gradients for y = act(Wx + b), given dense_forward's saved value (or
     recomputing it when None).
 
     Returns (dx, dW, db); parameter gradients are summed over any batch
     dimensions of x.  With need_input=False dx is None and not computed.
+    upstream * act'(z) is written into dz_out and dx into dx_out when they
+    are given (2-D, one row per row of x); dx_out must not overlap upstream
+    or dz_out.
     """
     x = np.asarray(x, dtype=float)
     upstream = np.asarray(upstream, dtype=float)
     if saved is None and layer.activation != "identity":
         _, saved = dense_forward(layer, x, keep=True)
-    dz = _backprop_activation(layer.activation, upstream, saved)
+    dz = _backprop_activation(layer.activation, upstream, saved, dz_out)
     x2 = x.reshape(-1, layer.n_in)
     dz2 = dz.reshape(-1, layer.n_out)
     dW = dz2.T @ x2
     db = dz2.sum(axis=0)
-    dx = (dz2 @ layer.W).reshape(x.shape) if need_input else None
+    dx = np.matmul(dz2, layer.W, out=dx_out).reshape(x.shape) if need_input else None
     return dx, dW, db
 
 
@@ -166,6 +173,13 @@ def row_normalized(A: np.ndarray) -> np.ndarray:
     return A / np.maximum(deg, 1.0)
 
 
+def _rows_matmul(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """X (..., n) @ W (n, m) as one product over all rows of X.  numpy runs
+    the stacked product as one tiny product per leading index, several times
+    slower, with the same bits."""
+    return (X.reshape(-1, X.shape[-1]) @ W).reshape(X.shape[:-1] + (W.shape[1],))
+
+
 def sage_forward(layer: SageLayer, X: np.ndarray, A: np.ndarray, keep: bool = False,
                  An: np.ndarray | None = None):
     """X is (..., L, in), A is (..., L, L); isolated nodes aggregate zero.
@@ -182,7 +196,7 @@ def sage_forward(layer: SageLayer, X: np.ndarray, A: np.ndarray, keep: bool = Fa
     if An is None:
         An = row_normalized(A)
     agg = An @ X
-    z = X @ layer.W_self.T + agg @ layer.W_neigh.T + layer.b
+    z = _rows_matmul(X, layer.W_self.T) + _rows_matmul(agg, layer.W_neigh.T) + layer.b
     y = _activate(layer.activation, z)
     return (y, (An, agg, _grad_source(layer.activation, z, y))) if keep else y
 
@@ -207,8 +221,8 @@ def sage_backward(layer: SageLayer, X: np.ndarray, A: np.ndarray, upstream: np.n
     db = dz2.sum(axis=0)
     if not need_input:
         return None, dW_self, dW_neigh, db
-    dagg = dz @ layer.W_neigh
-    dX = dz @ layer.W_self + np.swapaxes(An, -1, -2) @ dagg
+    dagg = _rows_matmul(dz, layer.W_neigh)
+    dX = _rows_matmul(dz, layer.W_self) + np.swapaxes(An, -1, -2) @ dagg
     return dX, dW_self, dW_neigh, db
 
 

@@ -580,6 +580,20 @@ def test_eval_covert_area_not_positive_exit_2(tmp_path, trained, capsys, area):
     assert [p.name for p in tmp_path.iterdir()] == ["eval.json"]
 
 
+def test_eval_covert_checks_the_ground_before_simulating(tmp_path, trained, capsys,
+                                                         monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulate_batch ran before the ground section was checked")
+
+    monkeypatch.setattr(swarm, "simulate_batch", no_simulation)
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5], runs=2)).read_text())
+    doc["ground"]["area"] = 0
+    cfg = write_json(tmp_path / "eval.json", doc)
+    assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                 "--out", str(tmp_path / "agg.csv"), "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: area must be finite and > 0, got 0.0\n"
+
+
 def test_eval_covert_burn_in_matches_the_engine(tmp_path, trained):
     # after a 1 s burn-in, frame 10 is the start frame and frames 20, 30, 40
     # are the truth at the checks

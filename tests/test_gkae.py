@@ -2,6 +2,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -505,9 +506,9 @@ def phase2_inputs(tau, seed=31, frames=None):
     return model, h, np.arange(frames - tau)
 
 
-def assert_phase2_matches_serial(model, h, anchors, tau):
+def assert_phase2_matches_serial(model, h, anchors, tau, buffers=None):
     want = serial_phase2_loss_grads(model, h, anchors, tau, 0.7)
-    got = gkae._phase2_loss_grads(model, h, anchors, tau, 0.7)
+    got = gkae._phase2_loss_grads(model, h, anchors, tau, 0.7, buffers)
     assert got[0] == want[0] and got[1] == want[1]
     assert len(got[2]) == len(want[2]) == 13
     for a, b in zip(got[2], want[2]):
@@ -537,6 +538,69 @@ def test_phase2_horizon_jobs_equal_the_serial_loop_bitwise(monkeypatch, tau, wor
         assert_phase2_matches_serial(*phase2_inputs(tau), tau)
     finally:
         sys.setswitchinterval(interval)
+
+
+def assert_calls_sharing_buffers_match_serial(model, h, anchors, tau):
+    """Two phase-2 calls on one set of buffers, the parameters perturbed in
+    between, each equal to the serial loop."""
+    buffers = gkae._Phase2Buffers(model, len(h), tau, anchors.size)
+    rng = np.random.default_rng(tau)
+    assert_phase2_matches_serial(model, h, anchors, tau, buffers)
+    for p in gkae._phase2_params(model):
+        p += rng.normal(scale=0.1, size=p.shape)
+    assert_phase2_matches_serial(model, h, anchors, tau, buffers)
+
+
+@pytest.mark.parametrize("tau", [1, 2, 5])
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_phase2_calls_sharing_buffers_equal_the_serial_loop_bitwise(monkeypatch, tau,
+                                                                    workers):
+    monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(workers))
+    monkeypatch.setattr(gkae, "_MAX_WORKERS", workers)
+    interval = sys.getswitchinterval()
+    try:
+        if workers == 8:  # more workers than cores, switching often
+            sys.setswitchinterval(1e-6)
+        assert_calls_sharing_buffers_match_serial(*phase2_inputs(tau), tau)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("layer", [0, 1, 2])
+def test_phase2_calls_sharing_buffers_with_an_elu_decoder_layer(monkeypatch, layer):
+    # a resumed checkpoint may carry any activation; an elu layer keeps its
+    # pre-activation in the buffer and makes its output anew
+    monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(2))
+    model, h, anchors = phase2_inputs(5)
+    model.koopman_decoder[layer].activation = "elu"
+    assert_calls_sharing_buffers_match_serial(model, h, anchors, 5)
+
+
+@pytest.mark.parametrize("tau", [5, 30])
+def test_phase2_second_call_on_kept_buffers_allocates_little(tau):
+    # tracemalloc sees numpy's buffers: the first call makes the buffers, the
+    # second writes into them; at tau = 30 the latent block is most of them
+    model, h, anchors = phase2_inputs(tau)
+    peaks = []
+    tracemalloc.start()
+    try:
+        buffers = None
+        for _ in range(2):
+            tracemalloc.reset_peak()
+            start = tracemalloc.get_traced_memory()[0]
+            buffers = buffers or gkae._Phase2Buffers(model, len(h), tau, anchors.size)
+            gkae._phase2_loss_grads(model, h, anchors, tau, 1.0, buffers)
+            peaks.append(tracemalloc.get_traced_memory()[1] - start)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] < peaks[0] / 4
+
+
+def test_phase2_rejects_anchors_whose_horizon_leaves_h():
+    model, h, _ = phase2_inputs(2, frames=10)
+    for anchors in (np.arange(9), np.array([-1, 0])):
+        with pytest.raises(ValueError, match="anchors"):
+            gkae._phase2_loss_grads(model, h, anchors, 2, 1.0)
 
 
 @pytest.mark.parametrize("blas_threads, max_workers, workers",
@@ -656,6 +720,26 @@ def test_phase1_loss_decreases_smoothed():
     losses = [row["L_grec"] for row in history]
     smoothed_end = np.mean(losses[-10:])
     assert smoothed_end < losses[0]
+
+
+def test_train_keeps_no_memory_or_threads_after_it_returns():
+    # one sequence long enough for the horizon jobs to run on threads
+    rng = np.random.default_rng(41)
+    dataset = [random_sequence(rng, L=2, T=gkae._POOL_MIN_ROWS // 30 + 200)]
+    cfg = TrainConfig(tau=30, epochs_phase1=1, epochs_phase2=2)
+    train(build_model(2, seed=41), dataset, cfg)  # imports and caches settle
+    model = build_model(2, seed=41)
+    threads = threading.active_count()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        _, history = train(model, dataset, cfg)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(history) == 3
+    assert kept < 1 << 20
+    assert threading.active_count() == threads
 
 
 def test_zero_length_phase2_keeps_K():

@@ -226,6 +226,53 @@ def test_dense_pass_equals_the_plain_expressions_bitwise(activation):
 
 
 @pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
+def test_dense_pass_into_buffers_equals_fresh_arrays_bitwise(activation):
+    rng = np.random.default_rng(15)
+    layer = make_dense(rng, 5, 7, activation)
+    layer.b[:] = rng.normal(size=7)
+    x = rng.normal(scale=2.0, size=(64, 5))
+    up = rng.normal(size=(64, 7))
+    y, saved = dense_forward(layer, x, keep=True)
+    out = np.full((64, 7), np.nan)
+    y_out, saved_out = dense_forward(layer, x, keep=True, out=out)
+    assert np.array_equal(y_out, y)
+    assert np.shares_memory(y_out, out) == (activation != "elu")
+    want = dense_backward(layer, x, up, saved)
+    dz_out, dx_out = np.full((64, 7), np.nan), np.full((64, 5), np.nan)
+    got = dense_backward(layer, x, up, saved_out, dz_out=dz_out, dx_out=dx_out)
+    assert np.shares_memory(got[0], dx_out)
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
+def test_sage_pass_equals_the_stacked_products_bitwise(activation):
+    """Each (B, L, n) @ (n, m) product runs once over the B*L rows; at
+    B >= 1000 it has the bits of numpy's stacked per-frame products."""
+    rng = np.random.default_rng(16)
+    B, L = 1500, 4
+    layer = make_sage(rng, 3, 4, activation)
+    layer.b[:] = rng.normal(size=4)
+    X = rng.normal(scale=2.0, size=(B, L, 3))
+    A = np.triu((rng.random((B, L, L)) < 0.5).astype(float), 1)
+    A = A + np.swapaxes(A, 1, 2)
+    up = rng.normal(size=(B, L, 4))
+    An = nn.row_normalized(A)
+    agg = An @ X
+    z = X @ layer.W_self.T + agg @ layer.W_neigh.T + layer.b
+    y = nn._activate(activation, z)
+    dz = nn._backprop_activation(activation, up, nn._grad_source(activation, z, y))
+    dX = dz @ layer.W_self + np.swapaxes(An, -1, -2) @ (dz @ layer.W_neigh)
+    assert np.array_equal(sage_forward(layer, X, A), y)
+    got = sage_backward(layer, X, A, up)
+    assert np.array_equal(got[0], dX)
+    dz2 = dz.reshape(-1, 4)
+    for a, b in zip(got[1:], (dz2.T @ X.reshape(-1, 3), dz2.T @ agg.reshape(-1, 3),
+                              dz2.sum(axis=0))):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
 def test_sage_backward_from_saved_equals_recomputed_bitwise(activation):
     rng = np.random.default_rng(12)
     layer = make_sage(rng, 3, 4, activation)
