@@ -1,8 +1,10 @@
 """Command-line front end: simulate, dataset, train, predict, eval-covert.
 
 All numeric settings live in JSON config files; flags only select paths,
-seeds and simple switches.  Every command writes a run manifest next to
-its primary output and removes partial outputs on failure.
+seeds and simple switches.  main runs every command the same way: it checks
+the paths on the command line, writes a run manifest next to the primary
+output and prints the command's summary line; on failure it removes the
+partial outputs.
 
 Exit codes: 0 ok, 2 config/validation problem, 3 I/O failure, 4 numeric
 failure during training or prediction.
@@ -85,35 +87,36 @@ def _require_file(path, what: str) -> None:
         raise ValueError(f"{what} not found: {path}")
 
 
-def _require_out_dirs(*paths) -> None:
-    """Fail before any work with the error writing each output file would
-    give, when its directory is missing."""
-    for path in paths:
-        if path is not None and not Path(path).parent.is_dir():
-            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), str(path))
-
-
 def _load_json(path) -> dict:
     _require_file(path, "config file")
     with open(path) as fh:
         return json.load(fh)
 
 
-def _write_manifest(primary_out, command: str, args, outputs: _Outputs,
-                    t_start: float, config_path=None, inputs=None) -> None:
-    primary = Path(primary_out)
+# The output paths a command line may name, checked before any work, and
+# the input files, each with how a missing-file message names it; the
+# manifest records the digest of every input file named.
+_OUTPUT_PATHS = ("out", "loss_csv", "errors_out")
+_INPUT_FILES = {"checkpoint": "checkpoint", "trajectory": "trajectory file",
+                "resume": "resume checkpoint", "replay": "replay file"}
+
+
+def _write_manifest(args, outputs: _Outputs, t_start: float) -> None:
+    primary = Path(args.out)
     if primary.is_dir():
         path = primary / "manifest.json"
     else:
         path = primary.with_name(primary.name + ".manifest.json")
+    config = getattr(args, "config", None)
     doc = {
         "tool": "covertswarm",
         "version": __version__,
-        "command": command,
-        "config": str(config_path) if config_path else None,
-        "config_digest": _sha256(config_path) if config_path else None,
-        "seed": getattr(args, "seed", None),
-        "inputs": {k: _sha256(v) for k, v in (inputs or {}).items()},
+        "command": args.command,
+        "config": config,
+        "config_digest": _sha256(config) if config else None,
+        "seed": args.seed,
+        "inputs": {k: _sha256(getattr(args, k)) for k in _INPUT_FILES
+                   if getattr(args, k, None) is not None},
         "outputs": [str(p) for p in outputs.paths],
         "duration_s": time.monotonic() - t_start,
     }
@@ -188,30 +191,22 @@ def _swarm_section(cfg: dict) -> swarm.SwarmConfig:
                                          _field_types(swarm.SwarmConfig)))
 
 
-def _say(args, msg: str) -> None:
-    if not args.quiet:
-        print(msg)
-
-
 # --- simulate ----------------------------------------------------------------
 
-def cmd_simulate(args, outputs: _Outputs) -> None:
-    _require_out_dirs(args.out)
+def cmd_simulate(args, outputs: _Outputs) -> str:
     cfg_dict = _known(_load_json(args.config), "simulate config",
                       _field_types(swarm.SwarmConfig))
     if args.seed is not None:
         cfg_dict["seed"] = args.seed
     config = swarm.config_from_dict(cfg_dict)
-    t0 = time.monotonic()
     traj = swarm.simulate(config)
     outputs.write(args.out, lambda p: swarm.save_trajectory_csv(traj, p))
-    _write_manifest(args.out, "simulate", args, outputs, t0, config_path=args.config)
-    _say(args, f"simulated {traj.n_frames} frames x {config.L} UAVs -> {args.out}")
+    return f"simulated {traj.n_frames} frames x {config.L} UAVs -> {args.out}"
 
 
 # --- dataset -----------------------------------------------------------------
 
-def cmd_dataset(args, outputs: _Outputs) -> None:
+def cmd_dataset(args, outputs: _Outputs) -> str:
     cfg = _known(_load_json(args.config), "dataset config",
                  {"swarm": dict, "n_trajectories": int, "d_tilde": float, "scale": float,
                   "offset": list[float], "burn_in_s": float},
@@ -234,7 +229,6 @@ def cmd_dataset(args, outputs: _Outputs) -> None:
         raise ValueError("burn_in_s leaves fewer than 2 frames per trajectory")
     frames = np.arange(skip, swarm_cfg.n_steps + 1)
 
-    t0 = time.monotonic()
     out_dir = Path(args.out)
     train_dir = out_dir / "train"
     test_dir = out_dir / "test"
@@ -250,8 +244,7 @@ def cmd_dataset(args, outputs: _Outputs) -> None:
             split = train_dir if k < n_train else test_dir
             outputs.write(split / f"seq_{k:04d}.json",
                           lambda p: graphs.save_sequence_json(seq, p))
-    _write_manifest(out_dir, "dataset", args, outputs, t0, config_path=args.config)
-    _say(args, f"wrote {n_train} train + {n - n_train} test sequences -> {out_dir}")
+    return f"wrote {n_train} train + {n - n_train} test sequences -> {out_dir}"
 
 
 # --- train -------------------------------------------------------------------
@@ -261,8 +254,7 @@ def _sequence_spec(seq: graphs.GraphSequence) -> dict:
             "node count": seq.n_nodes, "feature dimension": seq.features.shape[-1]}
 
 
-def cmd_train(args, outputs: _Outputs) -> None:
-    _require_out_dirs(args.out, args.loss_csv)
+def cmd_train(args, outputs: _Outputs) -> str:
     cfg_dict = _known(_load_json(args.config), "train config",
                       _field_types(gkae.TrainConfig))
     if args.seed is not None:
@@ -287,19 +279,14 @@ def cmd_train(args, outputs: _Outputs) -> None:
             raise ValueError(f"{path}: {', '.join(differ)} not the same as in {files[0]}")
 
     if args.resume:
-        _require_file(args.resume, "resume checkpoint")
+        # gkae.train checks the dataset's (L, d) against the model's
         model = gkae.load_checkpoint(args.resume)
-        if model.L != first.n_nodes or model.d_out != d_out:
-            raise ValueError(
-                f"resume checkpoint dims (L={model.L}, d={model.d_out}) do not match "
-                f"dataset (L={first.n_nodes}, d={d_out})")
         if model.norm != first.norm:
             raise ValueError(f"resume checkpoint norm {model.norm} differs from the "
                              f"dataset's {first.norm}")
     else:
         model = gkae.build_model(first.n_nodes, d_out=d_out, norm=first.norm,
                                  seed=cfg.seed)
-    t0 = time.monotonic()
     model, history = gkae.train(model, dataset, cfg)
     model.meta["d_tilde"] = first.threshold
     out = Path(args.out)
@@ -307,9 +294,8 @@ def cmd_train(args, outputs: _Outputs) -> None:
     loss_csv = Path(args.loss_csv) if args.loss_csv else \
         out.with_name(out.stem + "_loss.csv")
     outputs.write(loss_csv, lambda p: gkae.save_loss_csv(history, p))
-    _write_manifest(out, "train", args, outputs, t0, config_path=args.config)
     final = history[-1]["total"] if history else float("nan")
-    _say(args, f"trained {len(dataset)} sequences, final loss {final:.6g} -> {out}")
+    return f"trained {len(dataset)} sequences, final loss {final:.6g} -> {out}"
 
 
 # --- predict -----------------------------------------------------------------
@@ -323,16 +309,7 @@ def _forecast(model: gkae.GkaeModel, start_frames_m: np.ndarray, steps) -> np.nd
                               steps)
 
 
-def _finite_difference_velocities(origin: np.ndarray, pred: np.ndarray,
-                                  dt: float) -> np.ndarray:
-    stacked = np.concatenate([origin[None], pred])
-    return (stacked[1:] - stacked[:-1]) / dt
-
-
-def cmd_predict(args, outputs: _Outputs) -> None:
-    _require_out_dirs(args.out, args.errors_out)
-    _require_file(args.checkpoint, "checkpoint")
-    _require_file(args.trajectory, "trajectory file")
+def cmd_predict(args, outputs: _Outputs) -> str:
     model = gkae.load_checkpoint(args.checkpoint)
     if model.d_out != 3:
         raise ValueError("predict requires a 3D checkpoint")
@@ -353,9 +330,7 @@ def cmd_predict(args, outputs: _Outputs) -> None:
         raise ValueError("report interval longer than the horizon")
     checks = np.arange(per_check, steps + 1, per_check)
 
-    t0 = time.monotonic()
     if args.replay:
-        _require_file(args.replay, "replay file")
         _, pred, _ = swarm.load_trajectory_csv(args.replay)
         if pred.shape[0] < steps:
             raise ValueError("replay file shorter than the requested horizon")
@@ -365,7 +340,7 @@ def cmd_predict(args, outputs: _Outputs) -> None:
 
     pred_traj = swarm.Trajectory(
         positions=pred,
-        velocities=_finite_difference_velocities(positions[0], pred, dt),
+        velocities=np.diff(pred, axis=0, prepend=positions[:1]) / dt,
         dt=dt,
     )
     out = Path(args.out)
@@ -383,10 +358,7 @@ def cmd_predict(args, outputs: _Outputs) -> None:
     errors_csv = Path(args.errors_out) if args.errors_out else \
         out.with_name(out.stem + "_errors.csv")
     outputs.write(errors_csv, lambda p: _save_errors_csv(cols, p))
-    _write_manifest(out, "predict", args, outputs, t0,
-                    inputs={"checkpoint": args.checkpoint,
-                            "trajectory": args.trajectory})
-    _say(args, f"predicted {steps} steps, eps_mean={float(np.mean(eps)):.6g} m^2 -> {out}")
+    return f"predicted {steps} steps, eps_mean={float(np.mean(eps)):.6g} m^2 -> {out}"
 
 
 def _save_errors_csv(cols: dict, path) -> None:
@@ -401,9 +373,7 @@ def _save_errors_csv(cols: dict, path) -> None:
 
 # --- eval-covert -------------------------------------------------------------
 
-def cmd_eval_covert(args, outputs: _Outputs) -> None:
-    _require_out_dirs(args.out)
-    _require_file(args.checkpoint, "checkpoint")
+def cmd_eval_covert(args, outputs: _Outputs) -> str:
     model = gkae.load_checkpoint(args.checkpoint)
     cfg = _known(_load_json(args.config), "eval-covert config",
                  {"swarm": dict, "burn_in_s": float, "covert": dict, "ground": dict,
@@ -441,7 +411,6 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
                         allow_zero=True)
     n_max = max(n_grid)
 
-    t0 = time.monotonic()
     # the networks draw from their own streams, so building them first checks
     # the ground section before any simulation
     nets = [cv.GroundNetwork.uniform_random(
@@ -478,9 +447,7 @@ def cmd_eval_covert(args, outputs: _Outputs) -> None:
     if args.audit:
         outputs.write(out.with_name(out.stem + "_audit.csv"),
                       report.cell(lambda_grid[0], n_grid[0]).save_summary_csv)
-    _write_manifest(out, "eval-covert", args, outputs, t0, config_path=args.config,
-                    inputs={"checkpoint": args.checkpoint})
-    _say(args, f"evaluated {len(cells)} cells over {covert_cfg.runs} runs -> {out}")
+    return f"evaluated {len(cells)} cells over {covert_cfg.runs} runs -> {out}"
 
 
 # --- parser / entry ----------------------------------------------------------
@@ -544,25 +511,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Each exception a command may end in, and its exit code.
+_EXIT_CODES = {gkae.TrainingDivergence: 4, gkae.ModelStateError: 4,
+               ValueError: 2, KeyError: 2, TypeError: 2, OSError: 3}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command: check the paths its command line names, let it work,
+    write its manifest and print its summary line; on failure remove what it
+    wrote and print one error line."""
+    args = build_parser().parse_args(argv)
+    t_start = time.monotonic()
     outputs = _Outputs()
     try:
-        args.func(args, outputs)
-        return 0
-    except (gkae.TrainingDivergence, gkae.ModelStateError) as exc:
+        for key in _OUTPUT_PATHS:
+            path = getattr(args, key, None)
+            # the error that writing the file would give, before any work
+            if path is not None and not Path(path).parent.is_dir():
+                raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+        for key, what in _INPUT_FILES.items():
+            if getattr(args, key, None) is not None:
+                _require_file(getattr(args, key), what)
+        summary = args.func(args, outputs)
+        _write_manifest(args, outputs, t_start)
+    except tuple(_EXIT_CODES) as exc:
         outputs.cleanup()
         print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (ValueError, KeyError, TypeError, json.JSONDecodeError) as exc:
-        outputs.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        outputs.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for cls, code in _EXIT_CODES.items() if isinstance(exc, cls))
+    if not args.quiet:
+        print(summary)
+    return 0
 
 
 def entrypoint() -> None:

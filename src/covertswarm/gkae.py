@@ -724,6 +724,13 @@ def load_checkpoint(path) -> GkaeModel:
         raise CheckpointError("malformed checkpoint: top level is not a JSON object")
     if doc.get("version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"unsupported checkpoint version: {doc.get('version')!r}")
+    meta = doc.get("meta", {})
+    if not isinstance(meta, dict):
+        raise CheckpointError("checkpoint meta must be a JSON object")
+    d_tilde = meta.get("d_tilde", 0.0)  # the forecast graphs each start frame at it
+    if type(d_tilde) not in (int, float) or not 0 <= d_tilde < math.inf:
+        raise CheckpointError(f"checkpoint meta.d_tilde must be a finite number >= 0, "
+                              f"got {d_tilde!r}")
     try:
         dims = doc["dims"]
         params = doc["params"]
@@ -744,7 +751,7 @@ def load_checkpoint(path) -> GkaeModel:
             koopman_decoder=_layer_chain(params, "koopman_decoder", DenseLayer, latent, embed),
             graph_decoder=_layer_chain(params, "graph_decoder", DenseLayer, node_dim, d_out),
             L=L, d_out=d_out, latent=latent, node_dim=node_dim, norm=norm,
-            meta=dict(doc.get("meta", {})),
+            meta=dict(meta),
         )
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"incomplete checkpoint: {exc}") from exc

@@ -86,8 +86,8 @@ class GraphSequence:
         if not np.all((adjacency == 0) | (adjacency == 1)):
             raise ValueError("adjacency A entries must be 0 or 1")
         self.adjacency = adjacency.astype(np.int64, copy=False)
-        if not self.threshold >= 0:
-            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        if not 0 <= self.threshold < np.inf:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
         if not 0 < self.dt < np.inf:
             raise ValueError(f"dt must be finite and > 0, got {self.dt}")
 
@@ -180,14 +180,22 @@ def sequence_from_dict(data: dict) -> GraphSequence:
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"frames field {name} is missing, not numeric or ragged") from exc
 
+    def header(name, types=(int, float)):
+        # bool() reads the string "false" as true, float() reads true as 1.0
+        value = data[name]
+        if type(value) not in types:
+            what = "a number" if float in types else "true or false"
+            raise ValueError(f"{name!r} must be {what}, got {json.dumps(value)}")
+        return value
+
     return GraphSequence(
         features=field("X"),
         adjacency=field("A"),
         times=field("t"),
-        threshold=float(data["D_tilde"]),
-        dt=float(data["dt"]),
-        norm=NormalizationSpec(scale=data["scale"], offset=tuple(data["offset"])),
-        normalized=bool(data["normalized"]),
+        threshold=float(header("D_tilde")),
+        dt=float(header("dt")),
+        norm=NormalizationSpec(scale=header("scale"), offset=tuple(data["offset"])),
+        normalized=header("normalized", (bool,)),
     )
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import functools
+import hashlib
 import io
 import json
 import math
+import re
 import tempfile
 from pathlib import Path
 
@@ -189,7 +191,7 @@ def test_train_outputs(trained):
     assert manifest["command"] == "train"
 
 
-def test_train_resume_dims_mismatch_exit_2(tmp_path, trained):
+def test_train_resume_dims_mismatch_exit_2(tmp_path, trained, capsys):
     other = gkae.build_model(5, d_out=3)
     bad_ckpt = tmp_path / "other.json"
     gkae.save_checkpoint(other, bad_ckpt)
@@ -197,6 +199,10 @@ def test_train_resume_dims_mismatch_exit_2(tmp_path, trained):
                  "--config", trained["tr_cfg"], "--out", str(tmp_path / "m.json"),
                  "--resume", str(bad_ckpt), "--quiet"])
     assert code == 2
+    # gkae.train refuses the dataset before its first epoch
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph has (L, d) = (3, 3), model expects (5, 3)")
+    assert err.count("\n") == 1
     assert not (tmp_path / "m.json").exists()
 
 
@@ -210,8 +216,22 @@ def test_train_divergence_exit_4(tmp_path, trained):
     assert not (tmp_path / "m.json").exists()
 
 
+def test_train_phase2_divergence_exit_4(tmp_path, trained, capsys):
+    # one Adam step of 1e150 sends K far enough that the next latent
+    # forecast overflows
+    cfg = write_json(tmp_path / "t.json",
+                     {"tau": 3, "epochs_phase1": 0, "epochs_phase2": 5, "lr": 1e150})
+    with np.errstate(all="ignore"):
+        code = main(["train", "--data", str(trained["root"] / "data"),
+                     "--config", cfg, "--out", str(tmp_path / "m.json"), "--quiet"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: phase 2 loss diverged at epoch ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["t.json"]
+
+
 @pytest.mark.parametrize("command, flag", [("train", "--out"), ("train", "--loss-csv"),
-                                           ("eval-covert", "--out")])
+                                           ("eval-covert", "--out"), ("dataset", "--out")])
 def test_missing_output_directory_exit_3_before_any_work(tmp_path, trained, capsys,
                                                          monkeypatch, command, flag):
     def reached(*args, **kwargs):
@@ -222,14 +242,18 @@ def test_missing_output_directory_exit_3_before_any_work(tmp_path, trained, caps
     if command == "train":
         argv = ["train", "--data", str(trained["root"] / "data"),
                 "--config", trained["tr_cfg"]]
-    else:
+    elif command == "eval-covert":
         argv = ["eval-covert", "--checkpoint", trained["ckpt"],
                 "--config", eval_config(tmp_path, [0.5], [4])]
+    else:  # dataset used to make the missing parents of its --out
+        argv = ["dataset", "--config", write_json(tmp_path / "d.json", {
+            "swarm": tiny_swarm(duration=1.0), "n_trajectories": 2})]
     missing = tmp_path / "missing" / "o.csv"
     outs = {"--out": str(tmp_path / "o.csv"), flag: str(missing)}
+    before = sorted(tmp_path.iterdir())
     assert main(argv + [a for kv in outs.items() for a in kv] + ["--quiet"]) == 3
     assert capsys.readouterr().err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
-    assert not (tmp_path / "o.csv").exists()
+    assert sorted(tmp_path.iterdir()) == before
 
 
 def set_at(*keys, value):
@@ -260,6 +284,18 @@ BAD_SEQUENCE_EDITS = {
     "D_tilde": (set_at("D_tilde", value=37.0), "D_tilde"),
     "dt": (set_at("dt", value=0.2), "dt"),
     "2-D features": (two_d_features, "feature dimension"),
+    # header values of the wrong JSON type: bool() read "false" as true,
+    # float() read true as 1.0 and the string "0.1" as 0.1
+    "normalized string": (set_at("normalized", value="false"),
+                          "'normalized' must be true or false"),
+    "normalized 1": (set_at("normalized", value=1), "'normalized' must be true or false"),
+    "dt true": (set_at("dt", value=True), "'dt' must be a number"),
+    "dt string": (set_at("dt", value="0.1"), "'dt' must be a number"),
+    "D_tilde true": (set_at("D_tilde", value=True), "'D_tilde' must be a number"),
+    "D_tilde string": (set_at("D_tilde", value="100"), "'D_tilde' must be a number"),
+    "D_tilde inf": (set_at("D_tilde", value=math.inf), "threshold must be finite"),
+    "scale true": (set_at("scale", value=True), "'scale' must be a number"),
+    "scale string": (set_at("scale", value="500"), "'scale' must be a number"),
 }
 
 
@@ -866,6 +902,14 @@ def _set_graph_encoder_inputs(doc, n):
     layer["W_neigh"] = [row[:n] for row in layer["W_neigh"]]
 
 
+def checkpoint_args(command, tmp_path, truth_csv):
+    """The arguments besides --checkpoint of a small predict or eval-covert run."""
+    return {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
+                        "--out", str(tmp_path / "pred.csv")],
+            "eval-covert": ["--config", eval_config(tmp_path, [0.5], [5], runs=2),
+                            "--out", str(tmp_path / "agg.csv")]}[command]
+
+
 @pytest.mark.parametrize("corrupt, field", [
     (lambda doc: _set_K_columns(doc, 7), "K"),
     (lambda doc: doc["dims"].update(latent=9), "K"),
@@ -885,10 +929,7 @@ def test_checkpoint_with_broken_shapes_exit_2(tmp_path, trained, truth_csv, caps
     doc = json.loads(Path(trained["ckpt"]).read_text())
     corrupt(doc)
     ckpt = write_json(tmp_path / "bad.json", doc)
-    args = {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
-                        "--out", str(tmp_path / "pred.csv")],
-            "eval-covert": ["--config", eval_config(tmp_path, [0.5], [5], runs=2),
-                            "--out", str(tmp_path / "agg.csv")]}[command]
+    args = checkpoint_args(command, tmp_path, truth_csv)
     before = sorted(p.name for p in tmp_path.iterdir())
     assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
     err = capsys.readouterr().err
@@ -909,15 +950,37 @@ def test_checkpoint_with_a_nan_parameter_exit_2(tmp_path, trained, truth_csv, ca
     if command == "train":
         err = train_rejects(tmp_path, capsys, trained["root"] / "data", resume=ckpt)
     else:
-        args = {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
-                            "--out", str(tmp_path / "pred.csv")],
-                "eval-covert": ["--config", eval_config(tmp_path, [0.5], [5], runs=2),
-                                "--out", str(tmp_path / "agg.csv")]}[command]
+        args = checkpoint_args(command, tmp_path, truth_csv)
         before = sorted(p.name for p in tmp_path.iterdir())
         assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert err == "error: checkpoint koopman_decoder[0].b is not finite\n"
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["meta"].update(d_tilde=-5.0),
+    lambda doc: doc["meta"].update(d_tilde=math.nan),
+    lambda doc: doc["meta"].update(d_tilde=math.inf),
+    lambda doc: doc["meta"].update(d_tilde=True),
+    lambda doc: doc["meta"].update(d_tilde="100"),
+    lambda doc: doc.update(meta=[]),
+], ids=["negative_d_tilde", "nan_d_tilde", "inf_d_tilde", "bool_d_tilde", "string_d_tilde",
+        "list_meta"])
+@pytest.mark.parametrize("command", ["predict", "eval-covert"])
+def test_checkpoint_with_a_bad_meta_exit_2(tmp_path, trained, truth_csv, capsys, edit,
+                                           command):
+    # every start frame is graphed at meta.d_tilde: -5 or NaN moved the
+    # forecast without a word
+    doc = json.loads(Path(trained["ckpt"]).read_text())
+    edit(doc)
+    ckpt = write_json(tmp_path / "bad.json", doc)
+    args = checkpoint_args(command, tmp_path, truth_csv)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint meta") and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 @functools.cache
@@ -987,6 +1050,165 @@ def test_mutated_checkpoint_fails_cleanly(trained, data):
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
         assert sorted(p.name for p in d.iterdir()) == before
+
+
+# --- the run protocol -------------------------------------------------------------
+
+MANIFEST_KEYS = ["tool", "version", "command", "config", "config_digest", "seed",
+                 "inputs", "outputs", "duration_s"]
+
+
+def digest(path) -> str:
+    return "sha256:" + hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def protocol_run(command, d, trained, truth_csv):
+    """A small run of command writing into d: its argv, manifest path, the
+    input files the manifest must digest, its outputs and a pattern of its
+    summary line."""
+    ckpt = trained["ckpt"]
+    if command == "simulate":
+        cfg = write_json(d / "sim.json", tiny_swarm(duration=2.0))
+        out = d / "traj.csv"
+        return (["simulate", "--config", cfg, "--out", str(out), "--seed", "7"],
+                d / "traj.csv.manifest.json", {}, [out],
+                f"simulated 21 frames x 3 UAVs -> {re.escape(str(out))}")
+    if command == "dataset":
+        cfg = write_json(d / "ds.json", {"swarm": tiny_swarm(duration=1.0),
+                                         "n_trajectories": 2})
+        out = d / "data"
+        return (["dataset", "--config", cfg, "--out", str(out)], out / "manifest.json", {},
+                [out / "train" / "seq_0000.json", out / "test" / "seq_0001.json"],
+                f"wrote 1 train \\+ 1 test sequences -> {re.escape(str(out))}")
+    if command == "train":
+        cfg = write_json(d / "t.json", {"tau": 3, "epochs_phase1": 2, "epochs_phase2": 2})
+        out = d / "m.json"
+        return (["train", "--data", str(trained["root"] / "data"), "--config", cfg,
+                 "--out", str(out), "--resume", ckpt],
+                d / "m.json.manifest.json", {"resume": ckpt}, [out, d / "m_loss.csv"],
+                f"trained 4 sequences, final loss [-+.e0-9]+ -> {re.escape(str(out))}")
+    if command == "predict":
+        _, pos, vel = swarm.load_trajectory_csv(truth_csv)
+        replay = d / "replay.csv"
+        swarm.save_trajectory_csv(swarm.Trajectory(pos[1:], vel[1:], 0.1), replay)
+        out = d / "pred.csv"
+        return (["predict", "--checkpoint", ckpt, "--trajectory", truth_csv,
+                 "--horizon-s", "3", "--out", str(out), "--replay", str(replay)],
+                d / "pred.csv.manifest.json",
+                {"checkpoint": ckpt, "trajectory": truth_csv, "replay": str(replay)},
+                [out, d / "pred_errors.csv"],
+                f"predicted 30 steps, eps_mean=0 m\\^2 -> {re.escape(str(out))}")
+    out = d / "agg.csv"
+    return (["eval-covert", "--checkpoint", ckpt, "--config",
+             eval_config(d, [0.5], [4], runs=2), "--out", str(out)],
+            d / "agg.csv.manifest.json", {"checkpoint": ckpt}, [out, d / "agg_report.json"],
+            f"evaluated 1 cells over 2 runs -> {re.escape(str(out))}")
+
+
+@pytest.mark.parametrize("command", ["simulate", "dataset", "train", "predict",
+                                     "eval-covert"])
+def test_manifest_and_summary_line(tmp_path, trained, truth_csv, capsys, command):
+    # train --resume recorded no input and predict --replay not the replay
+    argv, manifest_path, inputs, outputs, summary = protocol_run(command, tmp_path,
+                                                                 trained, truth_csv)
+    assert main(argv) == 0
+    captured = capsys.readouterr()
+    assert re.fullmatch(summary + "\n", captured.out), captured.out
+    assert captured.err == ""
+    manifest = json.loads(manifest_path.read_text())
+    assert list(manifest) == MANIFEST_KEYS
+    config = argv[argv.index("--config") + 1] if "--config" in argv else None
+    assert manifest["command"] == command
+    assert (manifest["config"], manifest["config_digest"]) == \
+        (config, config and digest(config))
+    assert manifest["seed"] == (7 if command == "simulate" else None)
+    assert manifest["inputs"] == {k: digest(v) for k, v in inputs.items()}
+    assert list(manifest["inputs"]) == list(inputs)
+    assert manifest["outputs"] == [str(p) for p in outputs]
+    assert manifest["duration_s"] >= 0
+
+
+def save_truth(path, n_frames):
+    traj = swarm.simulate(swarm.SwarmConfig(**tiny_swarm(duration=6.0)))
+    swarm.save_trajectory_csv(swarm.Trajectory(traj.positions[:n_frames],
+                                                traj.velocities[:n_frames], 0.1), path)
+    return str(path)
+
+
+def two_d_checkpoint(d):
+    gkae.save_checkpoint(gkae.build_model(3, d_out=2), d / "2d.json")
+    return str(d / "2d.json")
+
+
+def predict_argv(ckpt, truth, horizon="3", *extra):
+    return ["predict", "--checkpoint", ckpt, "--trajectory", truth, "--horizon-s", horizon,
+            *extra]
+
+
+# A run for each check, on inputs written into d, and a part of its message.
+REJECTED_RUNS = {
+    "2-D checkpoint": (lambda d, t: predict_argv(two_d_checkpoint(d),
+                                                 save_truth(d / "truth.csv", 61)),
+                       "requires a 3D checkpoint"),
+    "one-frame trajectory": (lambda d, t: predict_argv(t["ckpt"],
+                                                       save_truth(d / "truth.csv", 1)),
+                             "at least 2 frames"),
+    "horizon past the truth": (lambda d, t: predict_argv(t["ckpt"],
+                                                         save_truth(d / "truth.csv", 21)),
+                               "exceeds the 20 available truth steps"),
+    "short replay": (lambda d, t: predict_argv(t["ckpt"], save_truth(d / "truth.csv", 61),
+                                               "3", "--replay",
+                                               save_truth(d / "replay.csv", 29)),
+                     "replay file shorter than the requested horizon"),
+    "no trajectories": (lambda d, t: ["dataset", "--config", write_json(
+        d / "ds.json", {"swarm": tiny_swarm(), "n_trajectories": 0})],
+                        "n_trajectories must be >= 1, got 0"),
+    "burn-in leaves one frame": (lambda d, t: ["dataset", "--config", write_json(
+        d / "ds.json", {"swarm": tiny_swarm(duration=2.0), "n_trajectories": 2,
+                        "burn_in_s": 2.0})], "fewer than 2 frames"),
+    "missing data directory": (lambda d, t: ["train", "--data", str(d / "nope"),
+                                             "--config", t["tr_cfg"]],
+                               "dataset directory not found"),
+    "empty data directory": (lambda d, t: ["train", "--data", str(d),
+                                           "--config", t["tr_cfg"]],
+                             "no training sequences found"),
+    "lambda outside (0, 1)": (lambda d, t: ["eval-covert", "--checkpoint", t["ckpt"],
+                                            "--config", eval_config(d, [0.5, 1.0], [4])],
+                              "lambda grid value 1.0 not in (0, 1)"),
+}
+
+
+@pytest.mark.parametrize("case", REJECTED_RUNS)
+def test_rejected_run_exit_2(tmp_path, trained, capsys, case):
+    make_argv, words = REJECTED_RUNS[case]
+    argv = make_argv(tmp_path, trained)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main(argv + ["--out", str(tmp_path / "out"), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["train", "eval-covert"])
+def test_seed_flag_equals_the_config_seed(tmp_path, trained, command):
+    # --seed 9 on a config seeded 0 writes what a config seeded 9 writes
+    outputs = {"train": ["m.json", "m_loss.csv"], "eval-covert": ["agg.csv", "agg_report.json"]}
+    written = []
+    for name, config_seed, flag in [("config", 9, []), ("flag", 0, ["--seed", "9"])]:
+        d = tmp_path / name
+        d.mkdir()
+        if command == "train":
+            cfg = write_json(d / "t.json", {"tau": 3, "epochs_phase1": 2,
+                                            "epochs_phase2": 2, "seed": config_seed})
+            argv = ["train", "--data", str(trained["root"] / "data"), "--config", cfg]
+        else:
+            doc = json.loads(Path(eval_config(d, [0.5], [4], runs=2)).read_text())
+            doc["covert"]["seed"] = config_seed
+            argv = ["eval-covert", "--checkpoint", trained["ckpt"],
+                    "--config", write_json(d / "eval.json", doc)]
+        assert main(argv + ["--out", str(d / outputs[command][0]), *flag, "--quiet"]) == 0
+        written.append([(d / f).read_bytes() for f in outputs[command]])
+    assert written[0] == written[1]
 
 
 # --- cross-command determinism -----------------------------------------------------

@@ -169,6 +169,8 @@ def test_sequence_requires_consistency():
     ("adjacency", np.full((2, 3, 3), 7), "0 or 1"),
     ("threshold", -1.0, "threshold"),
     ("threshold", np.nan, "threshold"),
+    # train records it as the checkpoint's meta.d_tilde, which must be finite
+    ("threshold", np.inf, "threshold must be finite"),
     ("dt", 0.0, "dt"),
     ("dt", np.nan, "dt"),
 ])
