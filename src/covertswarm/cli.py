@@ -331,7 +331,15 @@ def cmd_predict(args, outputs: _Outputs) -> str:
     checks = np.arange(per_check, steps + 1, per_check)
 
     if args.replay:
-        _, pred, _ = swarm.load_trajectory_csv(args.replay)
+        replay_times, pred, _ = swarm.load_trajectory_csv(args.replay)
+        replay_dt = replay_times[1] - replay_times[0] if len(replay_times) > 1 else dt
+        if pred.shape[1] != positions.shape[1]:
+            raise ValueError(f"replay file {args.replay} has {pred.shape[1]} UAVs, "
+                             f"the trajectory {positions.shape[1]}")
+        # within load_trajectory_csv's tolerance for one uniform dt
+        if not np.isclose(replay_dt, dt, rtol=1e-6, atol=0.0):
+            raise ValueError(f"replay file {args.replay} has dt {replay_dt:g} s, "
+                             f"the trajectory {dt:g} s")
         if pred.shape[0] < steps:
             raise ValueError("replay file shorter than the requested horizon")
         pred = pred[:steps]

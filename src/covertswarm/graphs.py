@@ -8,6 +8,7 @@ forecasting model; a one-frame sequence is its prediction input.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,12 @@ class NormalizationSpec:
     offset: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
+        # float() would read a JSON true as 1.0 and the string "5" as 5.0
+        if isinstance(self.scale, bool):
+            raise ValueError(f"scale must be a number, got {self.scale}")
+        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                   for v in self.offset):
+            raise ValueError(f"offset must hold numbers, got {self.offset}")
         if not 0 < self.scale < np.inf:
             raise ValueError(f"scale must be finite and > 0, got {self.scale}")
         object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
@@ -157,18 +164,6 @@ normalize_snapshot = normalize
 
 # --- serialization -----------------------------------------------------------
 
-def sequence_to_dict(seq: GraphSequence) -> dict:
-    return {
-        "dt": seq.dt,
-        "D_tilde": seq.threshold,
-        "scale": seq.norm.scale,
-        "offset": list(seq.norm.offset),
-        "normalized": seq.normalized,
-        "frames": [{"t": t, "X": x, "A": a} for t, x, a in zip(
-            seq.times.tolist(), seq.features.tolist(), seq.adjacency.tolist())],
-    }
-
-
 def sequence_from_dict(data: dict) -> GraphSequence:
     if not isinstance(data, dict):
         raise ValueError("top level is not a JSON object")
@@ -200,8 +195,27 @@ def sequence_from_dict(data: dict) -> GraphSequence:
 
 
 def save_sequence_json(seq: GraphSequence, path) -> None:
+    """Write seq as the text json.dumps gives for its header fields and a
+    list of {"t", "X", "A"} frames, built from whole arrays: json writes a
+    finite float as float.__repr__ does, and seq holds finite features and
+    times and 0/1 adjacency."""
+    T, L, d = seq.features.shape
+    head = json.dumps({"dt": seq.dt, "D_tilde": seq.threshold, "scale": seq.norm.scale,
+                       "offset": list(seq.norm.offset), "normalized": seq.normalized})
+    row = "[" + ", ".join(["%s"] * d) + "]"
+    frame = '{"t": %s, "X": [' + ", ".join([row] * L) + '], "A": %s}'
+    # each frame's A is the text of the zero matrix with its digits filled in
+    blank = np.frombuffer(json.dumps([[0] * L] * L).encode(), np.uint8)
+    a_text = np.tile(blank, (T, 1))
+    a_text[:, blank == ord("0")] = seq.adjacency.reshape(T, L * L) + ord("0")
+    cells = np.empty((T, L * d + 2), dtype=object)
+    cells[:, 0] = list(map(float.__repr__, seq.times.tolist()))
+    cells[:, 1:-1] = np.array(list(map(float.__repr__, seq.features.ravel().tolist())),
+                              dtype=object).reshape(T, L * d)
+    cells[:, -1] = a_text.view(f"S{blank.size}")[:, 0].astype(str)
+    frames = ", ".join([frame] * T) % tuple(cells.ravel().tolist())
     with open(path, "w") as fh:
-        fh.write(json.dumps(sequence_to_dict(seq)))
+        fh.write(head[:-1] + ', "frames": [' + frames + "]}")
 
 
 def load_sequence_json(path) -> GraphSequence:

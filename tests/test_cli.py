@@ -296,6 +296,9 @@ BAD_SEQUENCE_EDITS = {
     "D_tilde inf": (set_at("D_tilde", value=math.inf), "threshold must be finite"),
     "scale true": (set_at("scale", value=True), "'scale' must be a number"),
     "scale string": (set_at("scale", value="500"), "'scale' must be a number"),
+    # NormalizationSpec read a true in the offset as 1.0 and "5" as 5.0
+    "offset true": (set_at("offset", value=[0.0, True, 0.0]), "offset must hold numbers"),
+    "offset string": (set_at("offset", value=["5", 0.0, 0.0]), "offset must hold numbers"),
 }
 
 
@@ -983,6 +986,27 @@ def test_checkpoint_with_a_bad_meta_exit_2(tmp_path, trained, truth_csv, capsys,
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("edit, words", [
+    (lambda norm: norm.update(scale=True), "scale must be a number"),
+    (lambda norm: norm.update(offset=[0.0, 0.0, True]), "offset must hold numbers"),
+    (lambda norm: norm.update(offset=["5", 0.0, 0.0]), "offset must hold numbers"),
+], ids=["scale_true", "offset_true", "offset_string"])
+@pytest.mark.parametrize("command", ["predict", "eval-covert"])
+def test_checkpoint_with_a_non_numeric_norm_exit_2(tmp_path, trained, truth_csv, capsys,
+                                                 edit, words, command):
+    # a true used to load as 1.0 and "5" as 5.0: a forecast in other units
+    # than the training
+    doc = json.loads(Path(trained["ckpt"]).read_text())
+    edit(doc["norm"])
+    ckpt = write_json(tmp_path / "bad.json", doc)
+    args = checkpoint_args(command, tmp_path, truth_csv)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and words in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 @functools.cache
 def checkpoint_mutations(ckpt):
     """Every way to break one field of the checkpoint the model needs (not
@@ -1128,10 +1152,10 @@ def test_manifest_and_summary_line(tmp_path, trained, truth_csv, capsys, command
     assert manifest["duration_s"] >= 0
 
 
-def save_truth(path, n_frames):
-    traj = swarm.simulate(swarm.SwarmConfig(**tiny_swarm(duration=6.0)))
+def save_truth(path, n_frames, dt=0.1, L=3):
+    traj = swarm.simulate(swarm.SwarmConfig(**tiny_swarm(duration=6.0, L=L)))
     swarm.save_trajectory_csv(swarm.Trajectory(traj.positions[:n_frames],
-                                                traj.velocities[:n_frames], 0.1), path)
+                                                traj.velocities[:n_frames], dt), path)
     return str(path)
 
 
@@ -1145,6 +1169,13 @@ def predict_argv(ckpt, truth, horizon="3", *extra):
             *extra]
 
 
+def replay_argv(d, t, n_frames, **replay):
+    """predict over 3 s of a 61-frame truth, replaying n_frames saved with
+    save_truth's replay settings."""
+    return predict_argv(t["ckpt"], save_truth(d / "truth.csv", 61), "3", "--replay",
+                        save_truth(d / "replay.csv", n_frames, **replay))
+
+
 # A run for each check, on inputs written into d, and a part of its message.
 REJECTED_RUNS = {
     "2-D checkpoint": (lambda d, t: predict_argv(two_d_checkpoint(d),
@@ -1156,10 +1187,14 @@ REJECTED_RUNS = {
     "horizon past the truth": (lambda d, t: predict_argv(t["ckpt"],
                                                          save_truth(d / "truth.csv", 21)),
                                "exceeds the 20 available truth steps"),
-    "short replay": (lambda d, t: predict_argv(t["ckpt"], save_truth(d / "truth.csv", 61),
-                                               "3", "--replay",
-                                               save_truth(d / "replay.csv", 29)),
+    "short replay": (lambda d, t: replay_argv(d, t, 29),
                      "replay file shorter than the requested horizon"),
+    # it was scored against the truth's frames as if it were at the truth's dt
+    "replay at another dt": (lambda d, t: replay_argv(d, t, 30, dt=0.2),
+                             "replay.csv has dt 0.2 s, the trajectory 0.1 s"),
+    # it failed in numpy's concatenate
+    "replay with 4 UAVs": (lambda d, t: replay_argv(d, t, 30, L=4),
+                           "replay.csv has 4 UAVs, the trajectory 3"),
     "no trajectories": (lambda d, t: ["dataset", "--config", write_json(
         d / "ds.json", {"swarm": tiny_swarm(), "n_trajectories": 0})],
                         "n_trajectories must be >= 1, got 0"),

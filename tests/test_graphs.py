@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covertswarm import graphs
 from covertswarm.graphs import (
@@ -235,3 +237,50 @@ def test_sequence_json_format_is_pinned(tmp_path):
         '"normalized": true, "frames": ['
         '{"t": 0.0, "X": [[0.0, 0.0, 0.04], [0.1, 0.0, 0.04]], "A": [[0, 1], [1, 0]]}, '
         '{"t": 0.1, "X": [[0.0, 0.02, 0.04], [0.3, 0.0, 0.04]], "A": [[0, 0], [0, 0]]}]}')
+
+
+def dict_text(seq):
+    """The bytes save_sequence_json must write: json.dumps of the sequence's
+    header and one {"t", "X", "A"} dict per frame."""
+    return json.dumps({
+        "dt": seq.dt,
+        "D_tilde": seq.threshold,
+        "scale": seq.norm.scale,
+        "offset": list(seq.norm.offset),
+        "normalized": seq.normalized,
+        "frames": [{"t": t, "X": x, "A": a} for t, x, a in zip(
+            seq.times.tolist(), seq.features.tolist(), seq.adjacency.tolist())],
+    })
+
+
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-5, 1e16, 1e22, 0.1]))
+
+
+@st.composite
+def sequences(draw):
+    T, L, d = draw(st.integers(1, 6)), draw(st.integers(0, 6)), draw(st.sampled_from([2, 3]))
+    values = draw(st.lists(FINITE, min_size=T * L * d + T, max_size=T * L * d + T))
+    bits = draw(st.lists(st.integers(0, 1), min_size=T * L * L, max_size=T * L * L))
+    norm = NormalizationSpec(scale=draw(st.one_of(st.integers(1, 10 ** 6),
+                                                   st.floats(1e-300, 1e300))),
+                             offset=tuple(draw(st.lists(FINITE, min_size=3, max_size=3))))
+    return GraphSequence(np.reshape(values[T:], (T, L, d)), np.reshape(bits, (T, L, L)),
+                         values[:T], draw(st.floats(0.0, 1e300)), draw(FINITE.filter(
+                             lambda v: v > 0)), norm, normalized=draw(st.booleans()))
+
+
+@given(seq=sequences())
+@settings(max_examples=300, deadline=None)
+def test_sequence_json_bytes_equal_the_dict_encoding(tmp_path_factory, seq):
+    path = tmp_path_factory.mktemp("seq") / "seq.json"
+    save_sequence_json(seq, path)
+    assert path.read_bytes() == dict_text(seq).encode()
+    if seq.n_nodes == 0:  # "X": [] does not say d, so the file cannot be read back
+        return
+    back = load_sequence_json(path)
+    for a, b in [(back.features, seq.features), (back.adjacency, seq.adjacency),
+                 (back.times, seq.times)]:
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (back.threshold, back.dt, back.norm, back.normalized) == \
+        (seq.threshold, seq.dt, seq.norm, seq.normalized)

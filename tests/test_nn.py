@@ -286,6 +286,28 @@ def test_sage_backward_from_saved_equals_recomputed_bitwise(activation):
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("width", [2, 3, 4, 8, 16])
+def test_bias_gradient_adds_the_rows_in_order_bitwise(width):
+    """db keeps the bits of dz.sum(axis=0), which adds the rows one at a time
+    in order from +0.0, over magnitudes from 1e-300 to 1e300 and a column of
+    -0.0, up to the 160,320 rows of a phase-1 batch at L = 4."""
+    rng = np.random.default_rng(width)
+    dense, sage = make_dense(rng, 2, width, "identity"), make_sage(rng, 2, width, "identity")
+    for rows in [1, 2, 3, 7, 8, 9, 16, 17, 1000, 37680, 160320]:
+        up = rng.normal(size=(rows, width)) * 10.0 ** rng.uniform(-300, 300, (rows, width))
+        up[:, -1] = -0.0
+        want = up.sum(axis=0).tobytes()
+        if rows <= 1000:
+            total = np.zeros(width)
+            for row in up:
+                total = total + row
+            assert total.tobytes() == want
+        x = rng.normal(size=(rows, 1, 2))
+        assert dense_backward(dense, x, up[:, None], need_input=False)[2].tobytes() == want
+        got = sage_backward(sage, x, np.zeros((rows, 1, 1)), up[:, None], need_input=False)
+        assert got[3].tobytes() == want
+
+
 @pytest.mark.parametrize("activation", ["elu", "tanh", "identity"])
 def test_backward_without_input_gradient_keeps_parameter_gradients_bitwise(activation):
     rng = np.random.default_rng(13)
