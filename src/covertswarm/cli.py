@@ -144,19 +144,21 @@ _JSON_TYPES = {int: "an integer", float: "a finite number", bool: "true or false
 
 
 def _is_json(value, kind) -> bool:
-    """Whether a parsed JSON value has the type kind, a key of _JSON_TYPES.
-    true/false is only a boolean, never a number, 2.0 is no integer, and a
-    number must be finite as a float: json.load reads NaN, Infinity and 1e400."""
+    """Whether a parsed JSON value has the type kind, a key of _JSON_TYPES:
+    a number is what graphs.read_numbers reads as one (finite, and never
+    true or false), true/false is only a boolean and 2.0 is no integer."""
     args = typing.get_args(kind)
     if typing.get_origin(kind) is list:
         return isinstance(value, list) and all(_is_json(v, args[0]) for v in value)
     if args:  # a union
         return any(_is_json(value, k) for k in args)
-    if isinstance(value, bool):
-        return kind is bool
     if kind is float:
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, kind)
+        try:
+            graphs.read_numbers(value, "", ())
+        except ValueError:
+            return False
+        return True
+    return type(value) is kind
 
 
 def _field_types(cls, *skip) -> dict:
@@ -217,12 +219,10 @@ def cmd_dataset(args, outputs: _Outputs) -> str:
         raise ValueError(f"n_trajectories must be >= 1, got {n}")
     base_seed = args.seed if args.seed is not None else swarm_cfg.seed
     d_tilde = float(cfg.get("d_tilde", graphs.DEFAULT_THRESHOLD_M))
-    offset = cfg.get("offset", [0.0, 0.0, 0.0])
-    if len(offset) != 3:
-        raise ValueError(f"'offset' in the dataset config must be a list of 3 numbers, "
-                         f"got {json.dumps(offset)}")
+    offset = graphs.read_numbers(cfg.get("offset", [0.0, 0.0, 0.0]),
+                                 "'offset' in the dataset config", (3,))
     norm = graphs.NormalizationSpec(scale=float(cfg.get("scale", swarm_cfg.X_size)),
-                                    offset=tuple(offset))
+                                    offset=offset)
     skip = _whole_steps(float(cfg.get("burn_in_s", 0.0)), swarm_cfg.dt, "burn_in_s",
                         allow_zero=True)
     if swarm_cfg.n_steps - skip < 1:
@@ -288,7 +288,6 @@ def cmd_train(args, outputs: _Outputs) -> str:
         model = gkae.build_model(first.n_nodes, d_out=d_out, norm=first.norm,
                                  seed=cfg.seed)
     model, history = gkae.train(model, dataset, cfg)
-    model.meta["d_tilde"] = first.threshold
     out = Path(args.out)
     outputs.write(out, lambda p: gkae.save_checkpoint(model, p))
     loss_csv = Path(args.loss_csv) if args.loss_csv else \
@@ -309,10 +308,17 @@ def _forecast(model: gkae.GkaeModel, start_frames_m: np.ndarray, steps) -> np.nd
                               steps)
 
 
-def cmd_predict(args, outputs: _Outputs) -> str:
+def _load_3d_checkpoint(args) -> gkae.GkaeModel:
+    """The checkpoint the forecast commands take: one of 3-D positions."""
     model = gkae.load_checkpoint(args.checkpoint)
     if model.d_out != 3:
-        raise ValueError("predict requires a 3D checkpoint")
+        raise ValueError(f"{args.command} requires a 3D checkpoint, "
+                         f"{args.checkpoint} is 2-D")
+    return model
+
+
+def cmd_predict(args, outputs: _Outputs) -> str:
+    model = _load_3d_checkpoint(args)
     times, positions, _ = swarm.load_trajectory_csv(args.trajectory)
     if len(times) < 2:
         raise ValueError("trajectory needs at least 2 frames")
@@ -382,7 +388,7 @@ def _save_errors_csv(cols: dict, path) -> None:
 # --- eval-covert -------------------------------------------------------------
 
 def cmd_eval_covert(args, outputs: _Outputs) -> str:
-    model = gkae.load_checkpoint(args.checkpoint)
+    model = _load_3d_checkpoint(args)
     cfg = _known(_load_json(args.config), "eval-covert config",
                  {"swarm": dict, "burn_in_s": float, "covert": dict, "ground": dict,
                   "lambda_grid": list[float], "n_grid": list[int], "l_grid": list[int],

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import GraphSequence, NormalizationSpec
+from .graphs import GraphSequence, NormalizationSpec, read_numbers
 from .nn import (
     AdamState,
     DenseLayer,
@@ -569,6 +569,9 @@ def _stack_dataset(model: GkaeModel, dataset: list, window: int):
         if seq.n_frames < window:
             raise ValueError(
                 f"sequence of {seq.n_frames} frames is shorter than window={window}")
+        if seq.threshold != dataset[0].threshold:
+            raise ValueError(f"sequences graphed at thresholds {dataset[0].threshold:g} "
+                             f"and {seq.threshold:g} m")
         X_parts.append(seq.features)
         A_parts.append(seq.adjacency.astype(float))
         anchor_parts.append(offset + np.arange(seq.n_frames - window + 1))
@@ -584,6 +587,8 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
     freezes it and fits the latent encoder, transition matrix and decoder on
     the embedding reconstruction + multi-step prediction losses.  One epoch
     is one full-batch Adam step over every frame / anchor in the dataset.
+    The sequences share one threshold, which meta["d_tilde"] records: the
+    forecast graphs its start frames at it.
     """
     if not dataset:
         raise ValueError("empty dataset")
@@ -633,6 +638,7 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
         "final_losses": {"L_grec": float(loss1) if np.isfinite(loss1) else None,
                          "L_rec": float(rec) if np.isfinite(rec) else None,
                          "L_pred": float(pred) if np.isfinite(pred) else None},
+        "d_tilde": dataset[0].threshold,
     })
     return model, history
 
@@ -651,12 +657,6 @@ def _layer_to_dict(layer) -> dict:
     """A DenseLayer or SageLayer as {field: value} in field order, arrays as lists."""
     return {f.name: getattr(layer, f.name) if f.name == "activation"
             else getattr(layer, f.name).tolist() for f in fields(layer)}
-
-
-def _layer_from_dict(cls, d: dict):
-    """The cls layer that _layer_to_dict wrote as d."""
-    return cls(**{f.name: d[f.name] if f.name == "activation"
-                  else np.asarray(d[f.name], dtype=float) for f in fields(cls)})
 
 
 def save_checkpoint(model: GkaeModel, path) -> None:
@@ -678,12 +678,6 @@ def save_checkpoint(model: GkaeModel, path) -> None:
         fh.write(json.dumps(doc))
 
 
-def _check_finite(field: str, value: np.ndarray) -> None:
-    # a NaN would otherwise surface only as a diverged rollout or training loss
-    if not np.isfinite(value).all():
-        raise CheckpointError(f"checkpoint {field} is not finite")
-
-
 def _dim(dims: dict, key: str) -> int:
     # int() would read 4.7 as 4 and "8" as 8
     value = dims[key]
@@ -697,16 +691,15 @@ def _layer_chain(params: dict, name: str, cls, n_in: int, n_out: int) -> list:
     """params[name] as finite cls layers whose shapes chain n_in -> ... -> n_out."""
     layers = []
     for k, d in enumerate(params[name]):
+        where = f"checkpoint {name}[{k}]"
+        arrays = {f.name: read_numbers(d[f.name], f"{where}.{f.name}")
+                  for f in fields(cls) if f.name != "activation"}
         try:
-            layer = _layer_from_dict(cls, d)
+            layer = cls(**arrays, activation=d["activation"])
         except ValueError as exc:
-            raise CheckpointError(f"checkpoint {name}[{k}]: {exc}") from exc
-        for field, value in vars(layer).items():
-            if isinstance(value, np.ndarray):
-                _check_finite(f"{name}[{k}].{field}", value)
+            raise CheckpointError(f"{where}: {exc}") from exc
         if layer.n_in != n_in:
-            raise CheckpointError(f"checkpoint {name}[{k}] takes {layer.n_in} inputs, "
-                                  f"expected {n_in}")
+            raise CheckpointError(f"{where} takes {layer.n_in} inputs, expected {n_in}")
         layers.append(layer)
         n_in = layer.n_out
     if n_in != n_out:
@@ -727,23 +720,16 @@ def load_checkpoint(path) -> GkaeModel:
     meta = doc.get("meta", {})
     if not isinstance(meta, dict):
         raise CheckpointError("checkpoint meta must be a JSON object")
-    d_tilde = meta.get("d_tilde", 0.0)  # the forecast graphs each start frame at it
-    if type(d_tilde) not in (int, float) or not 0 <= d_tilde < math.inf:
-        raise CheckpointError(f"checkpoint meta.d_tilde must be a finite number >= 0, "
-                              f"got {d_tilde!r}")
+    if not read_numbers(meta.get("d_tilde", 0.0), "checkpoint meta.d_tilde", ()) >= 0:
+        raise CheckpointError(f"checkpoint meta.d_tilde must be >= 0, got {meta['d_tilde']}")
     try:
         dims = doc["dims"]
         params = doc["params"]
-        norm = NormalizationSpec(scale=doc["norm"]["scale"],
-                                 offset=tuple(doc["norm"]["offset"]))
+        norm = NormalizationSpec(scale=doc["norm"]["scale"], offset=doc["norm"]["offset"])
         L, d_out, latent, node_dim = (_dim(dims, k) for k in ("L", "d_out", "latent",
                                                               "node_dim"))
         embed = node_dim * L
-        K = np.asarray(params["K"], dtype=float)
-        if K.shape != (latent, latent):
-            raise CheckpointError(f"checkpoint K has shape {K.shape}, expected "
-                                  f"(latent, latent) = {(latent, latent)}")
-        _check_finite("K", K)
+        K = read_numbers(params["K"], "checkpoint K", (latent, latent))
         model = GkaeModel(
             graph_encoder=_layer_chain(params, "graph_encoder", SageLayer, d_out, node_dim),
             koopman_encoder=_layer_chain(params, "koopman_encoder", DenseLayer, embed, latent),

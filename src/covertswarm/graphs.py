@@ -8,12 +8,38 @@ forecasting model; a one-frame sequence is its prediction input.
 from __future__ import annotations
 
 import json
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_THRESHOLD_M = 100.0
+
+
+def read_numbers(value, what: str, shape: tuple | None = None,
+                 scan: bool = True) -> np.ndarray:
+    """value, a number or a rectangular nested list of numbers as json.load
+    gives it, as float64 of the given shape, if any; what names it in errors.
+    Each entry is an int or a float (numpy's too), never a bool, a string or
+    null, and finite.  np.asarray's dtype refuses strings, null and ints past
+    64 bits but reads a bool among numbers as 0 or 1, so a list is scanned
+    for bools unless scan is False: the caller knows it holds none."""
+    try:
+        array = np.asarray(value)
+    except ValueError:  # numpy's words for a ragged list
+        raise ValueError(f"{what} must be a rectangular list of numbers") from None
+    ok = array.dtype.kind in "iuf"
+    if ok and scan and array.ndim and not isinstance(value, np.ndarray):
+        ok = {bool, np.bool_}.isdisjoint(map(type, np.asarray(value, dtype=object).flat))
+    if not ok:
+        raise ValueError(f"{what} must hold numbers" if array.ndim else
+                         f"{what} must be a number, got {json.dumps(value, default=repr)}")
+    array = array.astype(float, copy=False)
+    if shape is not None and array.shape != shape:
+        raise ValueError(f"{what} must have shape {shape}, got {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{what} holds non-finite values" if array.ndim else
+                         f"{what} must be finite, got {json.dumps(value, default=repr)}")
+    return array
 
 
 @dataclass(frozen=True)
@@ -24,17 +50,10 @@ class NormalizationSpec:
     offset: tuple = (0.0, 0.0, 0.0)
 
     def __post_init__(self):
-        # float() would read a JSON true as 1.0 and the string "5" as 5.0
-        if isinstance(self.scale, bool):
-            raise ValueError(f"scale must be a number, got {self.scale}")
-        if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-                   for v in self.offset):
-            raise ValueError(f"offset must hold numbers, got {self.offset}")
-        if not 0 < self.scale < np.inf:
-            raise ValueError(f"scale must be finite and > 0, got {self.scale}")
-        object.__setattr__(self, "offset", tuple(float(v) for v in self.offset))
-        if not np.all(np.isfinite(self.offset)):
-            raise ValueError(f"offset must be finite, got {self.offset}")
+        if not read_numbers(self.scale, "scale", ()) > 0:
+            raise ValueError(f"scale must be > 0, got {self.scale}")
+        object.__setattr__(self, "offset",
+                           tuple(read_numbers(self.offset, "offset", (3,)).tolist()))
 
     def offset_array(self, d: int) -> np.ndarray:
         return np.asarray(self.offset[:d], dtype=float)
@@ -74,29 +93,22 @@ class GraphSequence:
     normalized: bool
 
     def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=float)
-        adjacency = np.asarray(self.adjacency)
-        self.times = np.asarray(self.times, dtype=float)
-        self.threshold = float(self.threshold)
+        self.features = read_numbers(self.features, "features X")
         shape = self.features.shape
-        if len(shape) != 3 or shape[0] < 1 or shape[2] not in (2, 3):
-            raise ValueError(f"features X must be (T >= 1, L, 2|3), got {shape}")
+        if len(shape) != 3 or min(shape[:2]) < 1 or shape[2] not in (2, 3):
+            raise ValueError(f"features X must be (T >= 1, L >= 1, 2|3), got {shape}")
         T, L, _ = shape
-        if adjacency.shape != (T, L, L):
-            raise ValueError(f"adjacency A must be {(T, L, L)}, got {adjacency.shape}")
-        if self.times.shape != (T,):
-            raise ValueError(f"times t must be ({T},), got {self.times.shape}")
-        if not np.all(np.isfinite(self.features)):
-            raise ValueError("features X contain non-finite values")
-        if not np.all(np.isfinite(self.times)):
-            raise ValueError("times t contain non-finite values")
+        adjacency = read_numbers(self.adjacency, "adjacency A", (T, L, L))
         if not np.all((adjacency == 0) | (adjacency == 1)):
             raise ValueError("adjacency A entries must be 0 or 1")
-        self.adjacency = adjacency.astype(np.int64, copy=False)
-        if not 0 <= self.threshold < np.inf:
-            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if not 0 < self.dt < np.inf:
-            raise ValueError(f"dt must be finite and > 0, got {self.dt}")
+        self.adjacency = adjacency.astype(np.int64)
+        self.times = read_numbers(self.times, "times t", (T,))
+        self.threshold = float(read_numbers(self.threshold, "threshold", ()))
+        if not self.threshold >= 0:
+            raise ValueError(f"threshold must be >= 0, got {self.threshold}")
+        self.dt = float(read_numbers(self.dt, "dt", ()))
+        if not self.dt > 0:
+            raise ValueError(f"dt must be > 0, got {self.dt}")
 
     @property
     def n_frames(self) -> int:
@@ -164,33 +176,21 @@ normalize_snapshot = normalize
 
 # --- serialization -----------------------------------------------------------
 
-def sequence_from_dict(data: dict) -> GraphSequence:
+def sequence_from_dict(data: dict, scan: bool = True) -> GraphSequence:
     if not isinstance(data, dict):
         raise ValueError("top level is not a JSON object")
     frames = data["frames"]
-
-    def field(name):
-        try:
-            return np.asarray([f[name] for f in frames], dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"frames field {name} is missing, not numeric or ragged") from exc
-
-    def header(name, types=(int, float)):
-        # bool() reads the string "false" as true, float() reads true as 1.0
-        value = data[name]
-        if type(value) not in types:
-            what = "a number" if float in types else "true or false"
-            raise ValueError(f"{name!r} must be {what}, got {json.dumps(value)}")
-        return value
-
+    if type(data["normalized"]) is not bool:  # bool() reads the string "false" as true
+        raise ValueError(f"'normalized' must be true or false, "
+                         f"got {json.dumps(data['normalized'])}")
     return GraphSequence(
-        features=field("X"),
-        adjacency=field("A"),
-        times=field("t"),
-        threshold=float(header("D_tilde")),
-        dt=float(header("dt")),
-        norm=NormalizationSpec(scale=header("scale"), offset=tuple(data["offset"])),
-        normalized=header("normalized", (bool,)),
+        features=read_numbers([f["X"] for f in frames], "frames field X", scan=scan),
+        adjacency=read_numbers([f["A"] for f in frames], "frames field A", scan=scan),
+        times=read_numbers([f["t"] for f in frames], "frames field t", scan=scan),
+        threshold=data["D_tilde"],
+        dt=data["dt"],
+        norm=NormalizationSpec(scale=data["scale"], offset=data["offset"]),
+        normalized=data["normalized"],
     )
 
 
@@ -218,11 +218,26 @@ def save_sequence_json(seq: GraphSequence, path) -> None:
         fh.write(head[:-1] + ', "frames": [' + frames + "]}")
 
 
+def _bool_literals(text: str) -> int:
+    """How many times the words true and false stand in JSON text, found at
+    memchr's speed through their letters u and f, which no number holds."""
+    count = 0
+    for word, i in (("true", 2), ("false", 0)):
+        at = text.find(word[i])
+        while at >= 0:
+            count += text.startswith(word, at - i)
+            at = text.find(word[i], at + 1)
+    return count
+
+
 def load_sequence_json(path) -> GraphSequence:
-    """Read a sequence file; malformed content raises ValueError naming the file."""
+    """Read a sequence file; malformed content raises ValueError naming the
+    file.  It holds no strings, so only a true or false besides normalized's
+    can put a bool in its frames: only then are they scanned for one."""
     try:
         with open(path) as fh:
-            return sequence_from_dict(json.load(fh))
+            text = fh.read()
+        return sequence_from_dict(json.loads(text), scan=_bool_literals(text) > 1)
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
     except (TypeError, ValueError) as exc:

@@ -147,7 +147,8 @@ class SageLayer:
     def __post_init__(self):
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        if self.W_self.shape != self.W_neigh.shape or self.b.shape != (self.W_self.shape[0],):
+        if self.W_self.ndim != 2 or self.W_self.shape != self.W_neigh.shape \
+                or self.b.shape != (self.W_self.shape[0],):
             raise ValueError("inconsistent sage shapes")
 
     @property

@@ -289,16 +289,28 @@ BAD_SEQUENCE_EDITS = {
     "normalized string": (set_at("normalized", value="false"),
                           "'normalized' must be true or false"),
     "normalized 1": (set_at("normalized", value=1), "'normalized' must be true or false"),
-    "dt true": (set_at("dt", value=True), "'dt' must be a number"),
-    "dt string": (set_at("dt", value="0.1"), "'dt' must be a number"),
-    "D_tilde true": (set_at("D_tilde", value=True), "'D_tilde' must be a number"),
-    "D_tilde string": (set_at("D_tilde", value="100"), "'D_tilde' must be a number"),
+    "dt true": (set_at("dt", value=True), "dt must be a number"),
+    "dt string": (set_at("dt", value="0.1"), "dt must be a number"),
+    "D_tilde true": (set_at("D_tilde", value=True), "threshold must be a number"),
+    "D_tilde string": (set_at("D_tilde", value="100"), "threshold must be a number"),
     "D_tilde inf": (set_at("D_tilde", value=math.inf), "threshold must be finite"),
-    "scale true": (set_at("scale", value=True), "'scale' must be a number"),
-    "scale string": (set_at("scale", value="500"), "'scale' must be a number"),
+    "scale true": (set_at("scale", value=True), "scale must be a number"),
+    "scale string": (set_at("scale", value="500"), "scale must be a number"),
     # NormalizationSpec read a true in the offset as 1.0 and "5" as 5.0
     "offset true": (set_at("offset", value=[0.0, True, 0.0]), "offset must hold numbers"),
     "offset string": (set_at("offset", value=["5", 0.0, 0.0]), "offset must hold numbers"),
+    # the frames read a true as 1.0 (1 in A) and a numeric string as its number
+    "X true": (set_at("frames", 2, "X", 1, 2, value=True), "frames field X must hold numbers"),
+    "X string": (set_at("frames", 2, "X", 1, 2, value="0.5"),
+                 "frames field X must hold numbers"),
+    "A true": (set_at("frames", 2, "A", 0, 1, value=True), "frames field A must hold numbers"),
+    "A string": (set_at("frames", 2, "A", 0, 1, value="1"), "frames field A must hold numbers"),
+    "t true": (set_at("frames", 2, "t", value=True), "frames field t must hold numbers"),
+    "t string": (set_at("frames", 2, "t", value="0.2"), "frames field t must hold numbers"),
+    # 4 entries loaded and normalized with the first 3
+    "offset of 4": (set_at("offset", value=[0.0, 0.0, 0.0, 5.0]),
+                    "offset must have shape (3,), got (4,)"),
+    "offset of 2": (set_at("offset", value=[0.0, 0.0]), "offset must have shape (3,), got (2,)"),
 }
 
 
@@ -503,6 +515,28 @@ def test_predict_rejects_corrupt_trajectory_csv(trained, rows):
         assert code == 2
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert [p.name for p in Path(d).iterdir()] == ["truth.csv"]
+
+
+def test_library_trained_checkpoint_forecasts_at_its_threshold(tmp_path):
+    # gkae.train did not record the threshold, so predict graphed the start
+    # frame of a library-trained model at the 100 m default: here two edges
+    # of about 75 m that training at 50 m never saw
+    positions = np.array([[0.0, 0.0, 100.0], [75.0, 0.0, 100.0], [0.0, 75.0, 100.0]]) \
+        + np.arange(40)[:, None, None] * np.array([2.0, 1.0, 0.0])
+    seq = graphs.normalize(graphs.sequence_from_positions(positions, 50.0, 0.1))
+    model = gkae.build_model(3, seed=1)
+    gkae.train(model, [seq], gkae.TrainConfig(tau=3, epochs_phase1=2, epochs_phase2=2))
+    gkae.save_checkpoint(model, tmp_path / "m.json")
+    truth = tmp_path / "truth.csv"
+    swarm.save_trajectory_csv(swarm.Trajectory(positions, np.zeros_like(positions), 0.1),
+                              truth)
+    out = tmp_path / "pred.csv"
+    assert main(["predict", "--checkpoint", str(tmp_path / "m.json"), "--trajectory",
+                 str(truth), "--horizon-s", "3", "--out", str(out), "--quiet"]) == 0
+    graph = graphs.normalize_snapshot(graphs.build_snapshot(positions[0], 50.0), model.norm)
+    assert not graph.adjacency.any()
+    np.testing.assert_array_equal(swarm.load_trajectory_csv(out)[1],
+                                  gkae.rollout_predict(model, graph, 30))
 
 
 # --- eval-covert ----------------------------------------------------------------
@@ -905,6 +939,14 @@ def _set_graph_encoder_inputs(doc, n):
     layer["W_neigh"] = [row[:n] for row in layer["W_neigh"]]
 
 
+def _flatten_graph_encoder_weights(doc):
+    """Make the first graph layer's weights their first rows and its bias
+    as long: 1-D arrays of matching shapes."""
+    layer = doc["params"]["graph_encoder"][0]
+    layer["W_self"], layer["W_neigh"] = layer["W_self"][0], layer["W_neigh"][0]
+    layer["b"] = layer["b"][:len(layer["W_self"])]
+
+
 def checkpoint_args(command, tmp_path, truth_csv):
     """The arguments besides --checkpoint of a small predict or eval-covert run."""
     return {"predict": ["--trajectory", truth_csv, "--horizon-s", "3",
@@ -923,8 +965,10 @@ def checkpoint_args(command, tmp_path, truth_csv):
     (lambda doc: doc["params"]["graph_decoder"].pop(), "graph_decoder"),
     (lambda doc: doc["dims"].update(L=3.5), "dims.L"),
     (lambda doc: doc["dims"].update(latent="8"), "dims.latent"),
+    # a traceback: the layer took its input count from a second axis it lacked
+    (_flatten_graph_encoder_weights, "graph_encoder[0]"),
 ], ids=["K_8x7", "latent_9", "unknown_activation", "encoder_input", "node_dim",
-        "decoder_output", "fractional_L", "string_latent"])
+        "decoder_output", "fractional_L", "string_latent", "encoder_1d_weights"])
 @pytest.mark.parametrize("command", ["predict", "eval-covert"])
 def test_checkpoint_with_broken_shapes_exit_2(tmp_path, trained, truth_csv, capsys,
                                               corrupt, field, command):
@@ -958,7 +1002,7 @@ def test_checkpoint_with_a_nan_parameter_exit_2(tmp_path, trained, truth_csv, ca
         assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
         err = capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
-    assert err == "error: checkpoint koopman_decoder[0].b is not finite\n"
+    assert err == "error: checkpoint koopman_decoder[0].b holds non-finite values\n"
 
 
 @pytest.mark.parametrize("edit", [
@@ -1004,6 +1048,37 @@ def test_checkpoint_with_a_non_numeric_norm_exit_2(tmp_path, trained, truth_csv,
     assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and words in err and err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("edit, words", [
+    (set_at("params", "K", 2, 3, value=True), "checkpoint K must hold numbers"),
+    (set_at("params", "K", 2, 3, value="0.25"), "checkpoint K must hold numbers"),
+    (set_at("params", "koopman_encoder", 1, "W", 0, 0, value=True),
+     "checkpoint koopman_encoder[1].W must hold numbers"),
+    (set_at("params", "graph_decoder", 2, "W", 1, 1, value="0.25"),
+     "checkpoint graph_decoder[2].W must hold numbers"),
+    (set_at("params", "graph_encoder", 0, "b", 1, value=True),
+     "checkpoint graph_encoder[0].b must hold numbers"),
+    (set_at("params", "koopman_decoder", 0, "b", 0, value="0.25"),
+     "checkpoint koopman_decoder[0].b must hold numbers"),
+    (lambda doc: doc["norm"].update(offset=[0.0, 0.0, 0.0, 5.0]),
+     "offset must have shape (3,), got (4,)"),
+    (lambda doc: doc["norm"].update(offset=[0.0, 0.0]), "offset must have shape (3,), got (2,)"),
+], ids=["K_true", "K_string", "W_true", "W_string", "b_true", "b_string", "offset_of_4",
+        "offset_of_2"])
+@pytest.mark.parametrize("command", ["predict", "eval-covert"])
+def test_checkpoint_with_a_non_numeric_parameter_exit_2(tmp_path, trained, truth_csv,
+                                                        capsys, edit, words, command):
+    # a true loaded as 1.0 and "0.25" as 0.25; an offset of 4 entries ran
+    # on its first 3, one of 2 failed with numpy's broadcast message
+    doc = json.loads(Path(trained["ckpt"]).read_text())
+    edit(doc)
+    ckpt = write_json(tmp_path / "bad.json", doc)
+    args = checkpoint_args(command, tmp_path, truth_csv)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    assert main([command, "--checkpoint", ckpt, *args, "--quiet"]) == 2
+    assert capsys.readouterr().err == f"error: {words}\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
@@ -1181,6 +1256,10 @@ REJECTED_RUNS = {
     "2-D checkpoint": (lambda d, t: predict_argv(two_d_checkpoint(d),
                                                  save_truth(d / "truth.csv", 61)),
                        "requires a 3D checkpoint"),
+    # it failed inside the rollout, with the rollout's own shape message
+    "2-D checkpoint in eval-covert": (lambda d, t: [
+        "eval-covert", "--checkpoint", two_d_checkpoint(d), "--config",
+        eval_config(d, [0.5], [4])], "eval-covert requires a 3D checkpoint, "),
     "one-frame trajectory": (lambda d, t: predict_argv(t["ckpt"],
                                                        save_truth(d / "truth.csv", 1)),
                              "at least 2 frames"),

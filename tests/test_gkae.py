@@ -839,6 +839,19 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.meta["epochs_phase1"] == 3
 
 
+def test_train_records_the_threshold_and_refuses_mixed_ones():
+    rng = np.random.default_rng(12)
+    model = build_model(2, seed=12)
+    cfg = TrainConfig(tau=2, epochs_phase1=1, epochs_phase2=1)
+    train(model, [random_sequence(rng, threshold=50.0) for _ in range(2)], cfg)
+    assert model.meta["d_tilde"] == 50.0
+    assert list(model.meta) == ["epochs_phase1", "epochs_phase2", "seed", "final_losses",
+                                "train_seed", "tau", "d_tilde"]
+    mixed = [random_sequence(rng, threshold=50.0), random_sequence(rng, threshold=60.0)]
+    with pytest.raises(ValueError, match="thresholds 50 and 60 m"):
+        train(model, mixed, cfg)
+
+
 def test_checkpoint_fresh_model_reports_zero_epochs(tmp_path):
     model = build_model(2, seed=9)
     path = tmp_path / "fresh.json"
