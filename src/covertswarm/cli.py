@@ -38,10 +38,12 @@ DATASET_BATCH = 64
 
 
 class _Outputs:
-    """Tracks files created by a command so failures can clean them up."""
+    """Tracks the files and directories a command creates so failures can
+    clean them up."""
 
     def __init__(self):
         self.paths = []
+        self.dirs = []
 
     def write(self, path, write) -> None:
         """Track path and write it atomically through write(file_path)."""
@@ -49,11 +51,25 @@ class _Outputs:
         self.paths.append(p)
         _write_atomic(p, write)
 
+    def mkdir(self, path) -> None:
+        """Make directory path and its missing parents, tracking each one made."""
+        p = Path(path)
+        missing = [d for d in [p, *p.parents] if not d.exists()]
+        p.mkdir(parents=True, exist_ok=True)
+        self.dirs += missing
+
     def cleanup(self) -> None:
+        """Remove the files written, then every directory made that is left
+        empty, deepest first; a directory that was there before stays."""
         for p in self.paths:
             try:
                 if p.is_file():
                     p.unlink()
+            except OSError:
+                pass
+        for d in sorted(self.dirs, key=lambda d: len(d.parts), reverse=True):
+            try:
+                d.rmdir()
             except OSError:
                 pass
 
@@ -82,6 +98,16 @@ def _sha256(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+def _save_table(path, header: list, rows) -> None:
+    """A CSV of a header and rows: floats to 17 significant digits, which
+    read back to the same float, anything else (integers, labels) as str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 def _require_file(path, what: str) -> None:
     if not Path(path).is_file():
         raise ValueError(f"{what} not found: {path}")
@@ -89,8 +115,11 @@ def _require_file(path, what: str) -> None:
 
 def _load_json(path) -> dict:
     _require_file(path, "config file")
-    with open(path) as fh:
-        return json.load(fh)
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed config file {path}: {exc}") from exc
 
 
 # The output paths a command line may name, checked before any work, and
@@ -232,8 +261,8 @@ def cmd_dataset(args, outputs: _Outputs) -> str:
     out_dir = Path(args.out)
     train_dir = out_dir / "train"
     test_dir = out_dir / "test"
-    train_dir.mkdir(parents=True, exist_ok=True)
-    test_dir.mkdir(parents=True, exist_ok=True)
+    outputs.mkdir(train_dir)
+    outputs.mkdir(test_dir)
     n_train = int(n * DATASET_TRAIN_FRACTION)
     for first in range(0, n, DATASET_BATCH):
         seeds = range(base_seed + first, base_seed + min(n, first + DATASET_BATCH))
@@ -248,11 +277,6 @@ def cmd_dataset(args, outputs: _Outputs) -> str:
 
 
 # --- train -------------------------------------------------------------------
-
-def _sequence_spec(seq: graphs.GraphSequence) -> dict:
-    return {"dt": seq.dt, "D_tilde": seq.threshold, "scale/offset": seq.norm,
-            "node count": seq.n_nodes, "feature dimension": seq.features.shape[-1]}
-
 
 def cmd_train(args, outputs: _Outputs) -> str:
     cfg_dict = _known(_load_json(args.config), "train config",
@@ -270,23 +294,12 @@ def cmd_train(args, outputs: _Outputs) -> str:
         raise ValueError(f"no training sequences found under {train_dir}")
     dataset = [graphs.load_sequence_json(p) for p in files]
     first = dataset[0]
-    d_out = first.features.shape[-1]
-    # the checkpoint records one norm and threshold for every sequence
-    spec = _sequence_spec(first)
+    model = gkae.load_checkpoint(args.resume) if args.resume else \
+        gkae.build_model(first.n_nodes, d_out=first.features.shape[-1], norm=first.norm,
+                         seed=cfg.seed)
+    # gkae.train checks each sequence too; here the message names its file
     for path, seq in zip(files, dataset):
-        differ = [k for k, v in _sequence_spec(seq).items() if v != spec[k]]
-        if differ:
-            raise ValueError(f"{path}: {', '.join(differ)} not the same as in {files[0]}")
-
-    if args.resume:
-        # gkae.train checks the dataset's (L, d) against the model's
-        model = gkae.load_checkpoint(args.resume)
-        if model.norm != first.norm:
-            raise ValueError(f"resume checkpoint norm {model.norm} differs from the "
-                             f"dataset's {first.norm}")
-    else:
-        model = gkae.build_model(first.n_nodes, d_out=d_out, norm=first.norm,
-                                 seed=cfg.seed)
+        gkae.check_training_sequence(model, seq, first, f"{path}: ")
     model, history = gkae.train(model, dataset, cfg)
     out = Path(args.out)
     outputs.write(out, lambda p: gkae.save_checkpoint(model, p))
@@ -369,20 +382,13 @@ def cmd_predict(args, outputs: _Outputs) -> str:
         cv_pred = positions[0] + checks[:, None, None] * (positions[1] - positions[0])
         cols["eps_cv"] = cv.prediction_error(positions[checks], cv_pred)
         cols["eps_cv_norm"] = cols["eps_cv"] / scale2
+    # one row per check time, then the mean of every error column
+    rows = [*zip(*(col.tolist() for col in cols.values())),
+            ["mean", *(float(np.mean(col)) for col in list(cols.values())[1:])]]
     errors_csv = Path(args.errors_out) if args.errors_out else \
         out.with_name(out.stem + "_errors.csv")
-    outputs.write(errors_csv, lambda p: _save_errors_csv(cols, p))
+    outputs.write(errors_csv, lambda p: _save_table(p, list(cols), rows))
     return f"predicted {steps} steps, eps_mean={float(np.mean(eps)):.6g} m^2 -> {out}"
-
-
-def _save_errors_csv(cols: dict, path) -> None:
-    """One row per check time, then the mean of every error column."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in zip(*(col.tolist() for col in cols.values())):
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-        means = [float(np.mean(col)) for col in list(cols.values())[1:]]
-        fh.write("mean," + ",".join(f"{m:.17g}" for m in means) + "\n")
 
 
 # --- eval-covert -------------------------------------------------------------
@@ -417,6 +423,9 @@ def cmd_eval_covert(args, outputs: _Outputs) -> str:
     if l_grid != [model.L]:
         raise ValueError(
             f"l_grid {l_grid} must be [{model.L}], the checkpoint's UAV count")
+    if "L" in cfg["swarm"] and swarm_cfg.L != model.L:
+        raise ValueError(
+            f"swarm L {swarm_cfg.L} must be {model.L}, the checkpoint's UAV count")
 
     dt = swarm_cfg.dt
     per_check = _whole_steps(covert_cfg.report_interval_s, dt, "report interval")
@@ -442,13 +451,6 @@ def cmd_eval_covert(args, outputs: _Outputs) -> str:
               "P_det": report.cell(lam, n_nodes).p_det, "eps_mean": report.eps_mean}
              for n_nodes in n_grid for lam in lambda_grid]
 
-    def save_cells_csv(path):
-        with open(path, "w", newline="") as fh:
-            fh.write("lambda,N,L,H,P_det,eps_mean\n")
-            for c in cells:
-                fh.write(f"{c['lambda']:.17g},{c['N']},{c['L']},{c['H']:.17g},"
-                         f"{c['P_det']:.17g},{c['eps_mean']:.17g}\n")
-
     def save_report_json(path):
         with open(path, "w") as fh:
             json.dump({"runs": covert_cfg.runs, "horizon_s": covert_cfg.horizon_s,
@@ -456,11 +458,17 @@ def cmd_eval_covert(args, outputs: _Outputs) -> str:
                        "cells": cells}, fh, indent=1)
 
     out = Path(args.out)
-    outputs.write(out, save_cells_csv)
+    outputs.write(out, lambda p: _save_table(p, list(cells[0]), [c.values() for c in cells]))
     outputs.write(out.with_name(out.stem + "_report.json"), save_report_json)
     if args.audit:
-        outputs.write(out.with_name(out.stem + "_audit.csv"),
-                      report.cell(lambda_grid[0], n_grid[0]).save_summary_csv)
+        # one row per (run, check time, node) of the first cell
+        audit = report.cell(lambda_grid[0], n_grid[0])
+        run, check, node = np.indices(audit.p_true.shape).reshape(3, -1)
+        cols = [run, (check + 1) * covert_cfg.report_interval_s, node,
+                audit.p_true.ravel(), audit.p_pred.ravel(), audit.detected.ravel().astype(int)]
+        outputs.write(out.with_name(out.stem + "_audit.csv"), lambda p: _save_table(
+            p, ["run", "delta_t", "node", "P_true", "P_pred", "detected"],
+            zip(*(col.tolist() for col in cols))))
     return f"evaluated {len(cells)} cells over {covert_cfg.runs} runs -> {out}"
 
 

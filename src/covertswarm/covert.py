@@ -27,7 +27,6 @@ one libm pow per node.
 
 from __future__ import annotations
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
@@ -305,7 +304,6 @@ class DetectionReport:
     p_pred: np.ndarray     # (R, C, N) W
     eps_pred: np.ndarray   # (R, C) squared position error per check time
     lambda_: float
-    report_interval_s: float
 
     @property
     def detected(self) -> np.ndarray:
@@ -331,25 +329,7 @@ class DetectionReport:
             raise ValueError(
                 f"n_nodes must be in [1, {self.p_true.shape[2]}], got {n_nodes}")
         return DetectionReport(self.p_true[:, :, :n_nodes], self.p_pred[:, :, :n_nodes],
-                               self.eps_pred, lambda_, self.report_interval_s)
-
-    def save_summary_csv(self, path) -> None:
-        """Audit table: one row per (run, check time, node)."""
-        detected = self.detected
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["run", "delta_t", "node", "P_true", "P_pred", "detected"])
-            R, C, N = detected.shape
-            for r in range(R):
-                for c in range(C):
-                    dt_s = (c + 1) * self.report_interval_s
-                    for n in range(N):
-                        writer.writerow([
-                            r, f"{dt_s:.17g}", n,
-                            f"{self.p_true[r, c, n]:.17g}",
-                            f"{self.p_pred[r, c, n]:.17g}",
-                            int(detected[r, c, n]),
-                        ])
+                               self.eps_pred, lambda_)
 
 
 def detection_probability(nets, true_runs, pred_runs, covert: CovertConfig,
@@ -369,4 +349,4 @@ def detection_probability(nets, true_runs, pred_runs, covert: CovertConfig,
     p_true = _power_bounds(nets, true_runs, covert.P_det, nominal)
     p_pred = _power_bounds(nets, pred_runs, covert.P_det, nominal)
     return DetectionReport(p_true, p_pred, prediction_error(true_runs, pred_runs),
-                           covert.lambda_, covert.report_interval_s)
+                           covert.lambda_)

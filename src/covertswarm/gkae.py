@@ -561,17 +561,37 @@ class TrainConfig:
         return self.tau + 1 if self.window is None else self.window
 
 
+def check_training_sequence(model: GkaeModel, seq: GraphSequence, first: GraphSequence,
+                            where: str = "") -> None:
+    """Refuse a sequence that cannot train model beside first, the dataset's
+    first sequence: it must be normalized with the model's norm, have the
+    model's node count and feature dimension, and share first's dt and
+    threshold, which the checkpoint records once for every sequence.  where
+    (a file name, say) begins the message."""
+    shape, expected = seq.features.shape[1:], (model.L, model.d_out)
+    problems = [text for bad, text in [
+        (not seq.normalized, "graph must be normalized before encoding"),
+        (seq.norm != model.norm,
+         f"scale/offset {seq.norm.scale:g}/{seq.norm.offset} are not the model's "
+         f"norm {model.norm.scale:g}/{model.norm.offset}"),
+        (shape != expected, f"node count and feature dimension (L, d) = {shape}, "
+                            f"model expects {expected}"),
+        (seq.dt != first.dt, f"sequences sampled at dt {first.dt:g} and {seq.dt:g} s"),
+        (seq.threshold != first.threshold, f"sequences graphed at D_tilde thresholds "
+                                           f"{first.threshold:g} and {seq.threshold:g} m"),
+    ] if bad]
+    if problems:
+        raise ValueError(where + "; ".join(problems))
+
+
 def _stack_dataset(model: GkaeModel, dataset: list, window: int):
     X_parts, A_parts, anchor_parts = [], [], []
     offset = 0
     for seq in dataset:
-        _check_graph(model, seq)
+        check_training_sequence(model, seq, dataset[0])
         if seq.n_frames < window:
             raise ValueError(
                 f"sequence of {seq.n_frames} frames is shorter than window={window}")
-        if seq.threshold != dataset[0].threshold:
-            raise ValueError(f"sequences graphed at thresholds {dataset[0].threshold:g} "
-                             f"and {seq.threshold:g} m")
         X_parts.append(seq.features)
         A_parts.append(seq.adjacency.astype(float))
         anchor_parts.append(offset + np.arange(seq.n_frames - window + 1))

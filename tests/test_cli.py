@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from covertswarm import covert, gkae, graphs, swarm
+from covertswarm import cli, covert, gkae, graphs, swarm
 from covertswarm.cli import main
 
 
@@ -175,6 +175,22 @@ def test_dataset_burn_in_drops_the_first_frames(tmp_path):
     np.testing.assert_array_equal(seq.features, traj.positions[5:] / 500.0)
 
 
+@pytest.mark.parametrize("made_before", [[], ["data"], ["data", "data/train"]],
+                         ids=["none", "out", "out and train"])
+def test_dataset_failure_removes_the_directories_it_made(tmp_path, capsys, made_before):
+    # d_tilde is checked only when the first sequence is built: the three
+    # directories were made by then and used to stay behind, empty
+    cfg = write_json(tmp_path / "d.json", {
+        "swarm": tiny_swarm(duration=1.0), "n_trajectories": 2, "d_tilde": -1.0})
+    for d in made_before:
+        (tmp_path / d).mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main(["dataset", "--config", cfg, "--out", str(tmp_path / "data"),
+                 "--quiet"]) == 2
+    assert capsys.readouterr().err == "error: threshold must be >= 0, got -1.0\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 # --- train ----------------------------------------------------------------------
 
 def test_train_outputs(trained):
@@ -199,10 +215,10 @@ def test_train_resume_dims_mismatch_exit_2(tmp_path, trained, capsys):
                  "--config", trained["tr_cfg"], "--out", str(tmp_path / "m.json"),
                  "--resume", str(bad_ckpt), "--quiet"])
     assert code == 2
-    # gkae.train refuses the dataset before its first epoch
-    err = capsys.readouterr().err
-    assert err.startswith("error: graph has (L, d) = (3, 3), model expects (5, 3)")
-    assert err.count("\n") == 1
+    # refused before the first epoch, naming the first file that does not fit
+    first = trained["root"] / "data" / "train" / "seq_0000.json"
+    assert capsys.readouterr().err == (f"error: {first}: node count and feature dimension "
+                                       "(L, d) = (3, 3), model expects (5, 3)\n")
     assert not (tmp_path / "m.json").exists()
 
 
@@ -586,6 +602,24 @@ def test_eval_covert_mismatched_l_grid_exit_2(tmp_path, trained, capsys, l_grid)
     assert not out.exists()
 
 
+def test_eval_covert_swarm_l_other_than_the_checkpoints_exit_2(tmp_path, trained, capsys):
+    # the config's L was silently replaced by the checkpoint's 3
+    doc = json.loads(Path(eval_config(tmp_path, [0.5], [5], runs=2)).read_text())
+    doc["swarm"]["L"] = 6
+    cfg = write_json(tmp_path / "eval.json", doc)
+    out = tmp_path / "agg.csv"
+    argv = ["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+            "--out", str(out), "--quiet"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        "error: swarm L 6 must be 3, the checkpoint's UAV count\n"
+    assert not out.exists()
+    del doc["swarm"]["L"]  # an omitted L is the checkpoint's
+    write_json(tmp_path / "eval.json", doc)
+    assert main(argv) == 0
+    assert [line.split(",")[2] for line in out.read_text().splitlines()] == ["L", "3"]
+
+
 @pytest.mark.parametrize("lambdas, n_grid", [([], [5]), ([0.5], []), ([0.5], [5, 0])],
                          ids=["no_lambda", "no_N", "zero_N"])
 def test_eval_covert_bad_grid_exit_2(tmp_path, trained, capsys, lambdas, n_grid):
@@ -739,9 +773,17 @@ def test_eval_covert_audit_csv(tmp_path, trained):
     out = tmp_path / "agg.csv"
     assert main(["eval-covert", "--checkpoint", trained["ckpt"],
                  "--config", cfg, "--out", str(out), "--audit", "--quiet"]) == 0
-    audit = (tmp_path / "agg_audit.csv").read_text().splitlines()
+    text = (tmp_path / "agg_audit.csv").read_bytes().decode()
+    assert "\r" not in text  # csv.writer used to end its lines with \r\n
+    audit = text.splitlines()
     assert audit[0] == "run,delta_t,node,P_true,P_pred,detected"
     assert len(audit) == 1 + 3 * 3 * 4
+    rows = [line.split(",") for line in audit[1:]]
+    # one row per (run, check, node), checks every report interval of 1 s
+    assert [row[:3] for row in rows] == [[str(r), f"{c + 1}", str(n)]
+                                         for r in range(3) for c in range(3) for n in range(4)]
+    # a node is flagged when its true bound falls below lambda = 0.5 times its predicted one
+    assert all(row[5] == str(int(float(row[3]) < 0.5 * float(row[4]))) for row in rows)
 
 
 @pytest.mark.parametrize("horizon, interval", [(2.5, 1.0), (3.0, 7.0)])
@@ -776,13 +818,17 @@ def test_diverging_rollout_exit_4(tmp_path, trained, truth_csv, capsys):
 
 
 def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypatch):
-    def fail_midway(self, path):
+    save_table = cli._save_table
+
+    def fail_midway(path, header, rows):
+        if header[0] != "run":  # the cells CSV, written before the report and the audit
+            return save_table(path, header, rows)
         with open(path, "w") as fh:
             fh.write("run,delta_t")
         assert not (tmp_path / "agg_audit.csv").exists()  # partial bytes go to a .tmp
         raise OSError("disk full")
 
-    monkeypatch.setattr(covert.DetectionReport, "save_summary_csv", fail_midway)
+    monkeypatch.setattr(cli, "_save_table", fail_midway)
     cfg = eval_config(tmp_path, [0.5], [4], runs=2)
     assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
                  "--out", str(tmp_path / "agg.csv"), "--audit", "--quiet"]) == 3
@@ -844,15 +890,17 @@ def config_mutations():
 
 
 def run_with_config(command, doc, trained, d):
-    """main's exit code and stderr for command on config doc, writing into d."""
-    cfg = write_json(d / "cfg.json", doc)
+    """main's exit code and stderr for command on config doc (a str is the
+    file's text), writing into d."""
+    cfg = d / "cfg.json"
+    cfg.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     args = {"simulate": ["--out", str(d / "traj.csv")],
             "dataset": ["--out", str(d / "data")],
             "train": ["--data", str(trained["root"] / "data"), "--out", str(d / "m.json")],
             "eval-covert": ["--checkpoint", trained["ckpt"], "--out", str(d / "agg.csv")]}
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main([command, "--config", cfg, *args[command], "--quiet"])
+        code = main([command, "--config", str(cfg), *args[command], "--quiet"])
     return code, err.getvalue()
 
 
@@ -878,6 +926,15 @@ def test_unknown_config_key_exit_2(tmp_path, trained, command, section, key, whe
 @pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
 def test_fuzz_configs_are_valid(tmp_path, trained, command):
     assert run_with_config(command, FUZZ_CONFIGS[command], trained, tmp_path) == (0, "")
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_CONFIGS))
+def test_malformed_config_json_names_its_file(tmp_path, trained, command):
+    # the message was json's alone, naming neither the file nor what it is
+    assert run_with_config(command, '{"L": 4,', trained, tmp_path) == (2, (
+        f"error: malformed config file {tmp_path / 'cfg.json'}: Expecting property name "
+        "enclosed in double quotes: line 1 column 9 (char 8)\n"))
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
 
 
 @given(mutation=st.sampled_from(config_mutations()))

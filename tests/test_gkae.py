@@ -852,6 +852,26 @@ def test_train_records_the_threshold_and_refuses_mixed_ones():
         train(model, mixed, cfg)
 
 
+@pytest.mark.parametrize("dts, scales, model_scale, message", [
+    ((0.1, 0.2), (500.0, 500.0), 500.0, "sequences sampled at dt 0.1 and 0.2 s"),
+    ((0.1, 0.1), (500.0, 1000.0), 500.0, "scale/offset 1000/.* the model's norm 500/"),
+    ((0.1, 0.1), (500.0, 500.0), 250.0, "scale/offset 500/.* the model's norm 250/"),
+], ids=["mixed dt", "mixed scales", "model scale"])
+def test_train_refuses_mixed_dt_and_norms(dts, scales, model_scale, message):
+    # each trained without a word, and the checkpoint recorded the model's
+    # norm, so every forecast came out in the wrong units
+    rng = np.random.default_rng(13)
+    dataset = [graphs.normalize(graphs.sequence_from_positions(
+        rng.uniform(0, 500, size=(6, 2, 3)), 100.0, dt), NormalizationSpec(scale=scale))
+        for dt, scale in zip(dts, scales)]
+    model = build_model(2, seed=13, norm=NormalizationSpec(scale=model_scale))
+    before = [p.copy() for p in gkae.all_parameters(model)]
+    with pytest.raises(ValueError, match=message):
+        train(model, dataset, TrainConfig(tau=2, epochs_phase1=1, epochs_phase2=1))
+    for a, b in zip(before, gkae.all_parameters(model)):
+        np.testing.assert_array_equal(a, b)
+
+
 def test_checkpoint_fresh_model_reports_zero_epochs(tmp_path):
     model = build_model(2, seed=9)
     path = tmp_path / "fresh.json"
