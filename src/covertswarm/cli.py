@@ -98,16 +98,6 @@ def _sha256(path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _save_table(path, header: list, rows) -> None:
-    """A CSV of a header and rows: floats to 17 significant digits, which
-    read back to the same float, anything else (integers, labels) as str."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
-                              for v in row) + "\n")
-
-
 def _require_file(path, what: str) -> None:
     if not Path(path).is_file():
         raise ValueError(f"{what} not found: {path}")
@@ -387,7 +377,7 @@ def cmd_predict(args, outputs: _Outputs) -> str:
             ["mean", *(float(np.mean(col)) for col in list(cols.values())[1:])]]
     errors_csv = Path(args.errors_out) if args.errors_out else \
         out.with_name(out.stem + "_errors.csv")
-    outputs.write(errors_csv, lambda p: _save_table(p, list(cols), rows))
+    outputs.write(errors_csv, lambda p: graphs.save_table(p, list(cols), rows))
     return f"predicted {steps} steps, eps_mean={float(np.mean(eps)):.6g} m^2 -> {out}"
 
 
@@ -436,17 +426,16 @@ def cmd_eval_covert(args, outputs: _Outputs) -> str:
 
     # the networks draw from their own streams, so building them first checks
     # the ground section before any simulation
-    nets = [cv.GroundNetwork.uniform_random(
-        n_max, area, np.random.default_rng([covert_cfg.seed, r, 1]), **ground)
-        for r in range(covert_cfg.runs)]
-    nominal = [cv.nominal_powers(net) for net in nets] \
-        if cfg.get("use_nominal_power", False) else None
+    net = cv.GroundNetwork.uniform_random(
+        n_max, area, [np.random.default_rng([covert_cfg.seed, r, 1])
+                      for r in range(covert_cfg.runs)], **ground)
+    nominal = cv.nominal_powers(net) if cfg.get("use_nominal_power", False) else None
     # every run is stepped together; only the start frame and the check frames are kept
     seeds = range(covert_cfg.seed, covert_cfg.seed + covert_cfg.runs)
     positions, _ = swarm.simulate_batch(replace(swarm_cfg, L=model.L), seeds,
                                         np.concatenate([[skip], skip + check_steps]))
     pred_runs = _forecast(model, positions[:, 0], check_steps)
-    report = cv.detection_probability(nets, positions[:, 1:], pred_runs, covert_cfg, nominal)
+    report = cv.detection_probability(net, positions[:, 1:], pred_runs, covert_cfg, nominal)
     cells = [{"lambda": lam, "N": n_nodes, "L": model.L, "H": covert_cfg.horizon_s,
               "P_det": report.cell(lam, n_nodes).p_det, "eps_mean": report.eps_mean}
              for n_nodes in n_grid for lam in lambda_grid]
@@ -458,7 +447,8 @@ def cmd_eval_covert(args, outputs: _Outputs) -> str:
                        "cells": cells}, fh, indent=1)
 
     out = Path(args.out)
-    outputs.write(out, lambda p: _save_table(p, list(cells[0]), [c.values() for c in cells]))
+    outputs.write(out, lambda p: graphs.save_table(p, list(cells[0]),
+                                                   [c.values() for c in cells]))
     outputs.write(out.with_name(out.stem + "_report.json"), save_report_json)
     if args.audit:
         # one row per (run, check time, node) of the first cell
@@ -466,7 +456,7 @@ def cmd_eval_covert(args, outputs: _Outputs) -> str:
         run, check, node = np.indices(audit.p_true.shape).reshape(3, -1)
         cols = [run, (check + 1) * covert_cfg.report_interval_s, node,
                 audit.p_true.ravel(), audit.p_pred.ravel(), audit.detected.ravel().astype(int)]
-        outputs.write(out.with_name(out.stem + "_audit.csv"), lambda p: _save_table(
+        outputs.write(out.with_name(out.stem + "_audit.csv"), lambda p: graphs.save_table(
             p, ["run", "delta_t", "node", "P_true", "P_pred", "detected"],
             zip(*(col.tolist() for col in cols))))
     return f"evaluated {len(cells)} cells over {covert_cfg.runs} runs -> {out}"

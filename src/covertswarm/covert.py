@@ -48,7 +48,9 @@ def whole_multiple(total: float, unit: float) -> int:
 
 @dataclass
 class GroundNetwork:
-    """Static terrestrial ad-hoc network; node positions are (N, 3) with z = 0."""
+    """Static terrestrial ad-hoc network; node positions are (N, 3) with z = 0,
+    or (R, N, 3): one node set for each run of a Monte-Carlo batch, all with
+    the same link parameters."""
 
     positions: np.ndarray
     P_max: float = 20.0
@@ -60,13 +62,14 @@ class GroundNetwork:
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError(f"positions must be (N, 3), got {self.positions.shape}")
-        if self.positions.shape[0] < 1:
+        if self.positions.ndim not in (2, 3) or self.positions.shape[-1] != 3:
+            raise ValueError(f"positions must be (N, 3) or (R, N, 3), "
+                             f"got {self.positions.shape}")
+        if 0 in self.positions.shape:
             raise ValueError("need at least one ground node")
         if not np.isfinite(self.positions).all():
             raise ValueError("ground node positions must be finite")
-        if np.any(self.positions[:, 2] != 0.0):
+        if np.any(self.positions[..., 2] != 0.0):
             raise ValueError("ground nodes must have z = 0")
         for name in ("P_max", "N0", "gamma_t"):
             if not 0 < getattr(self, name) < math.inf:
@@ -80,15 +83,21 @@ class GroundNetwork:
 
     @property
     def n_nodes(self) -> int:
-        return self.positions.shape[0]
+        return self.positions.shape[-2]
 
     @classmethod
-    def uniform_random(cls, n: int, area: float, rng: np.random.Generator, **kwargs):
+    def uniform_random(cls, n: int, area: float, rng, **kwargs):
+        """n nodes uniform in the area square.  rng is one np.random.Generator,
+        or a sequence of R of them for an (R, n, 3) network whose run r holds
+        what a single call with rng[r] gives."""
         if not 0 < area < math.inf:
             raise ValueError(f"area must be finite and > 0, got {area}")
-        xy = rng.uniform(0.0, area, size=(n, 2))
-        pos = np.hstack([xy, np.zeros((n, 1))])
-        return cls(pos, **kwargs)
+        single = isinstance(rng, np.random.Generator)
+        rngs = [rng] if single else list(rng)
+        pos = np.zeros((len(rngs), n, 3))
+        for r, g in enumerate(rngs):
+            pos[r, :, :2] = g.uniform(0.0, area, size=(n, 2))
+        return cls(pos[0] if single else pos, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -132,49 +141,58 @@ _BLOCK_DISTANCES = 2 ** 15
 
 
 def nominal_powers(net: GroundNetwork) -> np.ndarray:
-    """Smallest power giving each node at least M_bar mean-SNR links: (N,).
+    """Smallest power giving each node at least M_bar mean-SNR links: (N,),
+    or (R, N) for a network of R runs.
 
-    Closed form from each node's M_bar-th nearest neighbour distance; a
-    power above P_max is capped there with a warning naming the node, as
-    the link target is unreachable.
+    Closed form from each node's M_bar-th nearest neighbour distance within
+    its run; a power above P_max is capped there with a warning naming the
+    node (and its run), as the link target is unreachable.
     """
     N = net.n_nodes
     if net.M_bar >= N:
         raise ValueError(f"M_bar={net.M_bar} must be < N={N}")
     if net.M_bar <= 0:
-        return np.zeros(N)
-    x, y = net.positions[:, 0], net.positions[:, 1]
+        return np.zeros(net.positions.shape[:-1])
+    pos = net.positions.reshape(-1, N, 3)
     k = net.M_bar - 1
-    s_m = np.empty(N)
-    rows = max(1, _BLOCK_DISTANCES // N)
+    s_m = np.empty(pos.shape[:2])
+    # whole runs per block when a run fits in one, else rows of one run
+    per_block = max(1, _BLOCK_DISTANCES // N)
+    n_runs, n_rows = (per_block // N, N) if per_block >= N else (1, per_block)
     # a squared distance or a power (libm's pow per node) that overflows is inf,
     # and the capped warning below names its node, so numpy's would add nothing
     with np.errstate(over="ignore"):
-        for i in range(0, N, rows):
-            # squared distances from rows i.. to every node, a node's own at inf
-            s = x[i:i + rows, None] - x
-            s *= s
-            t = y[i:i + rows, None] - y
-            t *= t
-            s += t
-            np.fill_diagonal(s[:, i:], np.inf)
-            s_m[i:i + rows] = np.partition(s, k, axis=1)[:, k]
+        for r in range(0, len(pos), n_runs):
+            x, y = pos[r:r + n_runs, :, 0], pos[r:r + n_runs, :, 1]
+            for i in range(0, N, n_rows):
+                # squared distances from rows i.. to every node of the run,
+                # a node's own at inf
+                s = x[:, i:i + n_rows, None] - x[:, None]
+                s *= s
+                t = y[:, i:i + n_rows, None] - y[:, None]
+                t *= t
+                s += t
+                rows = np.arange(s.shape[1])
+                s[:, rows, i + rows] = np.inf
+                s_m[r:r + n_runs, i:i + n_rows] = np.partition(s, k, axis=2)[..., k]
         p = net.gamma_t * net.N0 * np.float_power(np.sqrt(s_m, out=s_m), net.eta_t)
-    for i in np.flatnonzero(p > net.P_max):
+    for r, i in np.argwhere(p > net.P_max):
+        node = f"node {i}" if net.positions.ndim == 2 else f"run {r}, node {i}"
         warnings.warn(
-            f"node {i}: required power {p[i]:.3g} W exceeds P_max={net.P_max} W; capped",
+            f"{node}: required power {p[r, i]:.3g} W exceeds P_max={net.P_max} W; capped",
             RuntimeWarning,
         )
-    return np.minimum(p, net.P_max)
+    return np.minimum(p, net.P_max).reshape(net.positions.shape[:-1])
 
 
-def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray:
+def _power_bounds(net: GroundNetwork, frames: np.ndarray, P_det: float,
+                  nominal) -> np.ndarray:
     """Per-node covert power caps for UAV frames (R, ..., L, 3): (R, ..., N).
 
-    nets is one GroundNetwork for every run or a sequence of R, all with
-    the same node count and eta; nominal is None (each run's P_max), one
-    (N,) array or one (R, N) array.  For each node the worst (largest)
-    path gain over UAVs sets w_n; the node transmits min(nominal_n, P_det / w_n).
+    net is one (N, 3) network for every run or an (R, N, 3) one, run r
+    against its own nodes; nominal is None (P_max), one (N,) array or one
+    (R, N) array.  For each node the worst (largest) path gain over UAVs
+    sets w_n; the node transmits min(nominal_n, P_det / w_n).
     """
     frames = np.asarray(frames, dtype=float)
     if frames.ndim < 3 or frames.shape[-1] != 3 or frames.shape[-2] < 1:
@@ -184,27 +202,22 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
     if not 0 < P_det < math.inf:
         raise ValueError(f"P_det must be finite and > 0, got {P_det}")
     R, L = frames.shape[0], frames.shape[-2]
-    if isinstance(nets, GroundNetwork):
-        nets = [nets]
-    elif len(nets) != R:
-        raise ValueError(f"expected {R} networks, got {len(nets)}")
-    N, eta = nets[0].n_nodes, float(nets[0].eta)
-    if any(net.n_nodes != N for net in nets):
-        raise ValueError("all runs must use the same node count")
-    if any(net.eta != eta for net in nets):
-        raise ValueError("all runs must use the same path-loss exponent eta")
-    P_max = np.array([[net.P_max] for net in nets])
+    N, eta = net.n_nodes, float(net.eta)
+    if net.positions.ndim == 3 and len(net.positions) != R:
+        raise ValueError(f"the network has node sets for {len(net.positions)} runs, "
+                         f"but the frames have {R} runs")
     if nominal is None:
-        nominal = P_max
+        nominal = net.P_max
     else:
         nominal = np.asarray(nominal, dtype=float)
         if nominal.shape not in ((N,), (R, N)):
             raise ValueError(f"nominal must be ({N},) or ({R}, {N}), got {nominal.shape}")
-        if not ((nominal >= 0) & (nominal <= P_max)).all():
+        if not ((nominal >= 0) & (nominal <= net.P_max)).all():
             raise ValueError("nominal powers must lie in [0, P_max]")
     # (R, 2, N) node x and y and (R, N) nominal powers, views when shared;
     # nodes sit at z = +-0, so a UAV's dz*dz is its own z*z, bit for bit
-    nodes = np.broadcast_to(np.array([net.positions[:, :2].T for net in nets]), (R, 2, N))
+    nodes = np.broadcast_to(
+        np.ascontiguousarray(net.positions[..., :2].swapaxes(-1, -2)), (R, 2, N))
     nominal = np.broadcast_to(nominal, (R, N))
     uav = frames.reshape(R, -1, L, 3).transpose(3, 0, 1, 2)  # (3, R, F, L) view
     F = uav.shape[2]
@@ -243,8 +256,13 @@ def _power_bounds(nets, frames: np.ndarray, P_det: float, nominal) -> np.ndarray
 
 def transmit_power_bound(net: GroundNetwork, uav_frames: np.ndarray,
                          P_det: float, nominal: np.ndarray) -> np.ndarray:
-    """Per-node covert power caps against UAV frames (..., L, 3): (..., N)."""
-    return _power_bounds(net, np.asarray(uav_frames, dtype=float)[None], P_det, nominal)[0]
+    """Per-node covert power caps against UAV frames (..., L, 3): (..., N).
+    An (R, N, 3) network takes frames (R, ..., L, 3), each run against its
+    own nodes."""
+    frames = np.asarray(uav_frames, dtype=float)
+    if net.positions.ndim == 3:
+        return _power_bounds(net, frames, P_det, nominal)
+    return _power_bounds(net, frames[None], P_det, nominal)[0]
 
 
 # --- prediction metrics ------------------------------------------------------
@@ -288,6 +306,8 @@ def detection_events(net: GroundNetwork, true_checks: np.ndarray,
     granularity.  Returns (flags, p_true, p_pred) each (C, N): a node is
     flagged when its true bound falls below lambda times its predicted one.
     """
+    if net.positions.ndim != 2:  # it would pair check c with run c's nodes
+        raise ValueError("detection_events takes one run's (N, 3) network")
     if np.shape(true_checks) != np.shape(pred_checks):
         raise ValueError(f"misaligned trajectories: {np.shape(true_checks)} vs "
                          f"{np.shape(pred_checks)}")
@@ -332,21 +352,22 @@ class DetectionReport:
                                self.eps_pred, lambda_)
 
 
-def detection_probability(nets, true_runs, pred_runs, covert: CovertConfig,
+def detection_probability(net: GroundNetwork, true_runs, pred_runs, covert: CovertConfig,
                           nominal=None) -> DetectionReport:
     """Aggregate detection over independent runs.
 
-    nets is one GroundNetwork shared by all runs or a list per run;
-    true_runs / pred_runs are (R, C, L, 3) check-time frames, or R
-    (C, L, 3) arrays.  nominal is None (P_max for every node), one (N,)
-    array shared by all runs, or one (N,) array per run.
+    net is one (N, 3) network shared by all runs or an (R, N, 3) network
+    with a node set per run; true_runs / pred_runs are (R, C, L, 3)
+    check-time frames, or R (C, L, 3) arrays.  nominal is None (P_max for
+    every node), one (N,) array shared by all runs, or one (N,) array per
+    run, as nominal_powers gives for an (R, N, 3) network.
     """
     true_runs = np.asarray(true_runs, dtype=float)
     pred_runs = np.asarray(pred_runs, dtype=float)
     if true_runs.shape != pred_runs.shape or true_runs.ndim != 4 or not len(true_runs):
         raise ValueError(f"need equally many aligned true and predicted (C, L, 3) runs, "
                          f"got {true_runs.shape} and {pred_runs.shape}")
-    p_true = _power_bounds(nets, true_runs, covert.P_det, nominal)
-    p_pred = _power_bounds(nets, pred_runs, covert.P_det, nominal)
+    p_true = _power_bounds(net, true_runs, covert.P_det, nominal)
+    p_pred = _power_bounds(net, pred_runs, covert.P_det, nominal)
     return DetectionReport(p_true, p_pred, prediction_error(true_runs, pred_runs),
                            covert.lambda_)

@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .graphs import GraphSequence, NormalizationSpec, read_numbers
+from .graphs import GraphSequence, NormalizationSpec, read_numbers, save_table
 from .nn import (
     AdamState,
     DenseLayer,
@@ -664,11 +664,11 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
 
 
 def save_loss_csv(history: list, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("epoch,phase,L_grec,L_rec,L_pred,total\n")
-        for row in history:
-            fh.write(f"{row['epoch']},{row['phase']},{row['L_grec']:.17g},"
-                     f"{row['L_rec']:.17g},{row['L_pred']:.17g},{row['total']:.17g}\n")
+    """train's history as a table, one row per epoch; every loss is a float."""
+    header = ["epoch", "phase", "L_grec", "L_rec", "L_pred", "total"]
+    rows = ([row["epoch"], row["phase"], *(float(row[k]) for k in header[2:])]
+            for row in history)
+    save_table(path, header, rows)
 
 
 # --- checkpointing -----------------------------------------------------------

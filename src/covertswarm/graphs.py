@@ -15,6 +15,16 @@ import numpy as np
 DEFAULT_THRESHOLD_M = 100.0
 
 
+def save_table(path, header: list, rows) -> None:
+    """A CSV of a header and rows: floats to 17 significant digits, which
+    read back to the same float, anything else (integers, labels) as str."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(f"{v:.17g}" if isinstance(v, float) else str(v)
+                              for v in row) + "\n")
+
+
 def read_numbers(value, what: str, shape: tuple | None = None,
                  scan: bool = True) -> np.ndarray:
     """value, a number or a rectangular nested list of numbers as json.load

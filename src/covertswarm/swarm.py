@@ -90,30 +90,41 @@ class Trajectory:
         return self.positions.shape[0]
 
 
-def init_swarm(config: SwarmConfig, rng: np.random.Generator) -> Frame:
+def init_swarm(config: SwarmConfig, rng) -> Frame:
     """Draw the initial frame: xy uniform in the operation area, altitude
-    uniform in [Z_min, Z_max], velocities isotropic with norm V_max."""
+    uniform in [Z_min, Z_max], velocities isotropic with norm V_max.
+
+    rng is one np.random.Generator, or a sequence of R of them for R swarms:
+    the frame is then (R, L, 3), and swarm r holds what a single call with
+    rng[r] gives, bit for bit (each norm sums the same three squares in the
+    same order).
+    """
+    single = isinstance(rng, np.random.Generator)
+    rngs = [rng] if single else list(rng)
     L = config.L
-    xy = rng.uniform(0.0, config.X_size, size=(L, 2))
-    z = rng.uniform(config.Z_min, config.Z_max, size=(L, 1))
-    positions = np.hstack([xy, z])
-    raw = rng.normal(size=(L, 3))
-    norms = np.linalg.norm(raw, axis=1, keepdims=True)
+    positions = np.empty((len(rngs), L, 3))
+    raw = np.empty((len(rngs), L, 3))
+    for r, g in enumerate(rngs):
+        positions[r, :, :2] = g.uniform(0.0, config.X_size, size=(L, 2))
+        positions[r, :, 2:] = g.uniform(config.Z_min, config.Z_max, size=(L, 1))
+        raw[r] = g.normal(size=(L, 3))
+    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     velocities = config.V_max * raw / norms
-    return Frame(positions, velocities)
+    return Frame(positions[0], velocities[0]) if single else Frame(positions, velocities)
 
 
 def _neighbour_sum(terms: np.ndarray) -> np.ndarray:
-    """Sum of terms[:, :, j] over the neighbours j, (C, L, L, ...) -> (C, L, ...).
+    """Sum of terms[:, j] over the neighbours j, (C, L, L, ...) -> (C, L, ...).
 
     The neighbours are added one at a time from +0.0, in the order of a
-    matrix product or of a sum over a non-innermost axis.  terms.sum(axis=2)
+    matrix product or of a sum over a non-innermost axis.  terms.sum(axis=1)
     sums pairwise whenever the j axis ends up innermost (one swarm, or
-    L >= 8), and that rounds differently.
+    L >= 8), and that rounds differently.  With the neighbour axis first,
+    each add runs over one contiguous (L, ...) block.
     """
-    acc = terms[:, :, 0] + 0.0
-    for j in range(1, terms.shape[2]):
-        acc += terms[:, :, j]
+    acc = terms[:, 0] + 0.0
+    for j in range(1, terms.shape[1]):
+        acc += terms[:, j]
     return acc
 
 
@@ -124,24 +135,27 @@ def _zone_forces(positions: np.ndarray, velocities: np.ndarray, config: SwarmCon
     every pass runs over the trailing swarm axes.  The bands are the
     half-open distance ranges [0, r_rep), [r_rep, r_ali) and
     [max(r_rep, r_ali), r_att): repulsion takes priority, so they never
-    overlap even when r_ali < r_rep.
+    overlap even when r_ali < r_rep.  An empty alignment band gives the
+    float +0.0 for its sum: x + 0.0 has the bits of x + zeros.
     """
-    disp = positions[:, :, None] - positions[:, None, :]  # [:, i, j] = u_i - u_j
+    disp = positions[:, None] - positions[:, :, None]  # [:, j, i] = u_i - u_j
     sq = disp * disp
     # np.linalg.norm's order over a length-3 axis; sq[0] + (sq[1] + sq[2]) differs
     dist = np.sqrt((sq[0] + sq[1]) + sq[2])
     # The diagonal needs no mask: at distance 0 it lies in repulsion, where
     # its u_i - u_i = +0.0 adds nothing.  Repulsion and attraction both sum
     # displacements, so one pass over (2 * 3, L, L, ...) terms sums both.
-    bands = np.stack((dist < config.r_rep,
-                      (dist >= max(config.r_rep, config.r_ali)) & (dist < config.r_att)))
+    bands = np.empty((2,) + dist.shape, bool)
+    np.less(dist, config.r_rep, out=bands[0])
+    np.logical_and(dist >= max(config.r_rep, config.r_ali), dist < config.r_att,
+                   out=bands[1])
     terms = disp * bands[:, None]
     acc = _neighbour_sum(terms.reshape((6,) + dist.shape)).reshape((2,) + positions.shape)
     if config.r_ali > config.r_rep:
         in_ali = (dist >= config.r_rep) & (dist < config.r_ali)
-        f_ori = _neighbour_sum(velocities[:, None] * in_ali)
+        f_ori = _neighbour_sum(velocities[:, :, None] * in_ali)
     else:  # an empty band: every term would be 0 * v_j, summing to +0.0
-        f_ori = np.zeros_like(velocities)
+        f_ori = 0.0
     return acc[0], f_ori, -acc[1]
 
 
@@ -242,9 +256,7 @@ def simulate_batch(config: SwarmConfig, seeds, frames=None):
     if frames.dtype.kind not in "iu" or frames.ndim != 1 or frames.size == 0 \
             or frames[0] < 0 or (np.diff(frames) <= 0).any():
         raise ValueError("frames must be increasing indices >= 0")
-    starts = [init_swarm(config, np.random.default_rng(s)) for s in seeds]
-    frame = Frame(np.stack([f.positions for f in starts]),
-                  np.stack([f.velocities for f in starts]))
+    frame = init_swarm(config, [np.random.default_rng(s) for s in seeds])
     shape = (len(seeds), frames.size, config.L, 3)
     positions, velocities = np.empty(shape), np.empty(shape)
     k = 0

@@ -657,7 +657,9 @@ def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
         trues.append(traj.positions[checks])
         preds.append(pred[checks - 1])
     assert not all((nom == 20.0).all() for nom in nominals)
-    report = covert.detection_probability(nets, trues, preds, cov, nominals)
+    # the networks built one run at a time, stacked into one (R, N, 3) network
+    net = covert.GroundNetwork(np.stack([n.positions for n in nets]), P_max=20.0, eta=1.0)
+    report = covert.detection_probability(net, trues, preds, cov, nominals)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(float(lam), int(n), float(p)) for lam, n, _, _, p, _ in rows] == [
         (lam, n, report.cell(lam, n).p_det) for n in (6, 4) for lam in (0.5, 0.9)]
@@ -723,7 +725,9 @@ def test_eval_covert_burn_in_matches_the_engine(tmp_path, trained):
         trues.append(traj.positions[10 + checks])
         nets.append(covert.GroundNetwork.uniform_random(
             6, 500.0, np.random.default_rng([5, r, 1]), P_max=20.0, eta=1.0))
-    report = covert.detection_probability(nets, trues, preds, cov)
+    # the networks built one run at a time, stacked into one (R, N, 3) network
+    net = covert.GroundNetwork(np.stack([n.positions for n in nets]), P_max=20.0, eta=1.0)
+    report = covert.detection_probability(net, trues, preds, cov)
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [float(p) for *_, p, _ in rows] == [report.cell(lam, 6).p_det
                                                for lam in (0.5, 0.9)]
@@ -818,7 +822,7 @@ def test_diverging_rollout_exit_4(tmp_path, trained, truth_csv, capsys):
 
 
 def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypatch):
-    save_table = cli._save_table
+    save_table = graphs.save_table
 
     def fail_midway(path, header, rows):
         if header[0] != "run":  # the cells CSV, written before the report and the audit
@@ -828,7 +832,7 @@ def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypat
         assert not (tmp_path / "agg_audit.csv").exists()  # partial bytes go to a .tmp
         raise OSError("disk full")
 
-    monkeypatch.setattr(cli, "_save_table", fail_midway)
+    monkeypatch.setattr(graphs, "save_table", fail_midway)
     cfg = eval_config(tmp_path, [0.5], [4], runs=2)
     assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
                  "--out", str(tmp_path / "agg.csv"), "--audit", "--quiet"]) == 3

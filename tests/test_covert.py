@@ -179,6 +179,73 @@ def test_nominal_powers_equal_the_per_node_closed_form_bit_for_bit(n, eta_t):
             np.testing.assert_array_equal(nominal_powers(net), want)
 
 
+def test_uniform_random_on_many_generators_equals_the_single_calls_stacked():
+    rngs = [np.random.default_rng([3, r, 1]) for r in range(5)]
+    net = GroundNetwork.uniform_random(7, 400.0, rngs, eta=1.5, M_bar=2)
+    assert net.positions.shape == (5, 7, 3) and net.n_nodes == 7
+    for r in range(5):
+        alone = GroundNetwork.uniform_random(7, 400.0, np.random.default_rng([3, r, 1]))
+        assert same_bits(net.positions[r], alone.positions)
+    assert (net.eta, net.M_bar) == (1.5, 2)
+
+
+def per_run_network(n, runs, seed, **kw):
+    """An (R, N, 3) network with coincident nodes, and one run's nodes so far
+    apart that some nominal powers are capped and some overflow to inf."""
+    net = GroundNetwork.uniform_random(n, 500.0, [np.random.default_rng([seed, r])
+                                                  for r in range(runs)], **kw)
+    net.positions[0, -1] = net.positions[0, 0]
+    net.positions[-1] *= 1e150
+    return net
+
+
+@pytest.mark.parametrize("n", [4, 25, 1000])
+@pytest.mark.parametrize("M_bar", [0, 1, 3])
+def test_nominal_powers_of_a_per_run_network_equal_its_runs_alone(n, M_bar):
+    net = per_run_network(n, 3, n, eta_t=2.7, M_bar=M_bar, P_max=1e300)
+    # a P_max that caps about half the nodes of the near runs, and the far
+    # run's every node, whose power overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        P_max = float(np.median(nominal_powers(net)[:-1])) if M_bar else 1.0
+    net = GroundNetwork(net.positions, eta_t=2.7, M_bar=M_bar, P_max=P_max)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = nominal_powers(net)
+    assert got.shape == (3, n)
+    want, messages = [], []
+    for r in range(3):
+        run = GroundNetwork(net.positions[r], eta_t=2.7, M_bar=M_bar, P_max=P_max)
+        with warnings.catch_warnings(record=True) as alone:
+            warnings.simplefilter("always")
+            want.append(nominal_powers(run))
+        # each capped node is named with its run
+        messages += [f"run {r}, {w.message}" for w in alone]
+    assert [str(w.message) for w in caught] == messages
+    assert same_bits(got, np.array(want))
+    if M_bar:
+        assert (got[-1] == P_max).all() and (got[:-1] < P_max).any()
+
+
+def test_power_bound_of_a_per_run_network_equals_its_runs_alone():
+    rng = np.random.default_rng(12)
+    net = per_run_network(30, 4, 12, eta=1.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        nominal = nominal_powers(net)
+    frames = np.column_stack([rng.uniform(0, 500, (4 * 6 * 3, 2)),
+                              rng.uniform(50, 150, 4 * 6 * 3)]).reshape(4, 2, 3, 3, 3)
+    for nom in (nominal, nominal[0], None):
+        got = transmit_power_bound(net, frames, 1e-6, nom)
+        assert got.shape == (4, 2, 3, 30)
+        for r in range(4):
+            run = GroundNetwork(net.positions[r], eta=1.7)
+            want = transmit_power_bound(run, frames[r], 1e-6,
+                                        np.full(30, run.P_max) if nom is None
+                                        else nom if nom.ndim == 1 else nom[r])
+            assert same_bits(got[r], want)
+
+
 # --- transmit power bound -------------------------------------------------------------
 
 def test_bound_single_uav_hand_case():
@@ -379,7 +446,7 @@ def test_bound_raises_when_path_gain_overflows(api):
         if api == "transmit_power_bound":
             transmit_power_bound(net, frame, 1e-6, nominal)
         else:
-            detection_probability([net], [near[None]], [frame[None]], CovertConfig(runs=1))
+            detection_probability(net, [near[None]], [frame[None]], CovertConfig(runs=1))
 
 
 @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 50), l=st.integers(1, 8),
@@ -451,7 +518,7 @@ def test_bound_rejects_nan_nominal_power(nominal):
     with pytest.raises(ValueError, match=r"nominal powers must lie in \[0, P_max\]"):
         transmit_power_bound(net, frame, 1e-6, np.array(nominal))
     with pytest.raises(ValueError, match=r"nominal powers must lie in \[0, P_max\]"):
-        detection_probability([net], [frame[None]], [frame[None]], CovertConfig(runs=1),
+        detection_probability(net, [frame[None]], [frame[None]], CovertConfig(runs=1),
                               [nominal])
 
 
@@ -608,18 +675,9 @@ def test_detection_probability_aggregates_runs():
 
 def test_detection_probability_monotone_in_n_and_h():
     rng = np.random.default_rng(5)
-    nets, trues, preds = [], [], []
-    for _ in range(6):
-        net = GroundNetwork.uniform_random(8, 500.0, rng, eta=1.0)
-        true = np.column_stack([rng.uniform(0, 500, (5 * 4, 2)),
-                                rng.uniform(50, 150, 20)]).reshape(5, 4, 3)
-        pred = true + rng.normal(scale=60.0, size=true.shape)
-        pred[:, :, 2] = np.abs(pred[:, :, 2]) + 1.0
-        nets.append(net)
-        trues.append(true)
-        preds.append(pred)
+    net, trues, preds = random_runs(rng, 6, 8, C=5, L=4)
     covert = CovertConfig(lambda_=0.6, runs=6)
-    report = detection_probability(nets, trues, preds, covert)
+    report = detection_probability(net, trues, preds, covert)
     # N-monotonicity over node prefixes, H-monotonicity over time prefixes
     for axis_slices, axis in (([report.detected[:, :, :k] for k in range(1, 9)], "N"),
                               ([report.detected[:, :k, :] for k in range(1, 6)], "H")):
@@ -646,36 +704,39 @@ def test_report_serialization():
 
 
 def random_runs(rng, runs, n_nodes, C=3, L=2):
-    nets, trues, preds = [], [], []
+    """An (R, N, 3) network with eta = 1 and R runs of (C, L, 3) true and
+    predicted check frames."""
+    nodes, trues, preds = [], [], []
     for _ in range(runs):
-        nets.append(GroundNetwork.uniform_random(n_nodes, 500.0, rng, eta=1.0))
+        nodes.append(GroundNetwork.uniform_random(n_nodes, 500.0, rng).positions)
         true = np.column_stack([rng.uniform(0, 500, (C * L, 2)),
                                 rng.uniform(50, 150, C * L)]).reshape(C, L, 3)
         pred = true + rng.normal(scale=60.0, size=true.shape)
         pred[:, :, 2] = np.abs(pred[:, :, 2]) + 1.0
         trues.append(true)
         preds.append(pred)
-    return nets, trues, preds
+    return GroundNetwork(np.stack(nodes), eta=1.0), trues, preds
 
 
 def test_detection_probability_per_run_nominal_equals_runs_alone():
     rng = np.random.default_rng(6)
-    nets, trues, preds = random_runs(rng, 4, 5)
+    net, trues, preds = random_runs(rng, 4, 5)
     nominals = [rng.uniform(0.0, 20.0, 5) for _ in range(4)]
     covert = CovertConfig(lambda_=0.6, runs=4)
-    report = detection_probability(nets, trues, preds, covert, nominals)
+    report = detection_probability(net, trues, preds, covert, nominals)
     for r in range(4):
-        alone = detection_probability(nets[r], [trues[r]], [preds[r]], covert, nominals[r])
+        alone = detection_probability(GroundNetwork(net.positions[r], eta=1.0), [trues[r]],
+                                      [preds[r]], covert, nominals[r])
         for field in ("p_true", "p_pred", "eps_pred", "detected"):
             np.testing.assert_array_equal(getattr(report, field)[r], getattr(alone, field)[0])
 
 
 def test_report_cell_equals_the_engine_on_the_first_nodes():
     rng = np.random.default_rng(7)
-    nets, trues, preds = random_runs(rng, 5, 8)
-    report = detection_probability(nets, trues, preds, CovertConfig(lambda_=0.5, runs=5))
+    net, trues, preds = random_runs(rng, 5, 8)
+    report = detection_probability(net, trues, preds, CovertConfig(lambda_=0.5, runs=5))
     for lam, n in ((0.9, 3), (0.5, 8), (0.2, 1)):
-        small = [GroundNetwork(net.positions[:n], eta=1.0) for net in nets]
+        small = GroundNetwork(net.positions[:, :n], eta=1.0)
         want = detection_probability(small, trues, preds, CovertConfig(lambda_=lam, runs=5))
         cell = report.cell(lam, n)
         np.testing.assert_array_equal(cell.detected, want.detected)
@@ -696,24 +757,24 @@ def test_detection_probability_equals_a_per_frame_loop_bit_for_bit(
     block = 4096
     n = data.draw(st.integers(1, 40) | st.integers(block // L, block // L + 40))
     rng = np.random.default_rng(seed)
-    nets = [GroundNetwork.uniform_random(n, 500.0, rng, eta=eta,
-                                         P_max=float(rng.uniform(1.0, 20.0)))
-            for _ in range(runs)]
+    net = GroundNetwork.uniform_random(n, 500.0, [rng] * runs, eta=eta,
+                                       P_max=float(rng.uniform(1.0, 20.0)))
     true = np.column_stack([rng.uniform(0, 500, (runs * C * L, 2)),
                             rng.uniform(50, 150, runs * C * L)]).reshape(runs, C, L, 3)
     pred = true + rng.normal(scale=60.0, size=true.shape)
     pred[..., 2] = np.abs(pred[..., 2]) + 1.0
-    nominal = [rng.uniform(0.0, net.P_max, n) for net in nets] if per_run_nominal else None
+    nominal = rng.uniform(0.0, net.P_max, (runs, n)) if per_run_nominal else None
     covert = CovertConfig(lambda_=0.5, runs=runs)
     with mock.patch.object(cv, "_BLOCK_DISTANCES", block):
-        report = detection_probability(nets, true, pred, covert, nominal)
-    for r, net in enumerate(nets):
+        report = detection_probability(net, true, pred, covert, nominal)
+    for r in range(runs):
+        run = GroundNetwork(net.positions[r], eta=eta)
         nom = nominal[r] if per_run_nominal else np.full(n, net.P_max)
         for c in range(C):
             np.testing.assert_array_equal(report.p_true[r, c],
-                                          brute_force_bound(net, true[r, c], 1e-6, nom))
+                                          brute_force_bound(run, true[r, c], 1e-6, nom))
             np.testing.assert_array_equal(report.p_pred[r, c],
-                                          brute_force_bound(net, pred[r, c], 1e-6, nom))
+                                          brute_force_bound(run, pred[r, c], 1e-6, nom))
             assert report.eps_pred[r, c] == prediction_error(true[r, c], pred[r, c])
 
 
@@ -723,20 +784,25 @@ def test_detection_probability_raises_on_a_fault_in_the_last_block(frames_per_bl
     rng = np.random.default_rng(9)
     block = 4096
     n_nodes = block // (3 * frames_per_block)
-    nets, trues, preds = random_runs(rng, 5, n_nodes, C=4, L=3)
+    net, trues, preds = random_runs(rng, 5, n_nodes, C=4, L=3)
     preds = np.array(preds)
-    preds[-1, -1, -1] = nets[-1].positions[-1] if fault == "d = 0" else np.nan
+    preds[-1, -1, -1] = net.positions[-1, -1] if fault == "d = 0" else np.nan
     with mock.patch.object(cv, "_BLOCK_DISTANCES", block), \
             pytest.raises(ValueError, match=fault):
-        detection_probability(nets, trues, preds, CovertConfig(runs=5))
+        detection_probability(net, trues, preds, CovertConfig(runs=5))
 
 
-def test_detection_probability_rejects_mixed_path_loss_exponents():
+def test_detection_probability_rejects_a_network_of_other_runs():
+    # an (R, N, 3) network pairs node set r with run r, so its R must be the frames'
     rng = np.random.default_rng(10)
-    nets, trues, preds = random_runs(rng, 3, 4)
-    nets[1] = GroundNetwork(nets[1].positions, eta=2.0)
-    with pytest.raises(ValueError, match="eta"):
-        detection_probability(nets, trues, preds, CovertConfig(runs=3))
+    net, trues, preds = random_runs(rng, 3, 4)
+    message = "the network has node sets for 3 runs, but the frames have 2 runs"
+    with pytest.raises(ValueError, match=message):
+        detection_probability(net, trues[:2], preds[:2], CovertConfig(runs=2))
+    with pytest.raises(ValueError, match=message):
+        transmit_power_bound(net, np.array(trues[:2]), 1e-6, None)
+    with pytest.raises(ValueError, match=r"one run's \(N, 3\) network"):
+        detection_events(net, trues[0], preds[0], CovertConfig(), None)
 
 
 def test_prediction_error_per_frame_over_leading_axes():

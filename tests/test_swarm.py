@@ -92,12 +92,35 @@ def test_init_deterministic_by_seed():
     np.testing.assert_array_equal(f1.velocities, f2.velocities)
 
 
+def reference_init(cfg, rng):
+    """One swarm's start frame, drawn and normed on its own (L, 3) arrays."""
+    xy = rng.uniform(0.0, cfg.X_size, size=(cfg.L, 2))
+    z = rng.uniform(cfg.Z_min, cfg.Z_max, size=(cfg.L, 1))
+    raw = rng.normal(size=(cfg.L, 3))
+    return np.hstack([xy, z]), cfg.V_max * raw / np.linalg.norm(raw, axis=1, keepdims=True)
+
+
+@given(L=st.integers(1, 12), seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1,
+                                            max_size=6),
+       V_max=st.floats(0.5, 50.0))
+@settings(max_examples=50, deadline=None)
+def test_init_on_many_generators_equals_the_single_draws_stacked(L, seeds, V_max):
+    cfg = small_config(L=L, V_max=V_max)
+    frame = init_swarm(cfg, [np.random.default_rng(s) for s in seeds])
+    want = [reference_init(cfg, np.random.default_rng(s)) for s in seeds]
+    assert same_bits(frame.positions, np.stack([p for p, _ in want]))
+    assert same_bits(frame.velocities, np.stack([v for _, v in want]))
+    one = init_swarm(cfg, np.random.default_rng(seeds[0]))
+    assert same_bits(one.positions, want[0][0]) and same_bits(one.velocities, want[0][1])
+
+
 # --- interaction forces ---------------------------------------------------------
 
 def forces_on_first(frame, cfg):
-    """(f_rep, f_ori, f_att) acting on UAV 0; _zone_forces is coordinate-first."""
+    """(f_rep, f_ori, f_att) acting on UAV 0; _zone_forces is coordinate-first,
+    and its f_ori is the float 0.0 when the alignment band is empty."""
     forces = swarm._zone_forces(frame.positions.T, frame.velocities.T, cfg)
-    return [f[:, 0] for f in forces]
+    return [np.broadcast_to(f, frame.velocities.T.shape)[:, 0] for f in forces]
 
 
 def test_forces_no_neighbors():
@@ -512,7 +535,8 @@ def test_zone_bands_use_the_norms_summation_order():
         positions, velocities = np.array([d, np.zeros(3)]), np.zeros((2, 3))
         want = reference_zone_forces(positions, velocities, cfg)
         got = swarm._zone_forces(positions.T, velocities.T, cfg)
-        assert all(same_bits(g.T, w) for g, w in zip(got, want))
+        assert all(same_bits(np.broadcast_to(g, positions.T.shape).T, w)
+                   for g, w in zip(got, want))
 
 
 coordinate = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-40.0, 40.0))
