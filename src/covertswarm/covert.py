@@ -145,8 +145,8 @@ def nominal_powers(net: GroundNetwork) -> np.ndarray:
     or (R, N) for a network of R runs.
 
     Closed form from each node's M_bar-th nearest neighbour distance within
-    its run; a power above P_max is capped there with a warning naming the
-    node (and its run), as the link target is unreachable.
+    its run; a power above P_max is capped there, as the link target is
+    unreachable, and one warning per call counts the capped nodes of all runs.
     """
     N = net.n_nodes
     if net.M_bar >= N:
@@ -160,7 +160,7 @@ def nominal_powers(net: GroundNetwork) -> np.ndarray:
     per_block = max(1, _BLOCK_DISTANCES // N)
     n_runs, n_rows = (per_block // N, N) if per_block >= N else (1, per_block)
     # a squared distance or a power (libm's pow per node) that overflows is inf,
-    # and the capped warning below names its node, so numpy's would add nothing
+    # and the capped warning below counts its node, so numpy's would add nothing
     with np.errstate(over="ignore"):
         for r in range(0, len(pos), n_runs):
             x, y = pos[r:r + n_runs, :, 0], pos[r:r + n_runs, :, 1]
@@ -176,34 +176,38 @@ def nominal_powers(net: GroundNetwork) -> np.ndarray:
                 s[:, rows, i + rows] = np.inf
                 s_m[r:r + n_runs, i:i + n_rows] = np.partition(s, k, axis=2)[..., k]
         p = net.gamma_t * net.N0 * np.float_power(np.sqrt(s_m, out=s_m), net.eta_t)
-    for r, i in np.argwhere(p > net.P_max):
-        node = f"node {i}" if net.positions.ndim == 2 else f"run {r}, node {i}"
-        warnings.warn(
-            f"{node}: required power {p[r, i]:.3g} W exceeds P_max={net.P_max} W; capped",
-            RuntimeWarning,
-        )
+    capped = p > net.P_max
+    if capped.any():
+        warnings.warn(f"{capped.sum()} of {p.size} nodes require more than "
+                      f"P_max={net.P_max} W, up to {p.max():.3g} W; capped", RuntimeWarning)
     return np.minimum(p, net.P_max).reshape(net.positions.shape[:-1])
 
 
-def _power_bounds(net: GroundNetwork, frames: np.ndarray, P_det: float,
-                  nominal) -> np.ndarray:
-    """Per-node covert power caps for UAV frames (R, ..., L, 3): (R, ..., N).
+def transmit_power_bound(net: GroundNetwork, uav_frames: np.ndarray,
+                         P_det: float, nominal) -> np.ndarray:
+    """Per-node covert power caps against UAV frames.
 
-    net is one (N, 3) network for every run or an (R, N, 3) one, run r
-    against its own nodes; nominal is None (P_max), one (N,) array or one
-    (R, N) array.  For each node the worst (largest) path gain over UAVs
-    sets w_n; the node transmits min(nominal_n, P_det / w_n).
+    An (N, 3) network takes frames (..., L, 3) and gives (..., N), as one
+    run; an (R, N, 3) network takes frames (R, ..., L, 3), run r against its
+    own nodes, and gives (R, ..., N).  nominal is None (P_max), one (N,)
+    array or one (R, N) array, R = 1 for an (N, 3) network.  For each node
+    the worst (largest) path gain over UAVs sets w_n; the node transmits
+    min(nominal_n, P_det / w_n).
     """
-    frames = np.asarray(frames, dtype=float)
-    if frames.ndim < 3 or frames.shape[-1] != 3 or frames.shape[-2] < 1:
-        raise ValueError(f"UAV frames must be (..., L, 3) with L >= 1, got {frames.shape}")
+    frames = np.asarray(uav_frames, dtype=float)
+    one_run = net.positions.ndim == 2
+    if frames.ndim < 3 - one_run or frames.shape[-1] != 3 or frames.shape[-2] < 1:
+        raise ValueError(f"UAV frames must be ({'' if one_run else 'R, '}..., L, 3) "
+                         f"with L >= 1, got {frames.shape}")
+    if one_run:
+        frames = frames[None]
     if not np.isfinite(frames).all():
         raise ValueError("UAV frames have non-finite coordinates")
     if not 0 < P_det < math.inf:
         raise ValueError(f"P_det must be finite and > 0, got {P_det}")
     R, L = frames.shape[0], frames.shape[-2]
     N, eta = net.n_nodes, float(net.eta)
-    if net.positions.ndim == 3 and len(net.positions) != R:
+    if not one_run and len(net.positions) != R:
         raise ValueError(f"the network has node sets for {len(net.positions)} runs, "
                          f"but the frames have {R} runs")
     if nominal is None:
@@ -211,7 +215,8 @@ def _power_bounds(net: GroundNetwork, frames: np.ndarray, P_det: float,
     else:
         nominal = np.asarray(nominal, dtype=float)
         if nominal.shape not in ((N,), (R, N)):
-            raise ValueError(f"nominal must be ({N},) or ({R}, {N}), got {nominal.shape}")
+            raise ValueError(f"nominal must be ({N},) or ({R}, {N}) for a "
+                             f"{net.positions.shape} network, got {nominal.shape}")
         if not ((nominal >= 0) & (nominal <= net.P_max)).all():
             raise ValueError("nominal powers must lie in [0, P_max]")
     # (R, 2, N) node x and y and (R, N) nominal powers, views when shared;
@@ -251,18 +256,8 @@ def _power_bounds(net: GroundNetwork, frames: np.ndarray, P_det: float,
                     raise ValueError("UAV so close to a ground node that its path gain "
                                      f"d**-eta overflows (eta={eta:g})")
                 np.minimum(nominal[rs, None], np.divide(P_det, w, out=w), out=out[rs, fs])
-    return out.reshape(frames.shape[:-2] + (N,))
-
-
-def transmit_power_bound(net: GroundNetwork, uav_frames: np.ndarray,
-                         P_det: float, nominal: np.ndarray) -> np.ndarray:
-    """Per-node covert power caps against UAV frames (..., L, 3): (..., N).
-    An (R, N, 3) network takes frames (R, ..., L, 3), each run against its
-    own nodes."""
-    frames = np.asarray(uav_frames, dtype=float)
-    if net.positions.ndim == 3:
-        return _power_bounds(net, frames, P_det, nominal)
-    return _power_bounds(net, frames[None], P_det, nominal)[0]
+    out = out.reshape(frames.shape[:-2] + (N,))
+    return out[0] if one_run else out
 
 
 # --- prediction metrics ------------------------------------------------------
@@ -300,20 +295,14 @@ def baseline_constant_velocity(frames: np.ndarray, horizon_steps: int) -> np.nda
 def detection_events(net: GroundNetwork, true_checks: np.ndarray,
                      pred_checks: np.ndarray, covert: CovertConfig,
                      nominal: np.ndarray):
-    """Single-run detection flags over aligned check-time frames.
+    """Detection flags of one run: detection_probability of that run alone.
 
-    true_checks / pred_checks are (C, L, 3) UAV frames at the report
-    granularity.  Returns (flags, p_true, p_pred) each (C, N): a node is
-    flagged when its true bound falls below lambda times its predicted one.
+    net is one run's (N, 3) or (1, N, 3) network; true_checks / pred_checks
+    are (C, L, 3) UAV frames at the report granularity.  Returns (flags,
+    p_true, p_pred) each (C, N), as DetectionReport gives them.
     """
-    if net.positions.ndim != 2:  # it would pair check c with run c's nodes
-        raise ValueError("detection_events takes one run's (N, 3) network")
-    if np.shape(true_checks) != np.shape(pred_checks):
-        raise ValueError(f"misaligned trajectories: {np.shape(true_checks)} vs "
-                         f"{np.shape(pred_checks)}")
-    p_true = transmit_power_bound(net, true_checks, covert.P_det, nominal)
-    p_pred = transmit_power_bound(net, pred_checks, covert.P_det, nominal)
-    return p_true < covert.lambda_ * p_pred, p_true, p_pred
+    report = detection_probability(net, [true_checks], [pred_checks], covert, nominal)
+    return report.detected[0], report.p_true[0], report.p_pred[0]
 
 
 @dataclass
@@ -327,7 +316,8 @@ class DetectionReport:
 
     @property
     def detected(self) -> np.ndarray:
-        """(R, C, N) flags, the same expression as detection_events."""
+        """(R, C, N) flags: a node is flagged when its true bound falls below
+        lambda times its predicted one."""
         return self.p_true < self.lambda_ * self.p_pred
 
     @property
@@ -359,15 +349,15 @@ def detection_probability(net: GroundNetwork, true_runs, pred_runs, covert: Cove
     net is one (N, 3) network shared by all runs or an (R, N, 3) network
     with a node set per run; true_runs / pred_runs are (R, C, L, 3)
     check-time frames, or R (C, L, 3) arrays.  nominal is None (P_max for
-    every node), one (N,) array shared by all runs, or one (N,) array per
-    run, as nominal_powers gives for an (R, N, 3) network.
+    every node), one (N,) array shared by all runs, or for an (R, N, 3)
+    network one (N,) array per run, as nominal_powers gives.
     """
     true_runs = np.asarray(true_runs, dtype=float)
     pred_runs = np.asarray(pred_runs, dtype=float)
     if true_runs.shape != pred_runs.shape or true_runs.ndim != 4 or not len(true_runs):
         raise ValueError(f"need equally many aligned true and predicted (C, L, 3) runs, "
                          f"got {true_runs.shape} and {pred_runs.shape}")
-    p_true = _power_bounds(net, true_runs, covert.P_det, nominal)
-    p_pred = _power_bounds(net, pred_runs, covert.P_det, nominal)
+    p_true = transmit_power_bound(net, true_runs, covert.P_det, nominal)
+    p_pred = transmit_power_bound(net, pred_runs, covert.P_det, nominal)
     return DetectionReport(p_true, p_pred, prediction_error(true_runs, pred_runs),
                            covert.lambda_)

@@ -138,15 +138,6 @@ def count_parameters(model: GkaeModel) -> int:
 
 # --- forward operations ------------------------------------------------------
 
-def _check_graph(model: GkaeModel, graph: GraphSequence) -> None:
-    """Check that a sequence is normalized and has the model's L and d_out."""
-    if not graph.normalized:
-        raise ValueError("graph must be normalized before encoding")
-    if graph.features.shape[-2:] != (model.L, model.d_out):
-        raise ValueError(f"graph has (L, d) = {graph.features.shape[-2:]}, "
-                         f"model expects {(model.L, model.d_out)}")
-
-
 def rollout_batch(model: GkaeModel, features: np.ndarray, adjacency: np.ndarray,
                   steps) -> np.ndarray:
     """Forecast R start frames at once, at the given steps only.
@@ -204,7 +195,8 @@ def rollout_predict(model: GkaeModel, graph: GraphSequence, horizon_steps: int) 
         raise ValueError(f"horizon_steps must be an integer >= 1, got {horizon_steps!r}")
     if graph.n_frames != 1:
         raise ValueError(f"graph must have one frame, got {graph.n_frames}")
-    _check_graph(model, graph)
+    if not graph.normalized:
+        raise ValueError("graph must be normalized before encoding")
     return rollout_batch(model, graph.features, graph.adjacency,
                          np.arange(1, horizon_steps + 1))[0]
 

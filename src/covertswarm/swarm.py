@@ -14,6 +14,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .graphs import save_table
+
 
 @dataclass(frozen=True)
 class SwarmConfig:
@@ -283,16 +285,11 @@ CSV_HEADER = ["t", "uav_id", "x", "y", "z", "vx", "vy", "vz"]
 def save_trajectory_csv(traj: Trajectory, path, first_step: int = 0) -> None:
     """Write one row per (frame, UAV) with 17 significant digits; frame k
     is stamped t = (first_step + k) * dt."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for k in range(traj.n_frames):
-            t = (first_step + k) * traj.dt
-            for i in range(traj.positions.shape[1]):
-                row = [f"{t:.17g}", str(i)]
-                row += [f"{v:.17g}" for v in traj.positions[k, i]]
-                row += [f"{v:.17g}" for v in traj.velocities[k, i]]
-                writer.writerow(row)
+    T, L = traj.positions.shape[:2]
+    t = np.repeat((first_step + np.arange(T)) * traj.dt, L)
+    state = np.concatenate([traj.positions, traj.velocities], axis=2).reshape(T * L, 6)
+    save_table(path, CSV_HEADER, zip(t.tolist(), np.tile(np.arange(L), T).tolist(),
+                                     *state.T.tolist()))
 
 
 def load_trajectory_csv(path):

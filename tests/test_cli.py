@@ -6,6 +6,7 @@ import json
 import math
 import re
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -663,6 +664,23 @@ def test_eval_covert_nominal_power_matches_the_engine(tmp_path, trained):
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(float(lam), int(n), float(p)) for lam, n, _, _, p, _ in rows] == [
         (lam, n, report.cell(lam, n).p_det) for n in (6, 4) for lam in (0.5, 0.9)]
+
+
+def test_eval_covert_capped_nominal_powers_warn_once(tmp_path, trained):
+    # P_max 1e-10 W caps most nodes of every run: one warning counts them,
+    # where one per capped node and run was given
+    doc = json.loads(Path(eval_config(tmp_path, [0.5, 0.9], [6, 4], runs=4)).read_text())
+    doc["use_nominal_power"] = True
+    doc["ground"]["P_max"] = 1e-10
+    cfg = write_json(tmp_path / "eval.json", doc)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["eval-covert", "--checkpoint", trained["ckpt"], "--config", cfg,
+                     "--out", str(tmp_path / "agg.csv"), "--quiet"]) == 0
+    assert len(caught) == 1 and caught[0].category is RuntimeWarning
+    capped = re.fullmatch(r"(\d+) of 24 nodes require more than P_max=1e-10 W, "
+                          r"up to \S+ W; capped", str(caught[0].message))
+    assert capped and int(capped[1]) > 4
 
 
 def test_eval_covert_negative_m_bar_exit_2(tmp_path, trained, capsys):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -116,31 +117,31 @@ def test_nominal_power_capped_with_warning():
         warnings.simplefilter("always")
         np.testing.assert_array_equal(nominal_powers(net), [20.0, 20.0])
     assert [str(w.message) for w in caught] == [
-        f"node {i}: required power 40 W exceeds P_max=20.0 W; capped" for i in (0, 1)]
+        "2 of 2 nodes require more than P_max=20.0 W, up to 40 W; capped"]
 
 
 def test_nominal_power_overflow_warns_only_the_capped_nodes():
-    # each power, about (1e120)^3, overflows to inf; the capped warnings
-    # name each node, and numpy adds none of its own
+    # each power, about (1e120)^3, overflows to inf; the one capped warning
+    # counts every node, and numpy adds none of its own
     pos = np.array([[0.0, 0.0, 0.0], [1e120, 0.0, 0.0], [0.0, 1.0, 0.0]])
     net = GroundNetwork(pos, eta_t=3.0, M_bar=2, P_max=20.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         np.testing.assert_array_equal(nominal_powers(net), [20.0, 20.0, 20.0])
     assert [str(w.message) for w in caught] == [
-        f"node {i}: required power inf W exceeds P_max=20.0 W; capped" for i in (0, 1, 2)]
+        "3 of 3 nodes require more than P_max=20.0 W, up to inf W; capped"]
 
 
 def test_nominal_power_distance_overflow_warns_only_the_capped_nodes():
     # nodes 1e200 m apart: the squared distances already overflow to inf,
-    # and still only the capped warnings are given
+    # and still only the capped warning is given
     pos = np.array([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0], [2e200, 0.0, 0.0]])
     net = GroundNetwork(pos, M_bar=2, P_max=20.0)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         np.testing.assert_array_equal(nominal_powers(net), [20.0, 20.0, 20.0])
     assert [str(w.message) for w in caught] == [
-        f"node {i}: required power inf W exceeds P_max=20.0 W; capped" for i in (0, 1, 2)]
+        "3 of 3 nodes require more than P_max=20.0 W, up to inf W; capped"]
 
 
 @pytest.mark.parametrize("area", [0.0, -500.0, math.nan, math.inf])
@@ -189,6 +190,9 @@ def test_uniform_random_on_many_generators_equals_the_single_calls_stacked():
     assert (net.eta, net.M_bar) == (1.5, 2)
 
 
+CAPPED = r"(\d+) of \d+ nodes require more than P_max=\S+ W, up to (\S+) W; capped"
+
+
 def per_run_network(n, runs, seed, **kw):
     """An (R, N, 3) network with coincident nodes, and one run's nodes so far
     apart that some nominal powers are capped and some overflow to inf."""
@@ -213,15 +217,19 @@ def test_nominal_powers_of_a_per_run_network_equal_its_runs_alone(n, M_bar):
         warnings.simplefilter("always")
         got = nominal_powers(net)
     assert got.shape == (3, n)
-    want, messages = [], []
+    want, capped, largest = [], 0, []
     for r in range(3):
         run = GroundNetwork(net.positions[r], eta_t=2.7, M_bar=M_bar, P_max=P_max)
         with warnings.catch_warnings(record=True) as alone:
             warnings.simplefilter("always")
             want.append(nominal_powers(run))
-        # each capped node is named with its run
-        messages += [f"run {r}, {w.message}" for w in alone]
-    assert [str(w.message) for w in caught] == messages
+        for w in alone:  # at most one per call
+            k, up_to = re.fullmatch(CAPPED, str(w.message)).groups()
+            capped, largest = capped + int(k), largest + [float(up_to)]
+    # one warning for the whole network counts the capped nodes of every run
+    assert [str(w.message) for w in caught] == [
+        f"{capped} of {3 * n} nodes require more than P_max={P_max} W, up to "
+        f"{max(largest):.3g} W; capped"] if capped else not caught
     assert same_bits(got, np.array(want))
     if M_bar:
         assert (got[-1] == P_max).all() and (got[:-1] < P_max).any()
@@ -801,8 +809,37 @@ def test_detection_probability_rejects_a_network_of_other_runs():
         detection_probability(net, trues[:2], preds[:2], CovertConfig(runs=2))
     with pytest.raises(ValueError, match=message):
         transmit_power_bound(net, np.array(trues[:2]), 1e-6, None)
-    with pytest.raises(ValueError, match=r"one run's \(N, 3\) network"):
+    # detection_events is one run, so it takes no network of 3
+    with pytest.raises(ValueError, match=message.replace("2 runs", "1 runs")):
         detection_events(net, trues[0], preds[0], CovertConfig(), None)
+
+
+def test_detection_events_of_a_one_run_network_equal_its_n_by_3_network():
+    rng = np.random.default_rng(13)
+    net, trues, preds = random_runs(rng, 1, 9, C=4, L=3)
+    alone = GroundNetwork(net.positions[0], eta=1.0)
+    nominal = np.linspace(0.0, net.P_max, 9)
+    for nom in (None, nominal, nominal[None]):
+        got = detection_events(net, trues[0], preds[0], CovertConfig(lambda_=0.7), nom)
+        want = detection_events(alone, trues[0], preds[0], CovertConfig(lambda_=0.7),
+                                None if nom is None else nominal)
+        assert np.array_equal(got[0], want[0]) and got[0].any()
+        assert same_bits(got[1], want[1]) and same_bits(got[2], want[2])
+
+
+def test_detection_probability_rejects_per_run_nominals_on_a_shared_network():
+    # an (N, 3) network is one node set; per-run nominal powers belong to
+    # an (R, N, 3) network, whose nominal_powers give them
+    rng = np.random.default_rng(14)
+    net, trues, preds = random_runs(rng, 3, 4)
+    shared = GroundNetwork(net.positions[0], eta=1.0)
+    with pytest.raises(ValueError, match=r"nominal must be \(4,\) or \(1, 4\) for a "
+                                         r"\(4, 3\) network, got \(3, 4\)"):
+        detection_probability(shared, trues, preds, CovertConfig(runs=3),
+                              np.full((3, 4), 1.0))
+    report = detection_probability(net, trues, preds, CovertConfig(runs=3),
+                                   np.full((3, 4), 1.0))
+    assert report.p_true.shape == (3, 3, 4)
 
 
 def test_prediction_error_per_frame_over_leading_axes():
