@@ -6,8 +6,8 @@ the paths on the command line, writes a run manifest next to the primary
 output and prints the command's summary line; on failure it removes the
 partial outputs.
 
-Exit codes: 0 ok, 2 config/validation problem, 3 I/O failure, 4 numeric
-failure during training or prediction.
+Exit codes: 0 ok, 2 config/validation problem, 3 I/O or memory failure,
+4 numeric failure during training or prediction.
 """
 
 from __future__ import annotations
@@ -525,7 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 # Each exception a command may end in, and its exit code.
 _EXIT_CODES = {gkae.TrainingDivergence: 4, gkae.ModelStateError: 4,
-               ValueError: 2, KeyError: 2, TypeError: 2, OSError: 3}
+               ValueError: 2, KeyError: 2, TypeError: 2, OSError: 3,
+               MemoryError: 3}
 
 
 def main(argv=None) -> int:

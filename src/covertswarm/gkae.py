@@ -277,19 +277,19 @@ def _embed_frames(model: GkaeModel, X: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 def _phase1_forward(model: GkaeModel, X: np.ndarray, A: np.ndarray):
-    """Graph autoencoder over a (B, L, d) batch; returns the reconstruction
-    and the encoder and head tapes."""
+    """Graph autoencoder over a (B, L, d) batch; returns the reconstruction,
+    the (B, L, node_dim) encoder output, and the encoder and head tapes."""
     B, L, d = X.shape
     H, enc_tape = _encoder_forward(model, X, A)
     y, head_tape = _dense_chain_forward(model.graph_decoder, H.reshape(B * L, model.node_dim))
-    return y.reshape(B, L, d), enc_tape, head_tape
+    return y.reshape(B, L, d), H, enc_tape, head_tape
 
 
 def _phase1_loss_grads(model: GkaeModel, X: np.ndarray, A: np.ndarray, alpha1: float):
     """Graph-reconstruction loss over a (B, L, d) batch and its exact gradients
     (scaled by alpha1), ordered as _phase1_params."""
     B, L, d = X.shape
-    Xhat, enc_tape, head_tape = _phase1_forward(model, X, A)
+    Xhat, _, enc_tape, head_tape = _phase1_forward(model, X, A)
     loss = mse(Xhat, X)
     up = (alpha1 * mse_grad(Xhat, X)).reshape(B * L, d)
     dflat, head_grads = _dense_chain_backward(model.graph_decoder, head_tape, up)
@@ -592,6 +592,10 @@ def _stack_dataset(model: GkaeModel, dataset: list, window: int):
             np.concatenate(anchor_parts))
 
 
+# the columns of a training history row and of the loss CSV
+_LOSS_COLUMNS = ["epoch", "phase", "L_grec", "L_rec", "L_pred", "total"]
+
+
 def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
     """Two-phase training; mutates the model in place and returns (model, history).
 
@@ -604,52 +608,51 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
     """
     if not dataset:
         raise ValueError("empty dataset")
-    window = cfg.effective_window
-    X, A, anchors = _stack_dataset(model, dataset, window)
+    X, A, anchors = _stack_dataset(model, dataset, cfg.effective_window)
     history = []
 
-    params = _phase1_params(model)  # the model's own arrays, updated in place
-    state = AdamState.for_params(params, lr=cfg.lr)
-    loss1 = math.nan
-    for e in range(cfg.epochs_phase1):
-        loss1, grads = _phase1_loss_grads(model, X, A, cfg.alpha1)
-        total = cfg.alpha1 * loss1
-        if not np.isfinite(total):
-            raise TrainingDivergence(f"phase 1 loss diverged at epoch {e + 1}")
-        adam_step(params, grads, state)
-        history.append({"epoch": e + 1, "phase": 1, "L_grec": loss1,
-                        "L_rec": math.nan, "L_pred": math.nan, "total": total})
+    def fit(phase: int, params: list, epochs: int, losses) -> None:
+        """epochs Adam steps on params, the model's own arrays, updated in
+        place; losses() gives one epoch's L_grec, L_rec, L_pred, total and
+        gradients."""
+        state = AdamState.for_params(params, lr=cfg.lr)
+        for e in range(epochs):
+            *values, grads = losses()
+            if not np.isfinite(values[-1]):
+                raise TrainingDivergence(f"phase {phase} loss diverged at epoch {e + 1}")
+            adam_step(params, grads, state)
+            history.append(dict(zip(_LOSS_COLUMNS, [len(history) + 1, phase, *values])))
 
-    rec = pred = math.nan
+    def phase1():
+        grec, grads = _phase1_loss_grads(model, X, A, cfg.alpha1)
+        return grec, math.nan, math.nan, cfg.alpha1 * grec, grads
+
+    fit(1, _phase1_params(model), cfg.epochs_phase1, phase1)
+
     if cfg.epochs_phase2 > 0:
-        # one graph-encoder pass gives the frozen embeddings and, through
-        # the head, the frozen reconstruction loss
-        H = _encoder_forward(model, X, A)[0]
+        # one graph-autoencoder pass gives the frozen embeddings and the
+        # frozen reconstruction loss
+        Xhat, H = _phase1_forward(model, X, A)[:2]
+        grec = mse(Xhat, X)
+        del Xhat  # kept through phase 2, it raised train's peak RSS by about 15 MB
         h = H.reshape(X.shape[0], model.embed_dim)
-        grec_frozen = mse(_dense_chain(model.graph_decoder, H.reshape(-1, model.node_dim))
-                          .reshape(X.shape), X)
-        params2 = _phase2_params(model)
-        state2 = AdamState.for_params(params2, lr=cfg.lr)
         buffers = _Phase2Buffers(model, len(h), cfg.tau, anchors.size)
-        for e in range(cfg.epochs_phase2):
+
+        def phase2():
             rec, pred, grads = _phase2_loss_grads(model, h, anchors, cfg.tau, cfg.alpha2,
                                                   buffers)
-            total = cfg.alpha2 * (rec + pred)
-            if not np.isfinite(total):
-                raise TrainingDivergence(f"phase 2 loss diverged at epoch {e + 1}")
-            adam_step(params2, grads, state2)
-            history.append({"epoch": cfg.epochs_phase1 + e + 1, "phase": 2,
-                            "L_grec": grec_frozen, "L_rec": rec, "L_pred": pred,
-                            "total": total})
+            return grec, rec, pred, cfg.alpha2 * (rec + pred), grads
 
+        fit(2, _phase2_params(model), cfg.epochs_phase2, phase2)
+
+    last = {row["phase"]: row for row in history}  # each phase's last epoch
     model.meta.update({
         "epochs_phase1": cfg.epochs_phase1,
         "epochs_phase2": cfg.epochs_phase2,
         "train_seed": cfg.seed,
         "tau": cfg.tau,
-        "final_losses": {"L_grec": float(loss1) if np.isfinite(loss1) else None,
-                         "L_rec": float(rec) if np.isfinite(rec) else None,
-                         "L_pred": float(pred) if np.isfinite(pred) else None},
+        "final_losses": {key: float(last[phase][key]) if phase in last else None
+                         for phase, key in [(1, "L_grec"), (2, "L_rec"), (2, "L_pred")]},
         "d_tilde": dataset[0].threshold,
     })
     return model, history
@@ -657,10 +660,9 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
 
 def save_loss_csv(history: list, path) -> None:
     """train's history as a table, one row per epoch; every loss is a float."""
-    header = ["epoch", "phase", "L_grec", "L_rec", "L_pred", "total"]
-    rows = ([row["epoch"], row["phase"], *(float(row[k]) for k in header[2:])]
+    rows = ([row["epoch"], row["phase"], *(float(row[k]) for k in _LOSS_COLUMNS[2:])]
             for row in history)
-    save_table(path, header, rows)
+    save_table(path, _LOSS_COLUMNS, rows)
 
 
 # --- checkpointing -----------------------------------------------------------

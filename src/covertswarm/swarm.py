@@ -59,6 +59,9 @@ class SwarmConfig:
             raise ValueError(f"X_size must be > 0, got {self.X_size}")
         if not self.duration > 0:
             raise ValueError(f"duration must be > 0, got {self.duration}")
+        if not math.isfinite(self.duration / self.dt):
+            raise ValueError(f"duration {self.duration:g} s / dt {self.dt:g} s is more "
+                             "steps than a float holds")
 
     @property
     def n_steps(self) -> int:

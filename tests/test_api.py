@@ -3,10 +3,11 @@ and property of covertswarm is reached, directly or through names so reached,
 from the package's module-level statements, tests/test_acceptance.py or
 benchmarks/*.py.  Nor does it hold dead private helpers: every module-level
 private function and class is named somewhere in src/, tests/ or
-benchmarks/ outside its own definition.  Names match bare; imports (so
-__init__ re-exports) are no use, a string spelling a name is one (the
-benchmark wraps functions by name).  Nor does it import anything beyond
-numpy, the standard library and itself, or any name it does not use.
+benchmarks/ outside its own definition.  Names match bare; imports are no
+use, a string spelling a name is one (the benchmark wraps functions by
+name).  Nor does it import anything beyond numpy, the standard library and
+itself, or any name it does not use, so a name has one import path: its
+module (the package root re-exports nothing).
 """
 
 import ast
@@ -105,7 +106,7 @@ def import_faults() -> list:
         for module, name in imports(tree):
             if module.split(".")[0] not in allowed:
                 out.append(f"{path.name} imports {module}")
-            if path.name != "__init__.py" and name not in used:  # __init__ re-exports
+            if name not in used:
                 out.append(f"{path.name} never uses {name}")
     return out
 

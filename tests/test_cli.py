@@ -857,6 +857,19 @@ def test_eval_covert_failed_write_leaves_no_outputs(tmp_path, trained, monkeypat
     assert sorted(p.name for p in tmp_path.iterdir()) == ["eval.json"]
 
 
+def test_dataset_out_of_memory_exit_3(tmp_path, capsys, monkeypatch):
+    # it ended in a traceback and left data/ behind; nothing is allocated here
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 24.0 TiB for an array")
+
+    monkeypatch.setattr(swarm, "simulate_batch", no_memory)
+    cfg = write_json(tmp_path / "d.json", {"swarm": tiny_swarm(), "n_trajectories": 2})
+    assert main(["dataset", "--config", cfg, "--out", str(tmp_path / "data"),
+                 "--quiet"]) == 3
+    assert capsys.readouterr().err == "error: Unable to allocate 24.0 TiB for an array\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json"]
+
+
 # --- config keys and checkpoint shapes ------------------------------------------
 
 FUZZ_SWARM = {**tiny_swarm(duration=2.0), "Z_min": 50.0, "preserve_vertical": False}
@@ -1356,6 +1369,12 @@ REJECTED_RUNS = {
     "no trajectories": (lambda d, t: ["dataset", "--config", write_json(
         d / "ds.json", {"swarm": tiny_swarm(), "n_trajectories": 0})],
                         "n_trajectories must be >= 1, got 0"),
+    # it ended in an OverflowError traceback, counting the steps
+    "step count past any float": (lambda d, t: ["simulate", "--config", write_json(
+        d / "sim.json", {"duration": 1e308, "dt": 1e-10})], "more steps than a float holds"),
+    "step count past any float in dataset": (lambda d, t: ["dataset", "--config", write_json(
+        d / "ds.json", {"swarm": {"duration": 1e308, "dt": 1e-10}, "n_trajectories": 2})],
+        "more steps than a float holds"),
     "burn-in leaves one frame": (lambda d, t: ["dataset", "--config", write_json(
         d / "ds.json", {"swarm": tiny_swarm(duration=2.0), "n_trajectories": 2,
                         "burn_in_s": 2.0})], "fewer than 2 frames"),

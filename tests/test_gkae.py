@@ -764,6 +764,17 @@ def test_training_history_shape_and_phases():
     assert math.isnan(history[0]["L_rec"])
 
 
+@pytest.mark.parametrize("e1, e2", [(3, 2), (0, 2), (3, 0)])
+def test_train_records_the_last_losses_of_each_phase(e1, e2):
+    dataset = couzin_dataset()
+    model = build_model(3, seed=2, norm=dataset[0].norm)
+    _, history = train(model, dataset, TrainConfig(tau=3, epochs_phase1=e1, epochs_phase2=e2))
+    last1 = history[e1 - 1] if e1 else {"L_grec": None}
+    last2 = history[-1] if e2 else {"L_rec": None, "L_pred": None}
+    assert model.meta["final_losses"] == {"L_grec": last1["L_grec"],
+                                          "L_rec": last2["L_rec"], "L_pred": last2["L_pred"]}
+
+
 def test_training_reproducible_by_seed():
     losses = []
     for _ in range(2):
