@@ -318,17 +318,34 @@ class _Workspace:
 class _Phase2Buffers:
     """The large arrays of phase-2 calls over one set of frames and anchors,
     kept from one call to the next so that an epoch writes into pages it
-    already has: the Koopman encoder's layer outputs, the (tau+1, anchors,
-    latent) block of latents, the (anchors, latent) product of the
-    K-adjoint recurrence, and a free list of decoder workspaces, made as
-    passes need them, so one for each pass that runs at once."""
+    already has: the Koopman encoder's layer outputs, the latents, the
+    (anchors, latent) product of the K-adjoint recurrence, and a free list
+    of decoder workspaces, made as passes need them, so one for each pass
+    that runs at once.
+
+    The latents W[d], z[anchors] advanced by K for dt = d = 0..tau, are
+    (anchors, latent) blocks.  Only every S-th one, a checkpoint, is kept;
+    segment j, the S - 1 latents between checkpoints j and j + 1, is
+    recomputed from checkpoint j into one of two segment buffers when the
+    backward pass reaches it (Chen et al. 2016, arXiv:1604.06174).  That
+    is tau // S + 1 + 2 (S - 1) blocks in place of tau + 1: 14 in place of
+    31 at tau = 30.  A recomputed latent is the same product of the same
+    operands, so it has the same bits."""
 
     def __init__(self, model: GkaeModel, frames: int, tau: int, n_anchors: int):
         # one width for every buffer, so a workspace's scratch serves the encoder too
         width = max(l.n_out for l in model.koopman_encoder + model.koopman_decoder)
         self.encoder = [np.empty(frames * width) for _ in model.koopman_encoder]
-        self.latents = np.empty((tau + 1, n_anchors, model.latent))
-        self.adjoint = np.empty((n_anchors, model.latent))
+        # Filling segment j - 1 overwrites segment j + 1 while the jobs of
+        # horizons jS + 1 .. jS + workers are queued (see _horizon_map), so
+        # S >= workers; S near sqrt(tau / 2) keeps the fewest blocks.
+        S = self.S = max(_MAX_WORKERS, round(math.sqrt(tau / 2)))
+        self.tau = tau
+        block = (n_anchors, model.latent)
+        self.checkpoints = np.empty((tau // S + 1, *block))
+        self.segments = np.empty((min(2, -(-tau // S)), min(S - 1, tau), *block))
+        self._held = [-1, -1]  # the segment each segment buffer holds
+        self.adjoint = np.empty(block)
         self._workspace_args = (len(model.koopman_decoder), frames, width)
         self._idle = queue.SimpleQueue()
 
@@ -344,14 +361,31 @@ class _Phase2Buffers:
         finally:
             self._idle.put(ws)
 
+    def latent(self, d: int) -> np.ndarray:
+        """W[d], from its checkpoint or from the segment buffer holding it."""
+        j, r = divmod(d, self.S)
+        return self.checkpoints[j] if r == 0 else self.segments[j % 2, r - 1]
 
-def _latents(K: np.ndarray, z: np.ndarray, anchors: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """z[anchors] advanced by K for dt = 0..tau, written into the (tau+1, n,
-    latent) block W."""
-    np.take(z, anchors, axis=0, out=W[0], mode="clip")  # the caller checked the range
-    for d in range(1, W.shape[0]):
-        np.matmul(W[d - 1], K.T, out=W[d])
-    return W
+    def fill(self, j: int, K: np.ndarray) -> None:
+        """Compute segment j from checkpoint j, unless its buffer holds it."""
+        if self._held[j % 2] == j:
+            return
+        w = self.checkpoints[j]
+        for r in range(1, min(self.S, self.tau - j * self.S + 1)):
+            w = np.matmul(w, K.T, out=self.segments[j % 2, r - 1])
+        self._held[j % 2] = j
+
+    def checkpoint(self, K: np.ndarray, z: np.ndarray, anchors: np.ndarray) -> None:
+        """Write every checkpoint of z[anchors] advanced by K, in one pass of
+        the chain through the segments; the last two stay held."""
+        # the caller checked the range
+        np.take(z, anchors, axis=0, out=self.checkpoints[0], mode="clip")
+        self._held = [-1, -1]
+        for j in range(len(self.checkpoints) - 1):
+            self.fill(j, K)
+            np.matmul(self.latent((j + 1) * self.S - 1), K.T, out=self.checkpoints[j + 1])
+        if self.tau % self.S:
+            self.fill(self.tau // self.S, K)
 
 
 def _decoder_error(dec: list, w: np.ndarray, target: np.ndarray, ws: _Workspace):
@@ -487,21 +521,28 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
     if tau > 0 and na > 0:
         n_pred = na * tau * D
         scale = 2.0 * alpha2 / n_pred
-        W = _latents(K, z, anchors, buffers.latents)
+        buffers.checkpoint(K, z, anchors)
 
         def job(d):
-            return _horizon_grads(dec, W[d], h, anchors + d, scale, buffers)
+            return _horizon_grads(dec, buffers.latent(d), h, anchors + d, scale, buffers)
+
+        def horizons():
+            for d in range(tau, 0, -1):
+                # W[d] and W[d - 1] are in segment (d - 1) // S or its
+                # checkpoint; at d = jS the consumer reads W[d - 1] from
+                # segment j - 1, so it is filled before d is yielded
+                buffers.fill((d - 1) // buffers.S, K)
+                yield d
 
         per_horizon = []
         t_grad = None
-        horizons = range(tau, 0, -1)
         with _horizon_map(tau, na) as run:
             # both maps yield in order and let go of each result
-            for d, (sse, grads, g) in zip(horizons, run(job, horizons)):
+            for d, (sse, grads, g) in zip(range(tau, 0, -1), run(job, horizons())):
                 if t_grad is not None:  # g + t_grad @ K, into g
                     g += np.matmul(t_grad, K, out=buffers.adjoint)
                 t_grad = g
-                dK += t_grad.T @ W[d - 1]
+                dK += t_grad.T @ buffers.latent(d - 1)
                 per_horizon.append((sse, grads))
         # The anchors are distinct, so this plain scatter adds each row once,
         # exactly as np.add.at would, and faster.

@@ -62,6 +62,12 @@ class SwarmConfig:
         if not math.isfinite(self.duration / self.dt):
             raise ValueError(f"duration {self.duration:g} s / dt {self.dt:g} s is more "
                              "steps than a float holds")
+        # numpy refuses an array of more bytes than its index type counts
+        most = np.iinfo(np.intp).max // (8 * 3 * self.L)
+        if self.n_steps + 1 > most:
+            raise ValueError(f"duration / dt = {self.duration:g} s / {self.dt:g} s asks for "
+                             f"{self.n_steps + 1:.4g} frames, more than the {most:.4g} that "
+                             f"one numpy array of {self.L} UAVs' positions holds")
 
     @property
     def n_steps(self) -> int:

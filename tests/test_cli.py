@@ -4,7 +4,10 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -206,6 +209,36 @@ def test_train_outputs(trained):
     manifest = json.loads(
         (trained["root"] / "model.json.manifest.json").read_text())
     assert manifest["command"] == "train"
+
+
+def test_train_writes_the_same_bits_on_one_and_two_blas_threads(tmp_path):
+    # On two OpenBLAS threads phase 2 decodes its horizons on a thread pool
+    # and refills the latent segments on one BLAS thread, after a first
+    # chain on two; on one thread it runs them all in turn.  The same bits
+    # need products that do not depend on the BLAS thread count.
+    ds_cfg = write_json(tmp_path / "ds.json", {
+        "swarm": tiny_swarm(duration=120.0), "n_trajectories": 5, "d_tilde": 100.0,
+        "scale": 500.0, "burn_in_s": 0.0})
+    assert main(["dataset", "--config", ds_cfg, "--out", str(tmp_path / "data"),
+                 "--quiet"]) == 0
+    tau = 30
+    frames = [graphs.load_sequence_json(p).n_frames
+              for p in (tmp_path / "data" / "train").glob("*.json")]
+    assert sum(n - tau for n in frames) * tau >= gkae._POOL_MIN_ROWS  # the pool runs
+    tr_cfg = write_json(tmp_path / "train.json", {
+        "tau": tau, "epochs_phase1": 2, "epochs_phase2": 2, "lr": 3e-3, "seed": 1})
+    src = str(Path(gkae.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"model_{threads}.json"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-m", "covertswarm.cli", "train", "--data",
+                        str(tmp_path / "data"), "--config", tr_cfg, "--out", str(out),
+                        "--quiet"], env=env, check=True)
+        loss_csv = tmp_path / f"model_{threads}_loss.csv"
+        outputs.append([out.read_bytes(), loss_csv.read_bytes()])
+    assert outputs[0] == outputs[1]
 
 
 def test_train_resume_dims_mismatch_exit_2(tmp_path, trained, capsys):
@@ -1375,6 +1408,14 @@ REJECTED_RUNS = {
     "step count past any float in dataset": (lambda d, t: ["dataset", "--config", write_json(
         d / "ds.json", {"swarm": {"duration": 1e308, "dt": 1e-10}, "n_trajectories": 2})],
         "more steps than a float holds"),
+    # it ended in numpy's bare "Maximum allowed size exceeded"
+    "frame count past any numpy array": (lambda d, t: ["simulate", "--config", write_json(
+        d / "sim.json", {"duration": 1e300, "dt": 1.0})],
+        "duration / dt = 1e+300 s / 1 s asks for 1e+300 frames"),
+    "frame count past any numpy array in dataset": (lambda d, t: ["dataset", "--config",
+        write_json(d / "ds.json", {"swarm": {"duration": 1e300, "dt": 1.0},
+                                   "n_trajectories": 2})],
+        "duration / dt = 1e+300 s / 1 s asks for 1e+300 frames"),
     "burn-in leaves one frame": (lambda d, t: ["dataset", "--config", write_json(
         d / "ds.json", {"swarm": tiny_swarm(duration=2.0), "n_trajectories": 2,
                         "burn_in_s": 2.0})], "fewer than 2 frames"),

@@ -521,7 +521,7 @@ def fake_blas(threads):
     return lambda: (lambda: threads, lambda n: None)
 
 
-@pytest.mark.parametrize("tau", [1, 2, 5])
+@pytest.mark.parametrize("tau", [1, 2, 5, 13, 30])
 @pytest.mark.parametrize("workers", ["one", "machine", "eight", "no BLAS control"])
 def test_phase2_horizon_jobs_equal_the_serial_loop_bitwise(monkeypatch, tau, workers):
     if workers == "one":
@@ -551,7 +551,7 @@ def assert_calls_sharing_buffers_match_serial(model, h, anchors, tau):
     assert_phase2_matches_serial(model, h, anchors, tau, buffers)
 
 
-@pytest.mark.parametrize("tau", [1, 2, 5])
+@pytest.mark.parametrize("tau", [1, 2, 5, 13, 30])
 @pytest.mark.parametrize("workers", [1, 2, 8])
 def test_phase2_calls_sharing_buffers_equal_the_serial_loop_bitwise(monkeypatch, tau,
                                                                     workers):
@@ -579,7 +579,8 @@ def test_phase2_calls_sharing_buffers_with_an_elu_decoder_layer(monkeypatch, lay
 @pytest.mark.parametrize("tau", [5, 30])
 def test_phase2_second_call_on_kept_buffers_allocates_little(tau):
     # tracemalloc sees numpy's buffers: the first call makes the buffers, the
-    # second writes into them; at tau = 30 the latent block is most of them
+    # second writes into them; at tau = 30 the decoder workspaces are most of
+    # them, the latents' checkpoints and two segments about a third
     model, h, anchors = phase2_inputs(tau)
     peaks = []
     tracemalloc.start()
@@ -594,6 +595,19 @@ def test_phase2_second_call_on_kept_buffers_allocates_little(tau):
     finally:
         tracemalloc.stop()
     assert peaks[1] < peaks[0] / 4
+
+
+def test_phase2_buffers_keep_checkpoints_not_every_latent():
+    # at tau = 30 all 31 latents are 31 (anchors, latent) blocks; the
+    # checkpoints and two segments must stay within 16
+    tau = 30
+    model, h, anchors = phase2_inputs(tau)
+    buffers = gkae._Phase2Buffers(model, len(h), tau, anchors.size)
+    gkae._phase2_loss_grads(model, h, anchors, tau, 1.0, buffers)
+    block = anchors.size * model.latent * 8
+    kept = sum(a.nbytes for name, a in vars(buffers).items()
+               if isinstance(a, np.ndarray) and name != "adjoint")
+    assert kept <= 16 * block
 
 
 def test_phase2_rejects_anchors_whose_horizon_leaves_h():
