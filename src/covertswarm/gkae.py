@@ -307,46 +307,39 @@ def _phase1_loss_grads(model: GkaeModel, X: np.ndarray, A: np.ndarray, alpha1: f
 class _Workspace:
     """Flat buffers for one pass through the Koopman decoder and back over
     up to `rows` rows, each row as wide as the widest layer: one output per
-    layer, the error, and one scratch buffer (see _dense_chain_backward)."""
+    layer, the error, and one scratch buffer (see _dense_chain_backward);
+    and a block job's latents."""
 
-    def __init__(self, n_layers: int, rows: int, width: int):
+    def __init__(self, n_layers: int, rows: int, width: int, latents: int):
         self.outs = [np.empty(rows * width) for _ in range(n_layers)]
         self.error = np.empty(rows * width)
         self.scratch = np.empty(rows * width)
+        self.latents = np.empty(latents)
+
+
+# Decoder rows of one phase-2 job: a job takes the tau horizons of
+# max(1, _BLOCK_ROWS // tau) anchors.  The blocks depend on neither the
+# worker count nor the machine, and the sums over them are taken in block
+# order, so neither are the bits.
+_BLOCK_ROWS = 1 << 15
 
 
 class _Phase2Buffers:
-    """The large arrays of phase-2 calls over one set of frames and anchors,
-    kept from one call to the next so that an epoch writes into pages it
-    already has: the Koopman encoder's layer outputs, the latents, the
-    (anchors, latent) product of the K-adjoint recurrence, and a free list
-    of decoder workspaces, made as passes need them, so one for each pass
-    that runs at once.
+    """The large arrays of phase-2 calls over one set of frames, kept from
+    one call to the next so that an epoch writes into pages it already has:
+    the Koopman encoder's layer outputs and a free list of decoder
+    workspaces, made as passes need them, so one for each pass that runs at
+    once.  A workspace holds the reconstruction pass over every frame or
+    one block job."""
 
-    The latents W[d], z[anchors] advanced by K for dt = d = 0..tau, are
-    (anchors, latent) blocks.  Only every S-th one, a checkpoint, is kept;
-    segment j, the S - 1 latents between checkpoints j and j + 1, is
-    recomputed from checkpoint j into one of two segment buffers when the
-    backward pass reaches it (Chen et al. 2016, arXiv:1604.06174).  That
-    is tau // S + 1 + 2 (S - 1) blocks in place of tau + 1: 14 in place of
-    31 at tau = 30.  A recomputed latent is the same product of the same
-    operands, so it has the same bits."""
-
-    def __init__(self, model: GkaeModel, frames: int, tau: int, n_anchors: int):
+    def __init__(self, model: GkaeModel, frames: int, tau: int):
         # one width for every buffer, so a workspace's scratch serves the encoder too
         width = max(l.n_out for l in model.koopman_encoder + model.koopman_decoder)
         self.encoder = [np.empty(frames * width) for _ in model.koopman_encoder]
-        # Filling segment j - 1 overwrites segment j + 1 while the jobs of
-        # horizons jS + 1 .. jS + workers are queued (see _horizon_map), so
-        # S >= workers; S near sqrt(tau / 2) keeps the fewest blocks.
-        S = self.S = max(_MAX_WORKERS, round(math.sqrt(tau / 2)))
-        self.tau = tau
-        block = (n_anchors, model.latent)
-        self.checkpoints = np.empty((tau // S + 1, *block))
-        self.segments = np.empty((min(2, -(-tau // S)), min(S - 1, tau), *block))
-        self._held = [-1, -1]  # the segment each segment buffer holds
-        self.adjoint = np.empty(block)
-        self._workspace_args = (len(model.koopman_decoder), frames, width)
+        self.block = max(1, _BLOCK_ROWS // tau)
+        anchors = min(self.block, frames)  # a block holds no more anchors than frames
+        self._workspace_args = (len(model.koopman_decoder), max(frames, tau * anchors),
+                                width, (tau + 1) * anchors * model.latent)
         self._idle = queue.SimpleQueue()
 
     @contextmanager
@@ -361,32 +354,6 @@ class _Phase2Buffers:
         finally:
             self._idle.put(ws)
 
-    def latent(self, d: int) -> np.ndarray:
-        """W[d], from its checkpoint or from the segment buffer holding it."""
-        j, r = divmod(d, self.S)
-        return self.checkpoints[j] if r == 0 else self.segments[j % 2, r - 1]
-
-    def fill(self, j: int, K: np.ndarray) -> None:
-        """Compute segment j from checkpoint j, unless its buffer holds it."""
-        if self._held[j % 2] == j:
-            return
-        w = self.checkpoints[j]
-        for r in range(1, min(self.S, self.tau - j * self.S + 1)):
-            w = np.matmul(w, K.T, out=self.segments[j % 2, r - 1])
-        self._held[j % 2] = j
-
-    def checkpoint(self, K: np.ndarray, z: np.ndarray, anchors: np.ndarray) -> None:
-        """Write every checkpoint of z[anchors] advanced by K, in one pass of
-        the chain through the segments; the last two stay held."""
-        # the caller checked the range
-        np.take(z, anchors, axis=0, out=self.checkpoints[0], mode="clip")
-        self._held = [-1, -1]
-        for j in range(len(self.checkpoints) - 1):
-            self.fill(j, K)
-            np.matmul(self.latent((j + 1) * self.S - 1), K.T, out=self.checkpoints[j + 1])
-        if self.tau % self.S:
-            self.fill(self.tau // self.S, K)
-
 
 def _decoder_error(dec: list, w: np.ndarray, target: np.ndarray, ws: _Workspace):
     """Decode w in ws; returns (squared error sum, error, tape), the error
@@ -397,20 +364,34 @@ def _decoder_error(dec: list, w: np.ndarray, target: np.ndarray, ws: _Workspace)
     return sse, err, tape
 
 
-def _horizon_grads(dec: list, w: np.ndarray, h: np.ndarray, rows: np.ndarray,
-                   scale: float, buffers: _Phase2Buffers):
-    """One horizon's prediction term, with targets h[rows]: (squared error
-    sum, decoder [dW, db] per layer, gradient w.r.t. w) for the loss
-    scale * squared error sum / 2.  Only the gradient w.r.t. w is a new
-    array; the rest runs in a workspace of buffers."""
+def _block_grads(dec: list, K: np.ndarray, z: np.ndarray, h: np.ndarray,
+                 rows: np.ndarray, tau: int, scale: float, buffers: _Phase2Buffers):
+    """The prediction term of the anchor block rows: their latents z[rows]
+    advanced by K for dt = 1..tau, decoded against h[rows + dt].  Returns
+    (squared error sum, decoder [dW, db] per layer, dK, gradient w.r.t.
+    z[rows]) for the loss scale * squared error sum / 2.  The latents, the
+    decoder pass and the K-adjoint recurrence run in one workspace."""
+    n, latent = rows.size, K.shape[0]
     with buffers.workspace() as ws:
+        W = _rows(ws.latents, (tau + 1) * n, latent).reshape(tau + 1, n, latent)
         # mode="raise" would gather into a temporary first; the caller checked rows
-        target = np.take(h, rows, axis=0, out=_rows(ws.error, rows.size, h.shape[1]),
+        np.take(z, rows, axis=0, out=W[0], mode="clip")
+        for d in range(1, tau + 1):
+            np.matmul(W[d - 1], K.T, out=W[d])
+        # horizon-major, as W[1:]
+        targets = (np.arange(1, tau + 1)[:, None] + rows).ravel()
+        target = np.take(h, targets, axis=0, out=_rows(ws.error, targets.size, h.shape[1]),
                          mode="clip")
-        sse, err, tape = _decoder_error(dec, w, target, ws)
+        sse, err, tape = _decoder_error(dec, W[1:].reshape(-1, latent), target, ws)
         g, grads = _dense_chain_backward(dec, tape, np.multiply(err, scale, out=err),
                                          outs=ws.outs, scratch=ws.scratch)
-    return sse, grads, g
+        # the adjoint from dt = tau down, written over g: g[d - 1] becomes
+        # the gradient w.r.t. W[d]
+        g = g.reshape(tau, n, latent)
+        for d in range(tau - 1, 0, -1):
+            g[d - 1] += g[d] @ K
+        dK = g.reshape(-1, latent).T @ W[:-1].reshape(-1, latent)
+    return sse, grads, dK, g[0] @ K
 
 
 def _blas_thread_control():
@@ -429,35 +410,37 @@ def _blas_thread_control():
     return get, set_
 
 
-# Decoder rows, summed over horizons, below which the horizon jobs run on
-# the calling thread.  Threads hand the GIL back and forth between numpy
-# calls; on 2 cores two workers broke even at 120k-180k rows and were 1.3x
-# faster at 720k, while calls of a few hundred rows (the gradient checks
+# Decoder rows, summed over jobs, below which the jobs run on the calling
+# thread.  Threads hand the GIL back and forth between numpy calls.  At
+# tau = 30 on 2 cores, two workers on one BLAS thread each against the
+# calling thread on two took 0.89-0.96x its speed at 2^16-2^18 rows,
+# 1.00-1.06x at 3 * 2^17, 1.13-1.20x at 2^19 and 1.31x at 2^20 (the
+# 80-sequence split); calls of a few hundred rows (the gradient checks
 # make thousands) ran 3-4x slower.
-_POOL_MIN_ROWS = 1 << 17
+_POOL_MIN_ROWS = 1 << 19
 
-# Most horizon jobs run at once.  Two, each on one BLAS thread, is what was
+# Most jobs run at once.  Two, each on one BLAS thread, is what was
 # measured (on 2 cores); each job running holds its own workspace, so the
 # count does not grow with the machine's cores.
 _MAX_WORKERS = 2
 
 
 @contextmanager
-def _horizon_map(tau: int, rows: int):
-    """A map for tau horizon jobs of rows decoder rows each, yielding the
+def _job_map(jobs: int, rows: int):
+    """A map for `jobs` jobs of `rows` decoder rows in all, yielding the
     results in order.
 
-    Large jobs go to a thread pool with one worker per OpenBLAS thread, at
+    Large calls go to a thread pool with one worker per OpenBLAS thread, at
     most _MAX_WORKERS, and OpenBLAS is set to one thread meanwhile: 2 jobs x
     1 BLAS thread beat 1 x 2, and 2 x 2 oversubscribe the cores.  At most
     one job more than there are workers is submitted ahead of the consumer.
     On exit pending jobs are cancelled and the thread count is restored.
-    With one worker (small jobs, one BLAS thread, or no thread control) it
+    With one worker (small calls, one BLAS thread, or no thread control) it
     is the builtin map.
     """
-    control = _blas_thread_control() if rows * tau >= _POOL_MIN_ROWS else None
+    control = _blas_thread_control() if rows >= _POOL_MIN_ROWS else None
     threads = control[0]() if control else 1
-    workers = min(tau, threads, _MAX_WORKERS)
+    workers = min(jobs, threads, _MAX_WORKERS)
     if workers == 1:
         yield map
         return
@@ -488,14 +471,11 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
     anchors are distinct row indices into h whose targets h[anchor + dt] for
     dt = 1..tau stay within the same source sequence.  Returns
     (L_rec, L_pred, grads) with grads scaled by alpha2 and ordered as
-    _phase2_params.  buffers, made for the same F, tau and anchors, carry
-    the large arrays from one call to the next; without them the call makes
-    its own.
+    _phase2_params.  buffers, made for the same F and tau, carry the large
+    arrays from one call to the next; without them the call makes its own.
 
-    Each horizon's decoder pass runs as its own job; the K-adjoint
-    recurrence consumes their latent gradients from dt = tau down, and the
-    sums over horizons are taken in dt = 1..tau order afterwards, so the
-    result does not depend on how many jobs run at once.
+    The anchors are split into fixed blocks, each one job (_block_grads);
+    the calling thread adds the jobs' results in block order.
     """
     F, D = h.shape
     na = int(anchors.size)
@@ -503,7 +483,7 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
         raise ValueError(f"anchors + dt must be rows of h for dt = 0..{tau}")
     enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
     if buffers is None:
-        buffers = _Phase2Buffers(model, F, tau, na)
+        buffers = _Phase2Buffers(model, F, tau)
     z, enc_tape = _dense_chain_forward(enc, h, buffers.encoder)
     dK = np.zeros_like(K)
 
@@ -521,38 +501,22 @@ def _phase2_loss_grads(model: GkaeModel, h: np.ndarray, anchors: np.ndarray,
     if tau > 0 and na > 0:
         n_pred = na * tau * D
         scale = 2.0 * alpha2 / n_pred
-        buffers.checkpoint(K, z, anchors)
+        blocks = [anchors[i:i + buffers.block] for i in range(0, na, buffers.block)]
 
-        def job(d):
-            return _horizon_grads(dec, buffers.latent(d), h, anchors + d, scale, buffers)
+        def job(rows):
+            return _block_grads(dec, K, z, h, rows, tau, scale, buffers)
 
-        def horizons():
-            for d in range(tau, 0, -1):
-                # W[d] and W[d - 1] are in segment (d - 1) // S or its
-                # checkpoint; at d = jS the consumer reads W[d - 1] from
-                # segment j - 1, so it is filled before d is yielded
-                buffers.fill((d - 1) // buffers.S, K)
-                yield d
-
-        per_horizon = []
-        t_grad = None
-        with _horizon_map(tau, na) as run:
-            # both maps yield in order and let go of each result
-            for d, (sse, grads, g) in zip(range(tau, 0, -1), run(job, horizons())):
-                if t_grad is not None:  # g + t_grad @ K, into g
-                    g += np.matmul(t_grad, K, out=buffers.adjoint)
-                t_grad = g
-                dK += t_grad.T @ buffers.latent(d - 1)
-                per_horizon.append((sse, grads))
-        # The anchors are distinct, so this plain scatter adds each row once,
-        # exactly as np.add.at would, and faster.
-        dz[anchors] += np.matmul(t_grad, K, out=buffers.adjoint)
         sse_total = 0.0
-        for sse, grads in reversed(per_horizon):
-            sse_total += sse
-            for pair, (dW, db) in zip(dec_grads, grads):
-                pair[0] += dW
-                pair[1] += db
+        with _job_map(len(blocks), na * tau) as run:
+            for rows, (sse, grads, block_dK, dz_rows) in zip(blocks, run(job, blocks)):
+                sse_total += sse
+                for pair, (dW, db) in zip(dec_grads, grads):
+                    pair[0] += dW
+                    pair[1] += db
+                dK += block_dK
+                # the anchors are distinct, so this plain scatter adds each
+                # row once, exactly as np.add.at would, and faster
+                dz[rows] += dz_rows
         pred = sse_total / n_pred
 
     with buffers.workspace() as ws:
@@ -677,7 +641,7 @@ def train(model: GkaeModel, dataset: list, cfg: TrainConfig):
         grec = mse(Xhat, X)
         del Xhat  # kept through phase 2, it raised train's peak RSS by about 15 MB
         h = H.reshape(X.shape[0], model.embed_dim)
-        buffers = _Phase2Buffers(model, len(h), cfg.tau, anchors.size)
+        buffers = _Phase2Buffers(model, len(h), cfg.tau)
 
         def phase2():
             rec, pred, grads = _phase2_loss_grads(model, h, anchors, cfg.tau, cfg.alpha2,

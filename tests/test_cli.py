@@ -212,12 +212,12 @@ def test_train_outputs(trained):
 
 
 def test_train_writes_the_same_bits_on_one_and_two_blas_threads(tmp_path):
-    # On two OpenBLAS threads phase 2 decodes its horizons on a thread pool
-    # and refills the latent segments on one BLAS thread, after a first
-    # chain on two; on one thread it runs them all in turn.  The same bits
-    # need products that do not depend on the BLAS thread count.
+    # On two OpenBLAS threads phase 2 runs its anchor blocks on a thread
+    # pool, each on one BLAS thread; on one thread it runs them in turn.
+    # The same bits need products that do not depend on the BLAS thread
+    # count.
     ds_cfg = write_json(tmp_path / "ds.json", {
-        "swarm": tiny_swarm(duration=120.0), "n_trajectories": 5, "d_tilde": 100.0,
+        "swarm": tiny_swarm(duration=480.0), "n_trajectories": 5, "d_tilde": 100.0,
         "scale": 500.0, "burn_in_s": 0.0})
     assert main(["dataset", "--config", ds_cfg, "--out", str(tmp_path / "data"),
                  "--quiet"]) == 0

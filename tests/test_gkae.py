@@ -435,28 +435,30 @@ def test_full_model_gradients_match_finite_differences():
     assert rep2["max_rel_err"] < 1e-4
 
 
-# --- threaded phase-2 horizons ---------------------------------------------------------
+# --- phase-2 block jobs ----------------------------------------------------------------
+
+def chain_forward(layers, x):
+    tape = []
+    for layer in layers:
+        y, saved = dense_forward(layer, x, keep=True)
+        tape.append((x, saved))
+        x = y
+    return x, tape
+
+
+def chain_backward(layers, tape, up, acc):
+    for k in range(len(layers) - 1, -1, -1):
+        x, saved = tape[k]
+        up, dW, db = dense_backward(layers[k], x, up, saved)
+        acc[k][0] += dW
+        acc[k][1] += db
+    return up
+
 
 def serial_phase2_loss_grads(model, h, anchors, tau, alpha2):
     """Phase-2 losses and gradients with every horizon decoded in turn and
-    the latent gradients kept in one block: the serial loop that the
-    threaded horizons must reproduce bit for bit."""
-    def chain_forward(layers, x):
-        tape = []
-        for layer in layers:
-            y, saved = dense_forward(layer, x, keep=True)
-            tape.append((x, saved))
-            x = y
-        return x, tape
-
-    def chain_backward(layers, tape, up, acc):
-        for k in range(len(layers) - 1, -1, -1):
-            x, saved = tape[k]
-            up, dW, db = dense_backward(layers[k], x, up, saved)
-            acc[k][0] += dW
-            acc[k][1] += db
-        return up
-
+    the latent gradients kept in one block: an oracle written apart from
+    the block jobs, which sums in another order."""
     D = h.shape[1]
     enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
     z, enc_tape = chain_forward(enc, h)
@@ -492,10 +494,51 @@ def serial_phase2_loss_grads(model, h, anchors, tau, alpha2):
     return rec, sse / n_pred, grads
 
 
+def block_phase2_loss_grads(model, h, anchors, tau, alpha2):
+    """Phase-2 losses and gradients over blocks of max(1, _BLOCK_ROWS // tau)
+    anchors, one block after another with no buffers and no pool: the
+    serial loop that the block jobs must reproduce bit for bit."""
+    D = h.shape[1]
+    enc, dec, K = model.koopman_encoder, model.koopman_decoder, model.K
+    z, enc_tape = chain_forward(enc, h)
+    enc_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in enc]
+    dec_acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in dec]
+    dK = np.zeros_like(K)
+    hr, dec_tape = chain_forward(dec, z)
+    rec = mse(hr, h)
+    dz = chain_backward(dec, dec_tape, alpha2 * mse_grad(hr, h), dec_acc)
+    n_pred = anchors.size * tau * D
+    block = max(1, gkae._BLOCK_ROWS // tau)
+    sse = 0.0
+    for i in range(0, anchors.size, block):
+        rows = anchors[i:i + block]
+        W = [z[rows]]
+        for d in range(tau):
+            W.append(W[-1] @ K.T)
+        W = np.stack(W)
+        y, tape = chain_forward(dec, W[1:].reshape(-1, model.latent))
+        err = y - h[(np.arange(1, tau + 1)[:, None] + rows).ravel()]
+        sse += float(np.sum(err * err))
+        acc = [[np.zeros_like(l.W), np.zeros_like(l.b)] for l in dec]
+        g = chain_backward(dec, tape, err * (2.0 * alpha2 / n_pred), acc)
+        for pair, (dW, db) in zip(dec_acc, acc):
+            pair[0] += dW
+            pair[1] += db
+        g = g.reshape(tau, rows.size, model.latent)
+        for d in range(tau - 1, 0, -1):
+            g[d - 1] += g[d] @ K
+        dK += g.reshape(-1, model.latent).T @ W[:-1].reshape(-1, model.latent)
+        dz[rows] += g[0] @ K
+    chain_backward(enc, enc_tape, dz, enc_acc)
+    grads = [g for pair in enc_acc for g in pair] + [dK]
+    grads += [g for pair in dec_acc for g in pair]
+    return rec, sse / n_pred, grads
+
+
 def phase2_inputs(tau, seed=31, frames=None):
     """A perturbed model and the embeddings of one sequence, with every
     anchor whose horizon stays in it; by default just enough anchors for
-    the horizon jobs to run on threads."""
+    the block jobs to run on threads."""
     rng = np.random.default_rng(seed)
     model = build_model(3, seed=seed)
     for p in gkae._phase2_params(model):
@@ -507,12 +550,23 @@ def phase2_inputs(tau, seed=31, frames=None):
 
 
 def assert_phase2_matches_serial(model, h, anchors, tau, buffers=None):
-    want = serial_phase2_loss_grads(model, h, anchors, tau, 0.7)
+    want = block_phase2_loss_grads(model, h, anchors, tau, 0.7)
     got = gkae._phase2_loss_grads(model, h, anchors, tau, 0.7, buffers)
     assert got[0] == want[0] and got[1] == want[1]
     assert len(got[2]) == len(want[2]) == 13
     for a, b in zip(got[2], want[2]):
         assert np.array_equal(a, b)
+
+
+def assert_phase2_near_the_horizon_oracle(model, h, anchors, tau):
+    # the two sum in different orders: L_rec shares its pass, the rest may
+    # differ in the last bits
+    want = serial_phase2_loss_grads(model, h, anchors, tau, 0.7)
+    got = gkae._phase2_loss_grads(model, h, anchors, tau, 0.7)
+    assert got[0] == want[0]
+    assert got[1] == pytest.approx(want[1], rel=1e-12, abs=0)
+    for a, b in zip(got[2], want[2]):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def fake_blas(threads):
@@ -540,10 +594,34 @@ def test_phase2_horizon_jobs_equal_the_serial_loop_bitwise(monkeypatch, tau, wor
         sys.setswitchinterval(interval)
 
 
+@pytest.mark.parametrize("tau", [1, 2, 5, 13, 30])
+def test_phase2_block_jobs_are_near_the_horizon_oracle(tau):
+    assert_phase2_near_the_horizon_oracle(*phase2_inputs(tau), tau)
+
+
+@pytest.mark.parametrize("block_rows, blocks, last", [
+    (64, 4, 4),        # blocks of 12 anchors and a ragged last block of 4
+    (1 << 15, 1, 40),  # fewer anchors than one block
+    (4, 40, 1),        # fewer rows than one horizon: blocks of one anchor
+])
+def test_phase2_blocks_of_any_size_equal_the_serial_loop_bitwise(monkeypatch, block_rows,
+                                                                 blocks, last):
+    monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(2))
+    monkeypatch.setattr(gkae, "_POOL_MIN_ROWS", 0)  # the pool takes any call of two jobs
+    monkeypatch.setattr(gkae, "_BLOCK_ROWS", block_rows)
+    tau = 5
+    model, h, anchors = phase2_inputs(tau, frames=40 + tau)
+    block = max(1, block_rows // tau)
+    sizes = [len(anchors[i:i + block]) for i in range(0, anchors.size, block)]
+    assert (len(sizes), sizes[-1]) == (blocks, last)
+    assert_calls_sharing_buffers_match_serial(model, h, anchors, tau)
+    assert_phase2_near_the_horizon_oracle(model, h, anchors, tau)
+
+
 def assert_calls_sharing_buffers_match_serial(model, h, anchors, tau):
     """Two phase-2 calls on one set of buffers, the parameters perturbed in
     between, each equal to the serial loop."""
-    buffers = gkae._Phase2Buffers(model, len(h), tau, anchors.size)
+    buffers = gkae._Phase2Buffers(model, len(h), tau)
     rng = np.random.default_rng(tau)
     assert_phase2_matches_serial(model, h, anchors, tau, buffers)
     for p in gkae._phase2_params(model):
@@ -579,8 +657,7 @@ def test_phase2_calls_sharing_buffers_with_an_elu_decoder_layer(monkeypatch, lay
 @pytest.mark.parametrize("tau", [5, 30])
 def test_phase2_second_call_on_kept_buffers_allocates_little(tau):
     # tracemalloc sees numpy's buffers: the first call makes the buffers, the
-    # second writes into them; at tau = 30 the decoder workspaces are most of
-    # them, the latents' checkpoints and two segments about a third
+    # second writes into them
     model, h, anchors = phase2_inputs(tau)
     peaks = []
     tracemalloc.start()
@@ -589,7 +666,7 @@ def test_phase2_second_call_on_kept_buffers_allocates_little(tau):
         for _ in range(2):
             tracemalloc.reset_peak()
             start = tracemalloc.get_traced_memory()[0]
-            buffers = buffers or gkae._Phase2Buffers(model, len(h), tau, anchors.size)
+            buffers = buffers or gkae._Phase2Buffers(model, len(h), tau)
             gkae._phase2_loss_grads(model, h, anchors, tau, 1.0, buffers)
             peaks.append(tracemalloc.get_traced_memory()[1] - start)
     finally:
@@ -597,17 +674,24 @@ def test_phase2_second_call_on_kept_buffers_allocates_little(tau):
     assert peaks[1] < peaks[0] / 4
 
 
-def test_phase2_buffers_keep_checkpoints_not_every_latent():
-    # at tau = 30 all 31 latents are 31 (anchors, latent) blocks; the
-    # checkpoints and two segments must stay within 16
+def test_phase2_buffers_hold_no_array_per_anchor(monkeypatch):
+    # a job's latents live in its workspace, one block of anchors long, so
+    # what the buffers keep from one call to the next is sized by the
+    # frames and the block, and holds no (anchors, ...) array
     tau = 30
     model, h, anchors = phase2_inputs(tau)
-    buffers = gkae._Phase2Buffers(model, len(h), tau, anchors.size)
-    gkae._phase2_loss_grads(model, h, anchors, tau, 1.0, buffers)
-    block = anchors.size * model.latent * 8
-    kept = sum(a.nbytes for name, a in vars(buffers).items()
-               if isinstance(a, np.ndarray) and name != "adjoint")
-    assert kept <= 16 * block
+    made = []
+    buffers_cls = gkae._Phase2Buffers
+    monkeypatch.setattr(gkae, "_Phase2Buffers", lambda *a: made.append(buffers_cls(*a))
+                        or made[-1])
+    gkae._phase2_loss_grads(model, h, anchors, tau, 1.0)
+    held = [vars(made[0])]
+    while not made[0]._idle.empty():
+        held.append(vars(made[0]._idle.get()))
+    arrays = [a for attrs in held for v in attrs.values()
+              for a in (v if isinstance(v, list) else [v]) if isinstance(a, np.ndarray)]
+    assert len(held) > 1 and arrays
+    assert all(anchors.size not in a.shape for a in arrays)
 
 
 def test_phase2_rejects_anchors_whose_horizon_leaves_h():
@@ -623,33 +707,37 @@ def test_horizon_map_caps_workers_and_jobs_submitted_ahead(monkeypatch, blas_thr
                                                            max_workers, workers):
     monkeypatch.setattr(gkae, "_blas_thread_control", fake_blas(blas_threads))
     monkeypatch.setattr(gkae, "_MAX_WORKERS", max_workers)
-    tau = 30
+    jobs = 30
     pulled = []
 
     def items():
-        for d in range(tau, 0, -1):
-            pulled.append(d)
-            yield d
+        for i in range(jobs):
+            pulled.append(i)
+            yield i
 
-    with gkae._horizon_map(tau, gkae._POOL_MIN_ROWS) as run:
-        results = run(lambda d: (d, threading.get_ident()), items())
+    with gkae._job_map(jobs, gkae._POOL_MIN_ROWS) as run:
+        results = run(lambda i: (i, threading.get_ident()), items())
         first = next(results)
         assert len(pulled) == workers + 1
         rest = list(results)
-    assert [d for d, _ in [first] + rest] == list(range(tau, 0, -1))
+    assert [i for i, _ in [first] + rest] == list(range(jobs))
     assert len({ident for _, ident in [first] + rest}) <= workers
 
 
+def n_blocks(anchors, tau):
+    return -(-anchors.size // max(1, gkae._BLOCK_ROWS // tau))
+
+
 def recording_jobs(monkeypatch, control):
-    """Make every horizon job record (its thread, the BLAS thread count)."""
+    """Make every block job record (its thread, the BLAS thread count)."""
     seen = []
-    job = gkae._horizon_grads
+    job = gkae._block_grads
 
     def recording_job(*args):
         seen.append((threading.get_ident(), control[0]()))
         return job(*args)
 
-    monkeypatch.setattr(gkae, "_horizon_grads", recording_job)
+    monkeypatch.setattr(gkae, "_block_grads", recording_job)
     return seen
 
 
@@ -667,7 +755,7 @@ def test_phase2_runs_one_job_per_blas_thread_on_one_thread_blas(monkeypatch):
         gkae._phase2_loss_grads(model, h, anchors, 5, 1.0)
         assert get() == 2
         assert threading.active_count() == threads
-        assert len(seen) == 5 and {n for _, n in seen} == {1}
+        assert len(seen) == n_blocks(anchors, 5) and {n for _, n in seen} == {1}
         assert len({ident for ident, _ in seen}) <= 2
         assert threading.get_ident() not in {ident for ident, _ in seen}
     finally:
@@ -680,7 +768,7 @@ def test_phase2_small_calls_run_on_the_calling_thread(monkeypatch):
     before = control[0]()
     model, h, anchors = phase2_inputs(5, frames=gkae._POOL_MIN_ROWS // 5)
     gkae._phase2_loss_grads(model, h, anchors, 5, 1.0)
-    assert seen == [(threading.get_ident(), before)] * 5
+    assert seen == [(threading.get_ident(), before)] * n_blocks(anchors, 5)
 
 
 def test_phase2_restores_blas_threads_when_a_job_raises(monkeypatch):
@@ -689,7 +777,7 @@ def test_phase2_restores_blas_threads_when_a_job_raises(monkeypatch):
         pytest.skip("numpy's BLAS exports no thread control")
     get, set_ = control
     before = get()
-    job = gkae._horizon_grads
+    job = gkae._block_grads
     done = []
 
     def failing_job(*args):
@@ -698,7 +786,7 @@ def test_phase2_restores_blas_threads_when_a_job_raises(monkeypatch):
         done.append(job(*args))
         return done[-1]
 
-    monkeypatch.setattr(gkae, "_horizon_grads", failing_job)
+    monkeypatch.setattr(gkae, "_block_grads", failing_job)
     threads = threading.active_count()
     try:
         set_(2)
@@ -737,7 +825,7 @@ def test_phase1_loss_decreases_smoothed():
 
 
 def test_train_keeps_no_memory_or_threads_after_it_returns():
-    # one sequence long enough for the horizon jobs to run on threads
+    # one sequence long enough for the block jobs to run on threads
     rng = np.random.default_rng(41)
     dataset = [random_sequence(rng, L=2, T=gkae._POOL_MIN_ROWS // 30 + 200)]
     cfg = TrainConfig(tau=30, epochs_phase1=1, epochs_phase2=2)
